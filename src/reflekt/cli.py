@@ -8,8 +8,9 @@ run configuration (minus cache settings, so cache on/off cannot change
 output bytes) and the algorithm version string.
 
 Cache entries live under REFLEKT_CACHE (or --cache), keyed by a hash of the
-canonical descriptor, artifact kind and algorithm version; they are
-revalidated on load and discarded with a warning when corrupt.
+canonical descriptor, artifact kind and algorithm version; a file: descriptor
+also carries a hash of its generator matrices, so editing the file misses.
+Entries are revalidated on load and discarded with a warning when corrupt.
 """
 from __future__ import annotations
 
@@ -122,6 +123,19 @@ class Cache:
             raise
 
 
+def _cache_name(g) -> str:
+    """The descriptor a group's cache entries are keyed on.
+
+    A file: path can hold different generators from one run to the next, so
+    its name also carries a SHA-256 of the canonical generator matrices.
+    """
+    name = g.descriptor.canonical()
+    if g.descriptor.kind == "file":
+        gens = [[[x.to_json() for x in row] for row in m] for m in g.generator_matrices]
+        name += "#" + hashlib.sha256(canonical_json(gens).encode()).hexdigest()
+    return name
+
+
 def _table_payload(table: CharacterTable) -> dict:
     return table.to_json()
 
@@ -136,7 +150,8 @@ def _table_from_payload(g, payload) -> CharacterTable:
     return CharacterTable(g, rows)
 
 
-def cached_character_table(g, cache: Cache, descriptor: str) -> CharacterTable:
+def cached_character_table(g, cache: Cache) -> CharacterTable:
+    descriptor = _cache_name(g)
     payload = cache.lookup(descriptor, "chartable")
     if payload is not None:
         try:
@@ -163,7 +178,7 @@ def cmd_group(cfg: RunConfig, cache: Cache) -> tuple[int, dict]:
 
 def cmd_chars(cfg: RunConfig, cache: Cache) -> tuple[int, dict]:
     g = _build(cfg)
-    table = cached_character_table(g, cache, g.descriptor.canonical())
+    table = cached_character_table(g, cache)
     return 0, table.to_json()
 
 
@@ -180,12 +195,14 @@ def _fake_payload(fs: FakeDegreeSet) -> list:
 
 def cmd_fake(cfg: RunConfig, cache: Cache, csv_path: str | None) -> tuple[int, dict]:
     g = _build(cfg)
-    table = cached_character_table(g, cache, g.descriptor.canonical())
-    payload = cache.lookup(g.descriptor.canonical(), "fake")
+    table = cached_character_table(g, cache)
+    name = _cache_name(g)
+    payload = cache.lookup(name, "fake")
     if payload is not None:
-        ok = all(
-            sum(item["fake_degree"]["coefficients"]) == item["degree"]
-            for item in payload
+        degrees = [row.degree_int() for row in table.rows]
+        ok = [item["degree"] for item in payload] == degrees and all(
+            item["rep_index"] == i and sum(item["fake_degree"]["coefficients"]) == item["degree"]
+            for i, item in enumerate(payload)
         )
         if not ok:
             print("warning: cached fake degrees failed revalidation", file=sys.stderr)
@@ -193,7 +210,7 @@ def cmd_fake(cfg: RunConfig, cache: Cache, csv_path: str | None) -> tuple[int, d
     if payload is None:
         fs = FakeDegreeSet(g, table)
         payload = _fake_payload(fs)
-        cache.store(g.descriptor.canonical(), "fake", payload)
+        cache.store(name, "fake", payload)
     if csv_path:
         _write_fake_csv(csv_path, payload)
     return 0, {"reps": payload}
@@ -223,7 +240,7 @@ def cmd_verify(cfg: RunConfig, cache: Cache, kind: str) -> tuple[int, dict]:
     if kind not in VERIFY_KINDS:
         raise UsageError(f"unknown verification {kind!r}; pick from {VERIFY_KINDS}")
     g = _build(cfg)
-    table = cached_character_table(g, cache, g.descriptor.canonical())
+    table = cached_character_table(g, cache)
     fs = FakeDegreeSet(g, table)
     if kind == "pn":
         report = verify_all_pn(fs)
@@ -238,7 +255,7 @@ def cmd_verify(cfg: RunConfig, cache: Cache, kind: str) -> tuple[int, dict]:
 
 def cmd_minmat(cfg: RunConfig, cache: Cache, rep: int) -> tuple[int, dict]:
     g = _build(cfg)
-    table = cached_character_table(g, cache, g.descriptor.canonical())
+    table = cached_character_table(g, cache)
     fs = FakeDegreeSet(g, table)
     if not 0 <= rep < len(fs.table.rows):
         raise UsageError(f"--rep must be in [0, {len(fs.table.rows)})")
@@ -268,7 +285,7 @@ def _kz_settings(cfg: RunConfig) -> KZSettings:
 
 def cmd_kz_monodromy(cfg: RunConfig, cache: Cache, rep: int, k_json: str) -> tuple[int, dict]:
     g = _build(cfg)
-    table = cached_character_table(g, cache, g.descriptor.canonical())
+    table = cached_character_table(g, cache)
     fs = FakeDegreeSet(g, table)
     if not 0 <= rep < len(fs.table.rows):
         raise UsageError(f"--rep must be in [0, {len(fs.table.rows)})")
@@ -285,7 +302,7 @@ def cmd_kz_monodromy(cfg: RunConfig, cache: Cache, rep: int, k_json: str) -> tup
 
 def cmd_kz_gamma(cfg: RunConfig, cache: Cache, k_json: str) -> tuple[int, dict]:
     g = _build(cfg)
-    table = cached_character_table(g, cache, g.descriptor.canonical())
+    table = cached_character_table(g, cache)
     fs = FakeDegreeSet(g, table)
     try:
         k = LabelVector.from_json(json.loads(k_json), g)

@@ -814,19 +814,6 @@ class MultiPoly:
             num = num - den * MultiPoly(self.nvars, {qe: qc})
         return MultiPoly(self.nvars, qterms)
 
-    def monic_normalized(self) -> MultiPoly:
-        """Scale so the first nonzero coordinate coefficient (by index) is 1.
-
-        Intended for linear forms; for general polynomials scales by the
-        lex-leading coefficient.
-        """
-        if self.is_zero():
-            return self
-        lin = sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-        # For a linear form the reverse-lex-first term is the lowest variable index.
-        _, c = lin[0]
-        return self * c.inverse()
-
     def to_json(self) -> list:
         items = sorted(self.terms.items(), key=lambda t: t[0])
         return [[list(e), c.to_json()] for e, c in items]

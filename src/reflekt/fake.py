@@ -88,8 +88,7 @@ def _fake_degree_from_values(g: ReflectionGroup, values) -> PolyT:
     numer = SeriesT(list(degree_numerator(g).coeffs), order)
     acc = SeriesT([], order)
     for idx, cls in enumerate(g.classes):
-        den = g.char_poly_one_minus_Tw(cls.rep)
-        acc = acc + series_inverse(den, order) * (values[idx] * cls.size)
+        acc = acc + g.class_inverse_series[idx] * (values[idx] * cls.size)
     total = (numer * acc).scale(Fraction(1, g.order))
     return PolyT(list(total.coeffs))
 
@@ -180,17 +179,14 @@ def symmetry_shift(fs: FakeDegreeSet, i: int, b: tuple[int, ...]) -> Fraction:
 
 
 def _pi_b_character(fs: FakeDegreeSet, b: tuple[int, ...]) -> ClassFunction:
-    """Linear character of pi_b = prod_C pi_C^{e_C - b_C}, from the table rows."""
+    """Linear character of pi_b = prod_C pi_C^{e_C - b_C}, from the orbit characters."""
     g = fs.group
+    chis = [g.orbit_character(c) for c in range(len(g.orbits))]
     vals = []
-    for cls in g.classes:
-        m = g.elements[g.inverse(cls.rep)]
+    for k in range(len(g.classes)):
         acc = CycNum.one()
         for c, orbit in enumerate(g.orbits):
-            composed = orbit.pi.compose_matrix(m)
-            ratio = composed.divide_exact(orbit.pi)
-            chi_c = ratio.terms[(0,) * g.dimension]
-            acc = acc * chi_c ** (orbit.order - b[c])
+            acc = acc * chis[c][k] ** (orbit.order - b[c])
         vals.append(acc)
     return ClassFunction(g, tuple(vals))
 

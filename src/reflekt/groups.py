@@ -11,8 +11,15 @@ subspace of C^n, which keeps the permutation matrices exactly unitary with
 entries in Q(zeta_n) (the 1/sqrt(n) normalizations cancel in conjugation).
 
 Enumeration is breadth-first over generator words; the first word reaching an
-element (shortest, then lexicographically smallest) is stored.  Everything is
-exact; all data is immutable after construction.
+element (shortest, then lexicographically smallest) is stored.  The search
+records the Cayley graph of right multiplication by the generators
+(rmul[i][g] = index of w_i * s_g) and the BFS tree (w_j = w_parent(j) * s_last),
+so it costs |W| * #generators matrix products.  All pure group structure -
+the multiplication table, products, inverses, element orders, conjugacy
+classes - is integer lookups in that graph.  Matrices are used only where the
+answer is linear algebra: traces, determinants and eigenvalues, the rank test
+for reflections (one per class), hyperplane forms and the action on them.
+Everything is exact; all data is immutable after construction.
 """
 from __future__ import annotations
 
@@ -32,13 +39,14 @@ from .exact import (
     ONE,
     poly_one_minus_Tk,
     poly_divide_exact,
+    series_inverse,
 )
 from . import linalg
 from .linalg import Matrix, Vector
 
 DEFAULT_MAX_ORDER = 50_000
-# Full multiplication tables only below this size; above it products go
-# through matrix multiplication plus a hash lookup.
+# Full multiplication tables only below this size; above it a product w_i * w_j
+# walks the word of w_j from i through the Cayley graph.
 MULT_TABLE_LIMIT = 4096
 
 
@@ -248,12 +256,12 @@ class ReflectionGroup:
             )
         self._element_orders()
         self.conductor = lcm(n0, *self.element_orders) if self.order > 1 else n0
+        self._find_classes()
         self._find_reflections()
         self._find_hyperplanes()
         if descriptor.kind == "file":
             self._check_reflections_generate()
         self._find_orbits()
-        self._find_classes()
         self._molien_degrees()
 
     # -- enumeration --------------------------------------------------------
@@ -263,47 +271,67 @@ class ReflectionGroup:
         ident = tuple(tuple(x.promote(self.generator_matrices[0][0][0].N) for x in row) for row in ident)
         elements: list[Matrix] = [ident]
         words: list[tuple[int, ...]] = [()]
+        parent = [0]
         index: dict[Matrix, int] = {ident: 0}
+        rmul: list[tuple[int, ...]] = []
         head = 0
         while head < len(elements):
             cur = elements[head]
+            row = []
             for g, gm in enumerate(self.generator_matrices):
                 new = linalg.mat_mul(cur, gm)
-                if new not in index:
+                j = index.get(new)
+                if j is None:
                     if len(elements) >= max_order:
                         raise GroupBuildError(
                             f"group order exceeds the cap {max_order}"
                         )
-                    index[new] = len(elements)
+                    j = index[new] = len(elements)
                     elements.append(new)
                     words.append(words[head] + (g,))
+                    parent.append(head)
+                row.append(j)
+            rmul.append(tuple(row))
             head += 1
         self.elements = elements
         self.words = words
         self.index = index
         self.order = len(elements)
         self.identity = 0
+        self._rmul = rmul
+        self.generator_elements = rmul[0]
 
         if self.order <= MULT_TABLE_LIMIT:
+            # Row i follows the BFS tree: i * w_j = (i * w_parent(j)) * gen_last(j).
+            steps = [(parent[j], words[j][-1]) for j in range(1, self.order)]
             table = []
-            for i, a in enumerate(elements):
-                row = [index[linalg.mat_mul(a, b)] for b in elements]
+            for i in range(self.order):
+                row = [i]
+                for p, a in steps:
+                    row.append(rmul[row[p]][a])
                 table.append(row)
             self._mult_table: list[list[int]] | None = table
         else:
             self._mult_table = None
+        # (w_parent * s)^-1 = s^-1 * w_parent^-1, with s^-1 = s^(o-1) from the s-cycle through 1.
+        gen_inv = []
+        for a in range(len(self.generator_matrices)):
+            prev, cur = 0, rmul[0][a]
+            while cur != 0:
+                prev, cur = cur, rmul[cur][a]
+            gen_inv.append(prev)
         inv = [0] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.mult(i, j) == 0:
-                    inv[i] = j
-                    break
+        for j in range(1, self.order):
+            inv[j] = self.mult(gen_inv[words[j][-1]], inv[parent[j]])
         self.inverse_table = inv
 
     def mult(self, i: int, j: int) -> int:
         if self._mult_table is not None:
             return self._mult_table[i][j]
-        return self.index[linalg.mat_mul(self.elements[i], self.elements[j])]
+        rmul = self._rmul
+        for a in self.words[j]:
+            i = rmul[i][a]
+        return i
 
     def inverse(self, i: int) -> int:
         return self.inverse_table[i]
@@ -321,9 +349,8 @@ class ReflectionGroup:
 
     def word_product(self, word: tuple[int, ...]) -> int:
         acc = 0
-        gen_elt = [self.index[gm] for gm in self.generator_matrices]
         for a in word:
-            acc = self.mult(acc, gen_elt[a])
+            acc = self._rmul[acc][a]
         return acc
 
     def _element_orders(self) -> None:
@@ -383,25 +410,29 @@ class ReflectionGroup:
 
     def char_poly_one_minus_Tw(self, i: int) -> PolyT:
         """det_V(1 - T w_i) as an exact polynomial in T."""
-        p = PolyT([ONE])
-        for o, t, mult in self.eigenvalue_multiplicities(i):
-            factor = PolyT([ONE, -CycNum.zeta(o, t)])
-            for _ in range(mult):
-                p = p * factor
-        return p
+        try:
+            polys = self._char_polys
+        except AttributeError:
+            polys = self._char_polys = {}
+        if i not in polys:
+            p = PolyT([ONE])
+            for o, t, mult in self.eigenvalue_multiplicities(i):
+                factor = PolyT([ONE, -CycNum.zeta(o, t)])
+                for _ in range(mult):
+                    p = p * factor
+            polys[i] = p
+        return polys[i]
 
     # -- reflections and hyperplanes -----------------------------------------
 
     def _find_reflections(self) -> None:
+        # Being a reflection is a class property: test the representatives.
         refl = []
         ident = linalg.identity(self.dimension)
-        for i in range(self.order):
-            if i == 0:
-                continue
-            diff = linalg.mat_sub(self.elements[i], ident)
-            if linalg.rank(diff) == 1:
-                refl.append(i)
-        self.reflections = tuple(refl)
+        for cls in self.classes[1:]:
+            if linalg.rank(linalg.mat_sub(self.elements[cls.rep], ident)) == 1:
+                refl.extend(cls.members)
+        self.reflections = tuple(sorted(refl))
 
     def _normalized_form(self, row: Vector) -> Vector:
         piv = next(x for x in row if not x.is_zero())
@@ -421,14 +452,11 @@ class ReflectionGroup:
             forms.setdefault(self._reflection_form(i), []).append(i)
         hyperplanes = []
         self.hyperplane_index: dict[Vector, int] = {}
-        for form in forms:
+        for form, members in forms.items():
             alpha = MultiPoly.linear_form(form)
             basis = linalg.nullspace([list(form)])
-            stab = []
-            for i in range(self.order):
-                m = self.elements[i]
-                if all(linalg.mat_vec(m, v) == v for v in basis):
-                    stab.append(i)
+            # The pointwise stabilizer of H is 1 plus the reflections with hyperplane H.
+            stab = [0] + members
             e = len(stab)
             if e < 2:
                 raise ExactError("hyperplane stabilizer not a reflection group (bug)")
@@ -468,21 +496,45 @@ class ReflectionGroup:
                 f"reflections generate only {len(seen)} of {self.order} elements"
             )
 
-    def hyperplane_image(self, h_idx: int, w: int) -> int:
-        """Index of w(H): the form transforms as alpha o w^{-1}."""
+    def _form_image(self, h_idx: int, w: int) -> Vector:
+        """alpha_H o w^{-1}, a nonzero multiple of the form of w(H)."""
         form = self.hyperplanes[h_idx].form
         m = self.elements[self.inverse(w)]
-        new_row = tuple(
+        return tuple(
             sum((form[i] * m[i][j] for i in range(self.dimension)), ZERO)
             for j in range(self.dimension)
         )
-        return self.hyperplane_index[self._normalized_form(new_row)]
+
+    def hyperplane_image(self, h_idx: int, w: int) -> int:
+        """Index of w(H): the form transforms as alpha o w^{-1}."""
+        return self.hyperplane_index[self._normalized_form(self._form_image(h_idx, w))]
+
+    def orbit_character(self, c: int) -> tuple[CycNum, ...]:
+        """Class values of chi_C, the linear character with pi_C o w^{-1} = chi_C(w) pi_C.
+
+        alpha_H o w^{-1} is lambda_H times the normalized form of w(H), with
+        lambda_H its first nonzero coefficient, and w permutes the orbit, so
+        chi_C(w) is the product of the lambda_H over H in C.  Memoized per orbit.
+        """
+        try:
+            chars = self._orbit_chars
+        except AttributeError:
+            chars = self._orbit_chars = {}
+        if c not in chars:
+            vals = []
+            for cls in self.classes:
+                acc = ONE
+                for h in self.orbits[c].members:
+                    acc = acc * next(x for x in self._form_image(h, cls.rep) if not x.is_zero())
+                vals.append(acc)
+            chars[c] = tuple(vals)
+        return chars[c]
 
     def _find_orbits(self) -> None:
         unassigned = set(range(len(self.hyperplanes)))
         orbits = []
         self.orbit_of_hyperplane = [0] * len(self.hyperplanes)
-        gen_elts = [self.index[gm] for gm in self.generator_matrices]
+        gen_elts = self.generator_elements
         while unassigned:
             start = min(unassigned)
             seen = {start}
@@ -512,7 +564,7 @@ class ReflectionGroup:
     def _find_classes(self) -> None:
         class_of = [-1] * self.order
         classes: list[ConjugacyClass] = []
-        gen_elts = [self.index[gm] for gm in self.generator_matrices]
+        gen_elts = self.generator_elements
         for i in range(self.order):
             if class_of[i] >= 0:
                 continue
@@ -544,13 +596,17 @@ class ReflectionGroup:
         n = self.dimension
         nrefl = len(self.reflections)
         order = nrefl + n
+        # 1/det(1 - T c) per class representative c, shared with the fake degrees;
+        # promoted to the conductor, where the character values live.
+        inverses = [series_inverse(self.char_poly_one_minus_Tw(c.rep), order) for c in self.classes]
+        self.class_inverse_series = tuple(
+            SeriesT([x.promote(self.conductor) for x in inv.coeffs], order) for inv in inverses
+        )
         total = SeriesT([], order)
-        for cls in self.classes:
-            det_poly = self.char_poly_one_minus_Tw(cls.rep)
-            inv = _series_inverse_of_poly(det_poly, order)
+        for cls, inv in zip(self.classes, self.class_inverse_series):
             total = total + inv.scale(cls.size)
         molien = total.scale(Fraction(1, self.order))
-        numer = _series_inverse_of_series(molien)
+        numer = series_inverse(molien.to_poly(), order)
         poly = numer.to_poly()
         if poly.degree != order:
             raise ExactError("Molien numerator has unexpected degree (bug)")
@@ -602,25 +658,6 @@ class ReflectionGroup:
         }
 
 
-def _series_inverse_of_poly(p: PolyT, order: int) -> SeriesT:
-    from .exact import series_inverse
-
-    return series_inverse(p, order)
-
-
-def _series_inverse_of_series(s: SeriesT) -> SeriesT:
-    if s.coeffs[0].is_zero():
-        raise ExactError("series inverse needs a unit constant term")
-    a0_inv = s.coeffs[0].inverse()
-    out = [a0_inv]
-    for k in range(1, s.order + 1):
-        acc = CycNum.zero()
-        for i in range(1, k + 1):
-            acc = acc + s.coeffs[i] * out[k - i]
-        out.append(-(acc * a0_inv))
-    return SeriesT(out, s.order)
-
-
 # ---------------------------------------------------------------------------
 # module-level operation surface
 # ---------------------------------------------------------------------------
@@ -629,15 +666,3 @@ def build_group(descriptor: str | Descriptor, max_order: int = DEFAULT_MAX_ORDER
     if isinstance(descriptor, str):
         descriptor = parse_descriptor(descriptor)
     return ReflectionGroup(descriptor, max_order=max_order)
-
-
-def reflections_and_orbits(g: ReflectionGroup):
-    return g.reflections, g.hyperplanes, g.orbits
-
-
-def conjugacy_classes(g: ReflectionGroup):
-    return g.classes
-
-
-def molien_degrees(g: ReflectionGroup):
-    return g.degrees

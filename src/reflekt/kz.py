@@ -592,8 +592,7 @@ def _generator_hyperplanes(g: ReflectionGroup) -> list[int]:
     """Hyperplane index of each group generator; requires every generator to
     be the distinguished reflection of its hyperplane."""
     out = []
-    for gm in g.generator_matrices:
-        gelt = g.index[gm]
+    for gelt in g.generator_elements:
         if gelt not in g.reflections:
             raise KZError("a group generator is not a reflection")
         form = g._reflection_form(gelt)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exact import CycNum, ExactError, ZERO, ONE
+from .exact import CycNum, ZERO, ONE
 
 Matrix = tuple[tuple[CycNum, ...], ...]
 Vector = tuple[CycNum, ...]
@@ -167,17 +167,6 @@ def independent_subset(vectors: Sequence[Sequence[CycNum]]) -> list[Vector]:
     return out
 
 
-def solve(a: Sequence[Sequence[CycNum]], b: Sequence[Sequence[CycNum]]) -> list[list[CycNum]]:
-    """Solve a X = b exactly (a square nonsingular)."""
-    n = len(a)
-    m = len(b[0])
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ExactError("singular system in solve()")
-    return [[red[i][n + j] for j in range(m)] for i in range(n)]
-
-
 def det(a: Matrix) -> CycNum:
     n = len(a)
     m = [list(r) for r in a]
@@ -196,12 +185,6 @@ def det(a: Matrix) -> CycNum:
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return out
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    sol = solve(a, identity(n))
-    return tuple(tuple(row) for row in sol)
 
 
 def mat_to_complex(a: Matrix):

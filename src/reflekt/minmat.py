@@ -80,7 +80,7 @@ class Realization:
 
 def _linear_realization(g, table, row_idx) -> Realization:
     row = table.rows[row_idx]
-    gen_elts = [g.index[m] for m in g.generator_matrices]
+    gen_elts = g.generator_elements
     mats = [((row.value_on_element(e),),) for e in gen_elts]
     return Realization(g, row_idx, row, [tuple(m) for m in mats], ((CycNum.one(),),), "linear")
 
@@ -90,7 +90,7 @@ def _defining_twist_realization(g, table, row_idx) -> Realization | None:
     if row.degree_int() != g.dimension:
         return None
     linear_rows = [r for r in table.rows if r.degree_int() == 1]
-    gen_elts = [g.index[m] for m in g.generator_matrices]
+    gen_elts = g.generator_elements
     for lam in linear_rows:
         candidate = tuple(
             g.trace(c.rep) * lam.values[i] for i, c in enumerate(g.classes)
@@ -180,7 +180,7 @@ def _induced_realization(g, table, row_idx) -> Realization:
         )
     bmat = tuple(tuple(basis[c][r] for c in range(deg)) for r in range(nx))
 
-    gen_elts = [g.index[mt] for mt in g.generator_matrices]
+    gen_elts = g.generator_elements
     gen_mats = []
     for a in gen_elts:
         perm, scal = induced_monomial(a)
@@ -302,7 +302,7 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
     monos = _monomials(n, p)
     D = len(monos)
     nun = D * l
-    gen_elts = [g.index[mt] for mt in g.generator_matrices]
+    gen_elts = g.generator_elements
     basis_vecs: list[list[CycNum]] | None = None  # None means the full space
     zero = CycNum.zero()
     for a, gelt in enumerate(gen_elts):
@@ -393,9 +393,6 @@ class MinimalTauMatrix:
     def dim(self) -> int:
         return len(self.column_degrees)
 
-    def euler_diagonal(self) -> tuple[int, ...]:
-        return self.column_degrees
-
     def det_poly(self) -> MultiPoly:
         return _poly_det(self.matrix, self.group.dimension)
 
@@ -485,7 +482,7 @@ def _assert_minimal_properties(fs: FakeDegreeSet, mm: MinimalTauMatrix) -> None:
     g = mm.group
     real = mm.realization
     l = mm.dim
-    gen_elts = [g.index[mt] for mt in g.generator_matrices]
+    gen_elts = g.generator_elements
     # Equivariance on generators (suffices by generation).
     for a, gelt in enumerate(gen_elts):
         minv = g.elements[g.inverse(gelt)]
@@ -568,7 +565,7 @@ def verify_quotient_property(
 
     detp = mm.det_poly()
     adj = _adjugate(mm.matrix, g.dimension)
-    gen_elts = [g.index[mt] for mt in g.generator_matrices]
+    gen_elts = g.generator_elements
     entries_ok = True
     invariant_ok = True
     try:

@@ -138,3 +138,26 @@ def test_file_descriptor_via_cli(capsys, tmp_path):
     code, out, err = run_capture(capsys, ["group", f"file:{path}"])
     assert code == 0
     assert json.loads(out)["result"]["order"] == 8
+
+
+def test_cache_misses_after_file_group_changes(capsys, tmp_path):
+    from reflekt.groups import build_group
+
+    cache = tmp_path / "cache"
+    path = tmp_path / "gens.json"
+
+    def write_generators(descriptor):
+        g = build_group(descriptor)
+        data = [[[x.to_json() for x in row] for row in m] for m in g.generator_matrices]
+        path.write_text(json.dumps(data))
+
+    argv = ["fake", f"file:{path}"]
+    write_generators("G(3,1,1)")
+    code, _, _ = run_capture(capsys, ["--cache", str(cache)] + argv)
+    assert code == 0
+    write_generators("G(2,1,2)")
+    code, cached, _ = run_capture(capsys, ["--cache", str(cache)] + argv)
+    _, plain, _ = run_capture(capsys, ["--no-cache"] + argv)
+    assert code == 0
+    assert cached == plain
+    assert len(json.loads(plain)["result"]["reps"]) == 5

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from reflekt.exact import CycNum
-from reflekt import linalg
+from reflekt import groups as groups_mod, linalg
 from reflekt.groups import (
     GroupBuildError,
     build_group,
@@ -13,7 +13,7 @@ from reflekt.groups import (
 CORPUS = (
     ["S3", "S4", "G(2,1,2)", "G(3,1,2)", "G(3,3,3)", "G(4,4,2)"]
     + [f"G({m},1,1)" for m in range(2, 7)]
-    + [f"G({m},{m},2)" for m in range(2, 7)]
+    + [f"G({m},{m},2)" for m in range(2, 7) if m != 4]  # m = 4 is G(4,4,2) above
 )
 
 
@@ -122,6 +122,36 @@ def test_corpus_stabilizers(groups):
                 assert linalg.mat_vec(g.elements[hp.generator], v) == v
 
 
+def test_corpus_stabilizers_match_fixed_point_scan(groups):
+    for name, g in groups.items():
+        for hp in g.hyperplanes:
+            scan = tuple(
+                i
+                for i in range(g.order)
+                if all(linalg.mat_vec(g.elements[i], v) == v for v in hp.fixed_basis)
+            )
+            assert hp.stabilizer == scan, name
+
+
+@pytest.mark.parametrize("name", ["S4", "G(3,1,2)", "G(4,4,2)"])
+def test_word_walk_products_match_table(name, monkeypatch):
+    tabled = build_group(name)
+    monkeypatch.setattr(groups_mod, "MULT_TABLE_LIMIT", 0)
+    walked = build_group(name)
+    assert walked._mult_table is None and tabled._mult_table is not None
+    n = tabled.order
+    for i in range(n):
+        for j in range(n):
+            product = linalg.mat_mul(tabled.elements[i], tabled.elements[j])
+            assert walked.mult(i, j) == tabled.mult(i, j) == tabled.index[product]
+        assert tabled.mult(i, tabled.inverse(i)) == 0
+    assert walked.inverse_table == tabled.inverse_table
+    assert walked.element_orders == tabled.element_orders
+    assert walked.classes == tabled.classes
+    assert walked.reflections == tabled.reflections
+    assert walked.info() == tabled.info()
+
+
 def test_corpus_orbit_semi_invariance(groups):
     for name, g in groups.items():
         gen_elts = [g.index[m] for m in g.generator_matrices]
@@ -140,6 +170,15 @@ def test_corpus_orbit_semi_invariance(groups):
                 assert ratio.homogeneous_degree() == 0
                 c = ratio.terms[(0,) * g.dimension]
                 assert (c * c.conjugate()) == 1, name  # root of unity
+
+
+def test_orbit_character_matches_polynomial_ratio(groups):
+    for name, g in groups.items():
+        for c, orbit in enumerate(g.orbits):
+            for k, cls in enumerate(g.classes):
+                composed = orbit.pi.compose_matrix(g.elements[g.inverse(cls.rep)])
+                ratio = composed.divide_exact(orbit.pi)
+                assert g.orbit_character(c)[k] == ratio.terms[(0,) * g.dimension], name
 
 
 def test_file_group_roundtrip(tmp_path):
