@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
-from .exact import CycNum, ExactError
+from .exact import CycNum
 from .groups import ReflectionGroup
+from .linalg import _fp_det, _fp_nullspace, _fp_rref, _is_prime, _primitive_root_power
 
 
 class CharTableError(Exception):
@@ -96,16 +97,17 @@ class CharacterTable:
             raise CharTableError("row count differs from class count")
         if sum(r.degree_int() ** 2 for r in self.rows) != g.order:
             raise CharTableError("sum of squared degrees != |W|")
+        # Each row is conjugated once, not once per pair as inner() would.
+        conj = [[v.conjugate() for v in r.values] for r in self.rows]
+        sizes = [c.size for c in g.classes]
         for i, ri in enumerate(self.rows):
             for j in range(i, len(self.rows)):
-                val = ri.inner(self.rows[j])
-                if val != (1 if i == j else 0):
+                acc = sum((x * y * k for x, y, k in zip(ri.values, conj[j], sizes)), CycNum.zero())
+                if acc != (g.order if i == j else 0):
                     raise CharTableError(f"row orthogonality fails at ({i},{j})")
         for ci in range(len(g.classes)):
             for cj in range(ci, len(g.classes)):
-                acc = CycNum.zero()
-                for r in self.rows:
-                    acc = acc + r.values[ci] * r.values[cj].conjugate()
+                acc = sum((r.values[ci] * rc[cj] for r, rc in zip(self.rows, conj)), CycNum.zero())
                 want = Fraction(g.order, g.classes[ci].size) if ci == cj else 0
                 if acc != want:
                     raise CharTableError(f"column orthogonality fails at ({ci},{cj})")
@@ -128,19 +130,8 @@ class CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# F_p helpers
+# the Dixon prime and F_p eigenvalues (the F_p helpers live in linalg)
 # ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
 
 def _dixon_prime(exponent: int, order: int, nclasses: int) -> int:
     p = exponent + 1
@@ -151,129 +142,21 @@ def _dixon_prime(exponent: int, order: int, nclasses: int) -> int:
         p += 1
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _primitive_root_power(p: int, e: int) -> int:
-    """An element of multiplicative order exactly e in F_p (requires e | p-1)."""
-    qs = _prime_factors(e)
-    for g in range(2, p):
-        x = pow(g, (p - 1) // e, p)
-        if x != 1 and all(pow(x, e // q, p) != 1 for q in qs):
-            return x
-    raise CharTableError("no element of the requested order found (bug)")
-
-
-def _fp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    m = [r[:] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def _fp_nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = _fp_rref(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][fc]) % p
-        out.append(v)
-    return out
-
-
-def _fp_solve(a: list[list[int]], b: list[int], p: int) -> list[int]:
-    n = len(a)
-    aug = [a[i][:] + [b[i] % p] for i in range(n)]
-    red, pivots = _fp_rref(aug, p)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise CharTableError("singular F_p system (bug)")
-    return [red[i][n] for i in range(n)]
-
-
-def _fp_det(a: list[list[int]], p: int) -> int:
-    n = len(a)
-    m = [r[:] for r in a]
-    out = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out = out * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if m[i][c] % p:
-                f = m[i][c] * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return out % p
-
-
 def _fp_charpoly_eigenvalues(a: list[list[int]], p: int) -> list[int]:
-    """Distinct eigenvalues of a over F_p, by interpolating det(a - x I)."""
+    """Distinct eigenvalues of a over F_p: the roots of det(a - x I), whose
+    values at x = 0..d give it everywhere by barycentric interpolation."""
     d = len(a)
-    if d == 0:
-        return []
-    xs = list(range(d + 1))
-    ys = []
-    for x in xs:
-        shifted = [[(a[i][j] - (x if i == j else 0)) % p for j in range(d)] for i in range(d)]
-        ys.append(_fp_det(shifted, p))
-    # Lagrange interpolation to coefficients
-    coeffs = [0] * (d + 1)
-    for i, xi in enumerate(xs):
-        # basis polynomial prod_{j!=i} (x - xj) / (xi - xj)
-        denom = 1
-        basis = [1]
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            denom = denom * (xi - xj) % p
-            basis = [
-                ((basis[k - 1] if k else 0) - xj * (basis[k] if k < len(basis) else 0)) % p
-                for k in range(len(basis) + 1)
-            ]
-        scale = ys[i] * pow(denom, p - 2, p) % p
-        for k in range(len(basis)):
-            coeffs[k] = (coeffs[k] + scale * basis[k]) % p
-    roots = [x for x in range(p) if sum(c * pow(x, k, p) for k, c in enumerate(coeffs)) % p == 0]
-    return roots
+    xs = range(d + 1)
+    ys = [_fp_det([[(v - x * (i == j)) % p for j, v in enumerate(row)] for i, row in enumerate(a)], p)
+          for x in xs]
+    weights = [y * pow(prod(i - j for j in xs if j != i), -1, p) for i, y in zip(xs, ys)]
+
+    def value(x: int) -> int:
+        if x <= d:
+            return ys[x]
+        return prod(x - j for j in xs) * sum(w * pow(x - i, -1, p) for i, w in enumerate(weights)) % p
+
+    return [x for x in range(p) if value(x) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +196,12 @@ def character_table(g: ReflectionGroup) -> CharacterTable:
                 new_spaces.append(basis)
                 continue
             d = len(basis)
-            bt = [[basis[t][c] for t in range(d)] for c in range(r)]  # r x d columns
-            act = [[0] * d for _ in range(d)]  # M_i b_s = sum_t act[t][s] b_t
-            for s in range(d):
-                img = [sum(mi[row][c] * basis[s][c] for c in range(r)) % p for row in range(r)]
-                red, pivots = _fp_rref([bt[c] + [img[c]] for c in range(r)], p)
-                if pivots[:d] != list(range(d)) or len(pivots) != d:
-                    raise CharTableError("class matrix leaves subspace (bug)")
-                for t in range(d):
-                    act[t][s] = red[t][d]
+            imgs = [[sum(mi[row][c] * b[c] for c in range(r)) % p for row in range(r)] for b in basis]
+            # Solve for all images at once: M_i b_s = sum_t act[t][s] b_t.
+            red, pivots = _fp_rref([[b[c] for b in basis + imgs] for c in range(r)], p)
+            if pivots != list(range(d)):
+                raise CharTableError("class matrix leaves subspace (bug)")
+            act = [row[d:] for row in red]
             for lam in _fp_charpoly_eigenvalues(act, p):
                 shifted = [
                     [(act[a][b] - (lam if a == b else 0)) % p for b in range(d)]

@@ -20,11 +20,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ALGORITHM_VERSION
 from .exact import CycNum
-from .groups import GroupBuildError, build_group, parse_descriptor
+from .groups import GroupBuildError, build_group
 from .chars import CharacterTable, ClassFunction, character_table
 from .fake import (
     FakeDegreeSet,

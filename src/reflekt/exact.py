@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 RatLike = int | Fraction

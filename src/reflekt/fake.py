@@ -32,7 +32,6 @@ from .groups import ReflectionGroup
 from .chars import (
     CharacterTable,
     ClassFunction,
-    LocalData,
     det_character,
     local_data,
     orbit_det_power,

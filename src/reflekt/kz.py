@@ -27,16 +27,14 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .exact import CycNum
 from . import linalg
 from .groups import ReflectionGroup
-from .chars import CharacterTable, local_data
 from .fake import FakeDegreeSet
 from .minmat import Realization, matrix_realization
 

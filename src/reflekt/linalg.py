@@ -1,20 +1,30 @@
-"""Small dense linear algebra over CycNum.
+"""Small dense linear algebra over CycNum, and the one F_p toolkit.
 
 Matrices are immutable tuples of tuples of CycNum (row major), so they can be
 hashed and used as dictionary keys during group enumeration.
+
+The F_p helpers (primes, roots of unity, elimination and determinants modulo
+a prime) serve both the Burnside-Dixon character table in `chars` and the
+exact solves here.  `nullspace` (and `rref`, `rank`, `column_space_basis`
+through it) works over Q(zeta_L) multi-modularly: it eliminates the images of
+the system modulo primes p = 1 (mod L) under every embedding zeta_L -> r^j,
+recovers power-basis coefficients by inverting the Vandermonde matrix of the
+embeddings, lifts them by CRT and rational reconstruction, and accepts the
+lift only once every vector is checked exactly in CycNum.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from itertools import count
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
-from .exact import CycNum, ZERO, ONE
+from .exact import CycNum, ExactError, ZERO, ONE, euler_phi
 
 Matrix = tuple[tuple[CycNum, ...], ...]
 Vector = tuple[CycNum, ...]
-
-
-def mat(rows: Sequence[Sequence[CycNum]]) -> Matrix:
-    return tuple(tuple(r) for r in rows)
 
 
 def identity(n: int) -> Matrix:
@@ -69,10 +79,6 @@ def conj_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(a[i][j].conjugate() for i in range(len(a))) for j in range(len(a[0])))
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
 def is_identity(a: Matrix) -> bool:
     for i, row in enumerate(a):
         for j, x in enumerate(row):
@@ -93,29 +99,21 @@ def trace(a: Matrix) -> CycNum:
 
 
 def rref(rows: Sequence[Sequence[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
-    if not m:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Read off the `nullspace` basis: row t has 1 at pivot t and -v[pivot t] at
+    the free column of each basis vector v; zero rows pad to the input count.
+    """
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r] + m[r:], pivots
+    ncols = len(rows[0])
+    free = {max(c for c, x in enumerate(v) if not x.is_zero()): v for v in nullspace(rows)}
+    pivots = [c for c in range(ncols) if c not in free]
+    red = [
+        [ONE if c == pc else -free[c][pc] if c in free else ZERO for c in range(ncols)]
+        for pc in pivots
+    ]
+    return red + [[ZERO] * ncols for _ in range(len(rows) - len(red))], pivots
 
 
 def rank(a: Sequence[Sequence[CycNum]]) -> int:
@@ -123,47 +121,117 @@ def rank(a: Sequence[Sequence[CycNum]]) -> int:
     return len(pivots)
 
 
+def column_space_basis(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
+    """Basis of the column span: the columns at the pivots, that is the first
+    column and each one outside the span of those before it."""
+    _, pivots = rref(a)
+    return [tuple(row[c] for row in a) for c in pivots]
+
+
 def nullspace(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
-    """Basis of {v : a v = 0}."""
+    """Basis of {v : a v = 0}: the reduced-echelon basis, one vector per free
+    column, with 1 there, 0 at the other free columns and after it.
+
+    Found modulo primes and then checked exactly (see the module docstring).
+    Over F_p the nullity can only grow, so a lift that passes the check spans
+    the whole kernel and, having the reduced-echelon shape, is its unique
+    reduced-echelon basis.  Recovered entries carry the lcm of the conductors
+    of `a`; the ones at free columns have conductor 1.
+    """
     if not a:
         return []
     ncols = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def column_space_basis(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
-    """Basis of the column span, as original columns (greedy pivot selection)."""
-    return independent_subset(list(zip(*a)))
-
-
-def independent_subset(vectors: Sequence[Sequence[CycNum]]) -> list[Vector]:
-    """Greedy maximal linearly independent subset, in the given order."""
-    reduced: list[list[CycNum]] = []  # echelon accumulators
-    pivots: list[int] = []
-    out: list[Vector] = []
-    for v in vectors:
-        w = list(v)
-        for row, p in zip(reduced, pivots):
-            if not w[p].is_zero():
-                f = w[p]
-                w = [x - f * y for x, y in zip(w, row)]
-        p = next((i for i, x in enumerate(w) if not x.is_zero()), None)
-        if p is None:
+    label = lcm(1, *(x.N for row in a for x in row))
+    sparse = [[(c, x) for c, x in enumerate(row) if not x.is_zero()] for row in a]
+    # Eliminate at the conductor of the irrational entries; rationals need none.
+    conductors = {1} | {x.N for row in sparse for _, x in row if not x.is_rational()}
+    L = lcm(*conductors)
+    phi = euler_phi(L)
+    rows = [_integral_row(row) for row in sparse]
+    best = None  # (nullity, negated free columns) of the reductions kept
+    moduli: list[int] = []
+    images: list[list[int]] = []  # per kept prime: coefficients of every entry
+    for i in count():
+        p, nodes, vinv = _embeddings(L, i)
+        spaces = []
+        seen: dict[tuple, list[list[int]]] = {}
+        for w in nodes:
+            # zeta_N = zeta_L^(L/N) maps to w^(L/N)
+            powers = {N: [pow(w, L // N * k, p) for k in range(euler_phi(N))] for N in conductors}
+            m = [[0] * ncols for _ in rows]
+            for mrow, row in zip(m, rows):
+                for c, N, coeffs in row:
+                    mrow[c] = sum(q * powers[N][k] for k, q in coeffs.items()) % p
+            # Embeddings that agree on the entries' field agree on the result.
+            key = tuple(map(tuple, m))
+            if key not in seen:
+                seen[key] = _fp_nullspace(m, p)
+            spaces.append(seen[key])
+        # A bad prime or embedding gains nullity or moves free columns left.
+        keys = [
+            (len(space), [-max(c for c in range(ncols) if v[c]) for v in space])
+            for space in spaces
+        ]
+        if best is None or min(keys) < best:
+            best, moduli, images = min(keys), [], []
+        if any(k != best for k in keys):
             continue
-        inv = w[p].inverse()
-        w = [x * inv for x in w]
-        reduced.append(w)
-        pivots.append(p)
-        out.append(tuple(v))
+        moduli.append(p)
+        images.append([
+            sum(map(mul, vrow, ys)) % p
+            for vecs in zip(*spaces) for ys in zip(*vecs) for vrow in vinv
+        ])
+        lifted = _lift(moduli, images)
+        if lifted is None:
+            continue
+        it = iter(lifted)
+        basis = []
+        for fc in (-c for c in best[1]):
+            entries = [{k: q for k in range(phi) if (q := next(it))} for _ in range(ncols)]
+            basis.append(tuple(
+                ONE if c == fc else CycNum._make(L, e).promote(label) if e else ZERO
+                for c, e in enumerate(entries)
+            ))
+        if all(_annihilates(sparse, v) for v in basis):
+            return basis
+
+
+def _integral_row(row) -> list[tuple[int, int, dict[int, int]]]:
+    """(column, conductor, power-basis coefficients) of each entry of a row,
+    scaled by the lcm of the row's denominators to lie in Z."""
+    den = lcm(*(q.denominator for _, x in row for q in x.coeffs.values()))
+    return [
+        (c, 1 if x.is_rational() else x.N,
+         {k: q.numerator * (den // q.denominator) for k, q in x.coeffs.items()})
+        for c, x in row
+    ]
+
+
+def _annihilates(rows, v: Vector) -> bool:
+    """Exact check that every sparse row is orthogonal to v."""
+    return all(
+        sum((x * v[c] for c, x in row if not v[c].is_zero()), ZERO).is_zero() for row in rows
+    )
+
+
+def _lift(moduli: list[int], images: list[list[int]]) -> list[Fraction] | None:
+    """CRT of the residue lists, then the fraction a/b = x (mod m) with
+    |a|, b <= sqrt(m/2) for each entry; None while some entry has none."""
+    m, acc = moduli[0], images[0]
+    for p, res in zip(moduli[1:], images[1:]):
+        minv = pow(m, -1, p)
+        acc = [x + m * ((y - x) * minv % p) for x, y in zip(acc, res)]
+        m *= p
+    bound = isqrt(m // 2)
+    out = []
+    for x in acc:
+        r0, r1, s0, s1 = m, x, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) > bound or gcd(r1, s1) != 1:
+            return None
+        out.append(Fraction(r1, s1))
     return out
 
 
@@ -191,3 +259,155 @@ def mat_to_complex(a: Matrix):
     import numpy as np
 
     return np.array([[x.to_complex() for x in row] for row in a], dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# F_p toolkit
+# ---------------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5, 7, which is exact below 3215031751."""
+    if n >= 3215031751:
+        raise ValueError("primality test out of range")
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in (2, 3, 5, 7):
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _primitive_root_power(p: int, e: int) -> int:
+    """An element of multiplicative order exactly e in F_p (requires e | p-1)."""
+    if e == 1:
+        return 1
+    qs = _prime_factors(e)
+    for g in range(2, p):
+        x = pow(g, (p - 1) // e, p)
+        if x != 1 and all(pow(x, e // q, p) != 1 for q in qs):
+            return x
+    raise ExactError("no element of the requested order found (bug)")
+
+
+_PRIME_LIMIT = 1 << 31  # keeps the packed slots of _fp_rref small
+
+
+@lru_cache(maxsize=None)
+def _embeddings(L: int, i: int) -> tuple[int, list[int], list[list[int]]]:
+    """The i-th largest prime p < 2^31 with p = 1 (mod L); the images r^j of
+    zeta_L in F_p under its phi(L) embeddings (j prime to L, r of order L);
+    and the inverse of their Vandermonde matrix, which maps the images of an
+    element of Q(zeta_L) back to its power-basis coefficients modulo p."""
+    p = (_PRIME_LIMIT - 2) // L * L + 1 if i == 0 else _embeddings(L, i - 1)[0] - L
+    while not _is_prime(p):
+        p -= L
+    r = _primitive_root_power(p, L)
+    nodes = [pow(r, j, p) for j in range(L) if gcd(j, L) == 1]
+    n = len(nodes)
+    # [V | I] reduces to [I | V^-1]
+    vander = [[pow(w, k, p) for k in range(n)] + [int(j == k) for k in range(n)]
+              for j, w in enumerate(nodes)]
+    return p, nodes, [row[n:] for row in _fp_rref(vander, p)[0]]
+
+
+def _fp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p: (the nonzero rows, their pivot
+    columns).
+
+    Each row is packed into one integer, a slot of `size` bytes per column,
+    so a row operation is one big-integer multiply-add.  Slots hold
+    nonnegative representatives, reduced mod p only when read: x - f*y is
+    done as x + (p - f)*y, and a slot has room for one such step per column.
+    """
+    if not rows or not rows[0]:
+        return [], []
+    n = len(rows[0])
+    size = (2 * p.bit_length() + n.bit_length() + 9) // 8
+    mask = (1 << 8 * size) - 1
+
+    def pack(vals):
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in vals), "little")
+
+    def unpack(row):
+        data = row.to_bytes(n * size, "little")
+        return [int.from_bytes(data[i : i + size], "little") % p for i in range(0, n * size, size)]
+
+    todo = [pack([x % p for x in r]) for r in rows]
+    done: list[int] = []
+    pivots: list[int] = []
+    for c in range(n):
+        shift = 8 * size * c
+        k = next((i for i, r in enumerate(todo) if (r >> shift & mask) % p), None)
+        if k is None:
+            continue
+        vals = unpack(todo.pop(k))
+        inv = pow(vals[c], -1, p)
+        prow = pack([v * inv % p for v in vals])
+        todo = [r + (p - f) * prow if (f := (r >> shift & mask) % p) else r for r in todo]
+        done = [r + (p - f) * prow if (f := (r >> shift & mask) % p) else r for r in done]
+        done.append(prow)
+        pivots.append(c)
+    return [unpack(r) for r in done], pivots
+
+
+def _fp_nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = _fp_rref(rows, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    out = []
+    for fc in free:
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-red[r][fc]) % p
+        out.append(v)
+    return out
+
+
+def _fp_det(a: list[list[int]], p: int) -> int:
+    n = len(a)
+    m = [r[:] for r in a]
+    out = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out = out * m[c][c] % p
+        inv = pow(m[c][c], p - 2, p)
+        for i in range(c + 1, n):
+            if m[i][c] % p:
+                f = m[i][c] * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
+    return out % p

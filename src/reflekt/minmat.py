@@ -3,11 +3,13 @@
 For an irreducible character chi with explicit matrix realization tau, a
 minimal matrix M is an l x l polynomial matrix with nonzero determinant,
 column j homogeneous of degree p_j (the j-th fake-degree exponent), and
-M(w^{-1} v) = tau(w) M(v) for all w.  Columns are found by an exact linear
-solve for equivariant polynomial maps V -> C^l degree by degree; when the
-solution space is bigger than the number of columns needed, a deterministic
-pseudo-random mixing is drawn and the determinant certified nonzero by exact
-evaluation at a random rational point (one nonzero evaluation is a proof).
+M(w^{-1} v) = tau(w) M(v) for all w.  Columns come from the space of
+equivariant polynomial maps V -> C^l of each degree: the constraints of all
+generators form one linear system, solved by `linalg.nullspace` (modular,
+then certified exactly).  When the solution space is bigger than the number
+of columns needed, a deterministic pseudo-random mixing is drawn and the
+determinant certified nonzero by exact evaluation at a random rational point
+(one nonzero evaluation is a proof).
 
 Matrix realizations come from the defining representation (possibly twisted
 by a linear character) when the character matches, and otherwise from
@@ -21,13 +23,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .exact import CycNum, ExactError, MultiPoly, SeriesT, series_inverse
 from . import linalg
 from .linalg import Matrix
 from .groups import ReflectionGroup
-from .chars import CharacterTable, ClassFunction, local_data
+from .chars import CharacterTable, ClassFunction
 from .fake import FakeDegreeSet, degree_numerator
 
 
@@ -293,70 +294,34 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
     """Exact basis of degree-p polynomial maps f: V -> C^l with
     f(w^{-1} v) = tau(w) f(v); returned as tuples of component MultiPolys.
 
-    The constraint of each generator is intersected sequentially: the next
-    generator's linear system is expressed in the coordinates of the current
-    solution basis, which keeps the eliminations small.
+    The unknowns are the coefficients of f, monomial-major and component-minor.
+    The constraint rows of every generator are stacked into one system and
+    solved by a single `linalg.nullspace` call, so the basis is the unique
+    reduced-echelon basis of the solution space.  With `fs`, its dimension is
+    checked against the fake-degree prediction.
     """
     g = real.group
     n, l = g.dimension, real.dim
     monos = _monomials(n, p)
     D = len(monos)
     nun = D * l
-    gen_elts = g.generator_elements
-    basis_vecs: list[list[CycNum]] | None = None  # None means the full space
     zero = CycNum.zero()
-    for a, gelt in enumerate(gen_elts):
+    rows: list[list[CycNum]] = []
+    for a, gelt in enumerate(g.generator_elements):
         S = _substitution_matrix(g, g.inverse(gelt), monos)
         tau = real.generator_matrices[a]
-        rows: list[list[CycNum]] = []
         for dp in range(D):
             for s in range(l):
                 rowvec = [zero] * nun
                 for d in range(D):
                     if not S[dp][d].is_zero():
-                        rowvec[d * l + s] = rowvec[d * l + s] + S[dp][d]
+                        rowvec[d * l + s] = S[dp][d]
                 for t in range(l):
                     if not tau[s][t].is_zero():
                         rowvec[dp * l + t] = rowvec[dp * l + t] - tau[s][t]
-                if any(not x.is_zero() for x in rowvec):
-                    rows.append(rowvec)
-        if not rows:
-            continue
-        if basis_vecs is None:
-            basis_vecs = [list(v) for v in linalg.nullspace(rows)]
-        else:
-            k = len(basis_vecs)
-            if k == 0:
-                break
-            restricted = []
-            for r in rows:
-                row = []
-                for b in basis_vecs:
-                    acc = zero
-                    for c in range(nun):
-                        if not r[c].is_zero() and not b[c].is_zero():
-                            acc = acc + r[c] * b[c]
-                    row.append(acc)
-                if any(not x.is_zero() for x in row):
-                    restricted.append(row)
-            if restricted:
-                combos = linalg.nullspace(restricted)
-                new_basis = []
-                for combo in combos:
-                    vec = [zero] * nun
-                    for coef, b in zip(combo, basis_vecs):
-                        if not coef.is_zero():
-                            for c in range(nun):
-                                if not b[c].is_zero():
-                                    vec[c] = vec[c] + coef * b[c]
-                    new_basis.append(vec)
-                basis_vecs = new_basis
-    if basis_vecs is None:
-        basis_vecs = [
-            [CycNum.one() if i == k else zero for i in range(nun)] for k in range(nun)
-        ]
+                rows.append(rowvec)
     basis = []
-    for vec in basis_vecs:
+    for vec in linalg.nullspace(rows):
         comps = []
         for s in range(l):
             terms = {}

@@ -1,14 +1,27 @@
 """Independent small-scale oracles used only by the test suite.
 
 These deliberately avoid the production code paths: the character-table
-oracle decomposes the regular representation numerically, and the fake-degree
-oracle sums over all group elements instead of conjugacy classes.
+oracle decomposes the regular representation numerically, the fake-degree
+oracle sums over all group elements instead of conjugacy classes, and the
+equivariant-basis oracle intersects one generator's constraints at a time by
+exact CycNum elimination instead of one modular solve.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from reflekt.exact import CycNum, PolyT, SeriesT, poly_one_minus_Tk, series_inverse
+from reflekt.exact import (
+    ONE,
+    ZERO,
+    CycNum,
+    ExactError,
+    MultiPoly,
+    PolyT,
+    SeriesT,
+    poly_one_minus_Tk,
+    series_inverse,
+)
+from reflekt.minmat import _monomials, _substitution_matrix, predicted_equivariant_dimension
 
 
 def regular_rep_characters(g, seed: int = 20240811) -> list[np.ndarray]:
@@ -115,3 +128,138 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+# ---------------------------------------------------------------------------
+# exact elimination: the reference for linalg.nullspace and equivariant_basis
+# ---------------------------------------------------------------------------
+
+def exact_rref(rows):
+    """Reduced row echelon form by exact CycNum elimination; returns (rows,
+    pivot column indices)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r] + m[r:], pivots
+
+
+def exact_nullspace(a):
+    """Reduced-echelon basis of {v : a v = 0} by exact CycNum elimination."""
+    if not a:
+        return []
+    ncols = len(a[0])
+    red, pivots = exact_rref(a)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def sequential_equivariant_basis(real, p: int, fs=None):
+    """Exact basis of degree-p polynomial maps f: V -> C^l with
+    f(w^{-1} v) = tau(w) f(v); returned as tuples of component MultiPolys.
+
+    The constraint of each generator is intersected sequentially: the next
+    generator's linear system is expressed in the coordinates of the current
+    solution basis, which keeps the eliminations small.
+    """
+    g = real.group
+    n, l = g.dimension, real.dim
+    monos = _monomials(n, p)
+    D = len(monos)
+    nun = D * l
+    gen_elts = g.generator_elements
+    basis_vecs: list[list[CycNum]] | None = None  # None means the full space
+    zero = CycNum.zero()
+    for a, gelt in enumerate(gen_elts):
+        S = _substitution_matrix(g, g.inverse(gelt), monos)
+        tau = real.generator_matrices[a]
+        rows: list[list[CycNum]] = []
+        for dp in range(D):
+            for s in range(l):
+                rowvec = [zero] * nun
+                for d in range(D):
+                    if not S[dp][d].is_zero():
+                        rowvec[d * l + s] = rowvec[d * l + s] + S[dp][d]
+                for t in range(l):
+                    if not tau[s][t].is_zero():
+                        rowvec[dp * l + t] = rowvec[dp * l + t] - tau[s][t]
+                if any(not x.is_zero() for x in rowvec):
+                    rows.append(rowvec)
+        if not rows:
+            continue
+        if basis_vecs is None:
+            basis_vecs = [list(v) for v in exact_nullspace(rows)]
+        else:
+            k = len(basis_vecs)
+            if k == 0:
+                break
+            restricted = []
+            for r in rows:
+                row = []
+                for b in basis_vecs:
+                    acc = zero
+                    for c in range(nun):
+                        if not r[c].is_zero() and not b[c].is_zero():
+                            acc = acc + r[c] * b[c]
+                    row.append(acc)
+                if any(not x.is_zero() for x in row):
+                    restricted.append(row)
+            if restricted:
+                combos = exact_nullspace(restricted)
+                new_basis = []
+                for combo in combos:
+                    vec = [zero] * nun
+                    for coef, b in zip(combo, basis_vecs):
+                        if not coef.is_zero():
+                            for c in range(nun):
+                                if not b[c].is_zero():
+                                    vec[c] = vec[c] + coef * b[c]
+                    new_basis.append(vec)
+                basis_vecs = new_basis
+    if basis_vecs is None:
+        basis_vecs = [
+            [CycNum.one() if i == k else zero for i in range(nun)] for k in range(nun)
+        ]
+    basis = []
+    for vec in basis_vecs:
+        comps = []
+        for s in range(l):
+            terms = {}
+            for d, mo in enumerate(monos):
+                c = vec[d * l + s]
+                if not c.is_zero():
+                    terms[mo] = c
+            comps.append(MultiPoly(n, terms))
+        basis.append(tuple(comps))
+    if fs is not None:
+        want = predicted_equivariant_dimension(fs, real.row, p)
+        if len(basis) != want:
+            raise ExactError(
+                f"equivariant space at degree {p} has dim {len(basis)}, "
+                f"fake degree predicts {want}"
+            )
+    return basis

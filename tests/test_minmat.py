@@ -14,6 +14,8 @@ from reflekt.minmat import (
     verify_quotient_property,
 )
 
+from oracles import sequential_equivariant_basis
+
 SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)", "G(2,1,1)", "G(3,1,1)", "G(4,1,1)"]
 
 
@@ -136,3 +138,27 @@ def test_full_scope_minimal_matrices(built, name):
         mm = build_minimal_matrix(fs, i)
         assert verify_det_factorization(fs, mm)["passed"], (name, i)
         assert verify_quotient_property(fs, mm)["passed"], (name, i)
+
+
+def poly_key(f: MultiPoly):
+    """Terms with each coefficient's conductor label, which reaches the JSON."""
+    return sorted((mono, c.N, sorted(c.coeffs.items())) for mono, c in f.terms.items())
+
+
+@pytest.mark.parametrize("name", SCOPE)
+def test_equivariant_basis_matches_sequential_oracle(built, name):
+    """The one stacked modular solve gives the same basis, conductor labels
+    included, as intersecting one generator at a time by exact elimination:
+    at every column degree p of every row (S4's (3,4,5) row too), and at
+    p + d_1 as the quotient check uses it."""
+    fs = built[name]
+    g = fs.group
+    for i in range(len(fs.table.rows)):
+        real = matrix_realization(g, fs.table, i)
+        for p in sorted(set(fs.fds[i].exponents)):
+            for q, check in ((p, fs), (p + g.degrees[0], None)):
+                got = equivariant_basis(real, q, check)
+                want = sequential_equivariant_basis(real, q, check)
+                assert [[poly_key(f) for f in v] for v in got] == [
+                    [poly_key(f) for f in v] for v in want
+                ], (name, i, q)
