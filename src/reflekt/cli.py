@@ -34,11 +34,10 @@ from .fake import (
     verify_symmetry,
 )
 from .minmat import build_minimal_matrix, verify_det_factorization, verify_quotient_property
-from .kz import KZError, KZSettings, LabelVector, gamma_permutation, monodromy_rep
 
 
 class UsageError(Exception):
-    pass
+    """Bad input, or a failed computation: 'error: ...' on stderr, exit 2."""
 
 
 @dataclass
@@ -274,7 +273,9 @@ def cmd_minmat(cfg: RunConfig, cache: Cache, rep: int) -> tuple[int, dict]:
     return (0 if passed else 1), payload
 
 
-def _kz_settings(cfg: RunConfig) -> KZSettings:
+def _kz_settings(cfg: RunConfig):
+    from .kz import KZSettings  # kz, and numpy with it, loads only for kz commands
+
     return KZSettings(
         rtol=cfg.kz_rtol,
         hecke_tol=cfg.kz_hecke_tol,
@@ -284,6 +285,8 @@ def _kz_settings(cfg: RunConfig) -> KZSettings:
 
 
 def cmd_kz_monodromy(cfg: RunConfig, cache: Cache, rep: int, k_json: str) -> tuple[int, dict]:
+    from .kz import KZError, LabelVector, monodromy_rep
+
     g = _build(cfg)
     table = cached_character_table(g, cache)
     fs = FakeDegreeSet(g, table)
@@ -293,7 +296,10 @@ def cmd_kz_monodromy(cfg: RunConfig, cache: Cache, rep: int, k_json: str) -> tup
         k = LabelVector.from_json(json.loads(k_json), g)
     except (json.JSONDecodeError, KZError) as exc:
         raise UsageError(f"bad label vector: {exc}")
-    rep_data = monodromy_rep(fs, rep, k, _kz_settings(cfg))
+    try:
+        rep_data = monodromy_rep(fs, rep, k, _kz_settings(cfg))
+    except KZError as exc:
+        raise UsageError(str(exc)) from exc
     payload = rep_data.to_json()
     worst = max(max(v) for v in rep_data.residuals.values())
     payload["passed"] = worst <= cfg.kz_hecke_tol
@@ -301,6 +307,8 @@ def cmd_kz_monodromy(cfg: RunConfig, cache: Cache, rep: int, k_json: str) -> tup
 
 
 def cmd_kz_gamma(cfg: RunConfig, cache: Cache, k_json: str) -> tuple[int, dict]:
+    from .kz import KZError, LabelVector, gamma_permutation
+
     g = _build(cfg)
     table = cached_character_table(g, cache)
     fs = FakeDegreeSet(g, table)
@@ -311,9 +319,7 @@ def cmd_kz_gamma(cfg: RunConfig, cache: Cache, k_json: str) -> tuple[int, dict]:
     try:
         result = gamma_permutation(fs, k, _kz_settings(cfg))
     except KZError as exc:
-        if "integral" in str(exc):
-            raise UsageError(str(exc))
-        raise
+        raise UsageError(str(exc)) from exc
     return 0, result
 
 
@@ -412,9 +418,6 @@ def run(argv: list[str]) -> int:
         else:  # pragma: no cover
             raise UsageError(f"unknown command {args.command}")
     except (UsageError, GroupBuildError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KZError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,15 +19,21 @@ the det^{-j} component, i.e. the Hecke-relation root q_{H,j} zeta_H^j, which
 is the oracle that pins the convention.  At k = 0 the matrix equals
 tau(s_H)^{-1}; for order-2 reflections (every Coxeter-like generator) that is
 tau(s_H) itself, which is the self-calibration check run whenever k = 0.
-Word monodromy composes anti-homomorphically, so the induced permutation
-representation uses reversed-word products; the resulting map on Irr(W) is
-the paper-normalized tau |-> tau(k), i.e. gamma(-k) in the functor labeling.
+Word monodromy composes anti-homomorphically: the loop of w = s_{a1}...s_{am}
+acts by rho(w) = m(l_{am})...m(l_{a1}), which is tau(w^{-1}) at k = 0.  At an
+integral k the representation of W deforming tau is w |-> rho(w)^{-1}, whose
+character is conj tr rho(w); gamma_scan therefore matches tr rho(w) against
+the conjugated table rows, and gamma(0) is the identity on every group.  The
+resulting map on Irr(W) is tau |-> tau(k), i.e. gamma(-k) in the functor
+labeling.  The dual connection gives tau(k)* = (tau*)(k'), k'_{C,j} =
+-k_{C,-j mod e_C}: with every e_C = 2 and real characters, gamma(k) = gamma(-k).
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -136,30 +142,28 @@ def euler_scalar(fs: FakeDegreeSet, row: int, k: LabelVector) -> complex:
 
 @dataclass
 class ConnectionBlock:
-    """Residue data of one irreducible block at a batch of label vectors.
+    """Residue data of irreducible blocks of one degree at a batch of labels.
 
-    `residues` has shape (batch, hyperplanes, l, l); the batch dimension lets
-    a scan over many label vectors share one set of paths and RK sweeps.
+    Batch entry b is row `rows[b]` at label vector `labels[b]`; `residues` has
+    shape (batch, hyperplanes, l, l).  The base point and braid paths depend
+    only on the group and the settings, so all entries share one RK sweep.
     """
 
     fs: FakeDegreeSet
-    row: int
-    realization: Realization
+    rows: list[int]
     labels: list[LabelVector]
+    realizations: dict[int, Realization]
     residues: np.ndarray
     base_point: np.ndarray
     alpha_rows: np.ndarray  # (hyperplanes, n) complex linear forms
     paths: list["BraidPath"]
     settings: KZSettings
     seed_used: int
+    steps: dict[int, dict] = field(default_factory=dict)  # hyperplane -> step statistics
 
     @property
     def group(self) -> ReflectionGroup:
         return self.fs.group
-
-    @property
-    def dim(self) -> int:
-        return self.realization.dim
 
 
 def stabilizer_projectors(real: Realization, h_idx: int) -> list[linalg.Matrix]:
@@ -304,38 +308,42 @@ def _split_point(v0: np.ndarray, alpha_row: np.ndarray):
 
 def assemble_connection(
     fs: FakeDegreeSet,
-    row: int,
+    row: int | list[int],
     labels: LabelVector | list[LabelVector],
     settings: KZSettings = KZSettings(),
 ) -> ConnectionBlock:
+    """The block of each row (all of one degree) at each label vector, rows
+    outermost; every check runs on every (row, label) entry."""
     g = fs.group
     if g.order > settings.max_group_order:
         raise KZError(f"group order {g.order} exceeds the kz cap {settings.max_group_order}")
-    if fs.table.rows[row].degree_int() > settings.max_rep_degree:
+    rows = [row] if isinstance(row, int) else list(row)
+    degrees = {fs.table.rows[r].degree_int() for r in rows}
+    if max(degrees) > settings.max_rep_degree:
         raise KZError("representation degree exceeds the kz cap")
+    if len(degrees) != 1:
+        raise KZError("the rows of one block must share their degree")
     batch = [labels] if isinstance(labels, LabelVector) else list(labels)
-    real = matrix_realization(g, fs.table, row)
-    l = real.dim
-    nh = len(g.hyperplanes)
+    reals = {r: matrix_realization(g, fs.table, r) for r in rows}
+    l = degrees.pop()
+    nh, nk = len(g.hyperplanes), len(batch)
     alpha = np.array(
         [[x.to_complex() for x in g.hyperplanes[h].form] for h in range(nh)]
     )
-    projs = {h: [linalg.mat_to_complex(p) for p in stabilizer_projectors(real, h)] for h in range(nh)}
-    residues = np.zeros((len(batch), nh, l, l), dtype=complex)
-    for b, k in enumerate(batch):
+    residues = np.zeros((len(rows) * nk, nh, l, l), dtype=complex)
+    for i, r in enumerate(rows):
         for h in range(nh):
             c = g.orbit_of_hyperplane[h]
             e = g.hyperplanes[h].order
-            acc = np.zeros((l, l), dtype=complex)
-            for j in range(e):
-                acc += e * k.values[c][j] * projs[h][j]
-            residues[b, h] = acc
+            projs = [linalg.mat_to_complex(p) for p in stabilizer_projectors(reals[r], h)]
+            kh = np.array([k.values[c] for k in batch])
+            residues[i * nk : (i + 1) * nk, h] = np.einsum("bj,jxy->bxy", e * kh, projs)
     v0, delta, attempt, paths = _choose_base_point(g, settings, alpha)
     block = ConnectionBlock(
         fs=fs,
-        row=row,
-        realization=real,
-        labels=batch,
+        rows=[r for r in rows for _ in batch],
+        labels=batch * len(rows),
+        realizations=reals,
         residues=residues,
         base_point=v0,
         alpha_rows=alpha,
@@ -351,28 +359,25 @@ def assemble_connection(
 
 def _check_residue_spectra(block: ConnectionBlock) -> None:
     g = block.group
-    fs, row = block.fs, block.row
-    for b, k in enumerate(block.labels):
+    local = block.fs.local
+    target = np.zeros(block.residues.shape[:-1], dtype=complex)
+    for b, (row, k) in enumerate(zip(block.rows, block.labels)):
         for h in range(len(g.hyperplanes)):
             c = g.orbit_of_hyperplane[h]
             e = g.hyperplanes[h].order
-            target = []
-            for j in range(e):
-                target.extend([e * k.values[c][j]] * fs.local[row].multiplicities[c][j])
-            got = sorted(np.linalg.eigvals(block.residues[b, h]), key=lambda z: (z.real, z.imag))
-            target = sorted(target, key=lambda z: (z.real, z.imag))
-            for x, y in zip(got, target):
-                if abs(x - y) > 1e-8:
-                    raise KZError("residue spectrum mismatches the local data")
+            target[b, h] = np.repeat([e * v for v in k.values[c]], local[row].multiplicities[c])
+    # complex sort is lexicographic in (real, imag)
+    got = np.sort(np.linalg.eigvals(block.residues), axis=-1)
+    if np.max(np.abs(got - np.sort(target, axis=-1))) > 1e-8:
+        raise KZError("residue spectrum mismatches the local data")
 
 
 def _check_central_scalar(block: ConnectionBlock) -> None:
-    l = block.dim
-    for b, k in enumerate(block.labels):
-        s = euler_scalar(block.fs, block.row, k)
-        total = block.residues[b].sum(axis=0)
-        if np.max(np.abs(total - s * np.eye(l))) > 1e-10 * max(1.0, abs(s)):
-            raise KZError("sum of residues is not the Euler scalar times identity")
+    s = np.array([euler_scalar(block.fs, r, k) for r, k in zip(block.rows, block.labels)])
+    total = block.residues.sum(axis=1)
+    err = np.max(np.abs(total - s[:, None, None] * np.eye(total.shape[-1])), axis=(1, 2))
+    if np.any(err > 1e-10 * np.maximum(1.0, np.abs(s))):
+        raise KZError("sum of residues is not the Euler scalar times identity")
 
 
 def _check_curvature(block: ConnectionBlock) -> None:
@@ -383,6 +388,8 @@ def _check_curvature(block: ConnectionBlock) -> None:
         return  # a single log form commutes with itself
     rng = random.Random((block.settings.seed, g.descriptor.canonical(), "curv").__repr__())
     alpha = block.alpha_rows
+    a = block.residues
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(1, 2, 3)) ** 2)
     for _ in range(3):
         v = np.array(
             [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
@@ -393,14 +400,11 @@ def _check_curvature(block: ConnectionBlock) -> None:
         y = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
         wx = (alpha @ x) / (alpha @ v)
         wy = (alpha @ y) / (alpha @ v)
-        for b in range(len(block.labels)):
-            a = block.residues[b]
-            scale = max(1.0, float(np.max(np.abs(a))) ** 2)
-            m1 = np.einsum("h,hij->ij", wx, a)
-            m2 = np.einsum("h,hij->ij", wy, a)
-            curv = m1 @ m2 - m2 @ m1
-            if np.max(np.abs(curv)) > block.settings.curvature_tol * scale:
-                raise KZError("curvature spot check failed (assembly bug)")
+        m1 = np.einsum("h,bhij->bij", wx, a)
+        m2 = np.einsum("h,bhij->bij", wy, a)
+        curv = m1 @ m2 - m2 @ m1
+        if np.any(np.max(np.abs(curv), axis=(1, 2)) > block.settings.curvature_tol * scale):
+            raise KZError("curvature spot check failed (assembly bug)")
 
 
 # ---------------------------------------------------------------------------
@@ -441,66 +445,89 @@ def braid_path(block: ConnectionBlock, h_idx: int) -> BraidPath:
     return path
 
 
-def _transport(block: ConnectionBlock, path: BraidPath) -> np.ndarray:
-    """Transport matrices of Phi' = -omega(v'(t)) Phi, batched over labels.
+def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dict]:
+    """Transport matrices (batch, l, l) of Phi' = -omega(v'(t)) Phi along the
+    legs of the path in turn, and the path's step statistics.
 
-    Classical fourth-order stepping with step doubling; the local relative
-    error of the half-step pair is kept below rtol.  Legs of a composite path
-    are integrated in sequence.
+    Classical RK4 with step doubling, keeping the local relative error of the
+    full step against two half steps below rtol, then Richardson
+    extrapolation.  The steps share the nodes t, t+h/4, t+h/2, t+3h/4, t+h,
+    so omega is one product of the path's coefficients with the flattened
+    residues per node, and the end node starts the next step.  Y has shape
+    (l, l, batch): the batch on the last axis keeps each product contiguous.
+    min_step omits a step cut short to end a leg.
     """
     a = block.residues  # (B, H, l, l)
-    alpha = block.alpha_rows
     bsz, nh, l, _ = a.shape
+    res = -a.transpose(1, 2, 3, 0).reshape(nh, l * l * bsz)
+    alpha = block.alpha_rows
     rtol = block.settings.rtol
-    y = np.broadcast_to(np.eye(l, dtype=complex), (bsz, l, l)).copy()
+    y = np.broadcast_to(np.eye(l, dtype=complex)[:, :, None], (l, l, bsz)).copy()
+    stats = {"accepted": 0, "rejected": 0, "min_step": 1.0, "eps": path.eps}
 
     for seg_point, seg_vel in path.segments():
 
         def omega(t: float) -> np.ndarray:
             coef = (alpha @ seg_vel(t)) / (alpha @ seg_point(t))
-            return -np.einsum("h,bhij->bij", coef, a)
-
-        def rk4(t: float, h: float, yy: np.ndarray) -> np.ndarray:
-            k1 = np.einsum("bij,bjk->bik", omega(t), yy)
-            k2 = np.einsum("bij,bjk->bik", omega(t + h / 2), yy + h / 2 * k1)
-            k3 = np.einsum("bij,bjk->bik", omega(t + h / 2), yy + h / 2 * k2)
-            k4 = np.einsum("bij,bjk->bik", omega(t + h), yy + h * k3)
-            return yy + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            return (coef @ res).reshape(l, l, bsz)
 
         t, h = 0.0, 0.05
+        w0 = omega(t)
         while t < 1.0 - 1e-15:
+            cut = h > 1.0 - t
             h = min(h, 1.0 - t)
-            full = rk4(t, h, y)
-            half = rk4(t + h / 2, h / 2, rk4(t, h / 2, y))
+            wq, wh, w3q, w1 = (omega(t + f * h) for f in (0.25, 0.5, 0.75, 1.0))
+            k1 = _mul(w0, y)
+            full = _rk4(y, k1, h, wh, w1)
+            mid = _rk4(y, k1, h / 2, wq, wh)
+            half = _rk4(mid, _mul(wh, mid), h / 2, w3q, w1)
             err = float(np.max(np.abs(full - half)))
             scale = max(1.0, float(np.max(np.abs(half))))
             if err <= rtol * scale:
                 y = half + (half - full) / 15.0  # Richardson extrapolation
+                stats["accepted"] += 1
+                if not cut:
+                    stats["min_step"] = min(stats["min_step"], h)
                 t += h
+                w0 = w1
                 growth = 2.0 if err == 0 else min(2.0, max(0.3, 0.9 * (rtol * scale / err) ** 0.2))
                 h *= growth
             else:
+                stats["rejected"] += 1
                 h *= max(0.1, 0.9 * (rtol * scale / err) ** 0.2)
             if h < block.settings.min_step:
                 raise KZError("step-size underflow near a hyperplane")
-    return y
+    return np.moveaxis(y, 2, 0), stats
+
+
+def _mul(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """m @ y per batch entry, the batch on the last axis."""
+    return (m[:, :, None, :] * y[None, :, :, :]).sum(axis=1)
+
+
+def _rk4(y, k1, h, w_mid, w_end):
+    """RK4 step of Y' = w Y from the slope k1 = w(t) Y and w at t+h/2, t+h."""
+    k2 = _mul(w_mid, y + h / 2 * k1)
+    k3 = _mul(w_mid, y + h / 2 * k2)
+    k4 = _mul(w_end, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def monodromy(block: ConnectionBlock, h_idx: int) -> np.ndarray:
     """Braid generator matrices (batch, l, l) in the frozen convention
-    tau(s_H)^{-1} @ transport; self-calibrates whenever a label is zero."""
+    tau(s_H)^{-1} @ transport, each entry with its own row's tau;
+    self-calibrates whenever a label is zero."""
     path = braid_path(block, h_idx)
-    transports = _transport(block, path)
-    hp = block.group.hyperplanes[h_idx]
-    s_inv = linalg.mat_to_complex(
-        block.realization.element_matrix(block.group.inverse(hp.generator))
-    )
-    out = np.einsum("ij,bjk->bik", s_inv, transports)
+    transports, block.steps[h_idx] = _transport(block, path)
+    s_inv = block.group.inverse(block.group.hyperplanes[h_idx].generator)
+    reals = block.realizations.items()
+    decks = {r: linalg.mat_to_complex(x.element_matrix(s_inv)) for r, x in reals}
+    deck = np.array([decks[r] for r in block.rows])
+    out = deck @ transports
     for b, k in enumerate(block.labels):
-        if k.is_zero():
-            target = s_inv  # equals tau(s_H) whenever e_H = 2
-            if np.max(np.abs(out[b] - target)) > block.settings.calibration_tol:
-                raise KZError("k = 0 calibration failed: monodromy != deck matrix")
+        # at k = 0 the target is tau(s_H)^{-1}, which is tau(s_H) whenever e_H = 2
+        if k.is_zero() and np.max(np.abs(out[b] - deck[b])) > block.settings.calibration_tol:
+            raise KZError("k = 0 calibration failed: monodromy != deck matrix")
     return out
 
 
@@ -532,6 +559,7 @@ class MonodromyRep:
     settings: KZSettings
     base_point: np.ndarray
     seed_used: int
+    transport: dict[int, dict]  # h_idx -> step statistics of its path
 
     def matrix(self, h_idx: int, b: int = 0) -> np.ndarray:
         return self.matrices[h_idx][b]
@@ -550,6 +578,7 @@ class MonodromyRep:
             "base_point_attempt": self.seed_used,
             "deck_convention": "tau(s_H)^{-1} compose transport",
             "rtol": self.settings.rtol,
+            "transport": {str(h): self.transport[h] for h in self.hyperplanes},
         }
 
 
@@ -583,6 +612,7 @@ def monodromy_rep(
         settings=settings,
         base_point=block.base_point,
         seed_used=block.seed_used,
+        transport=block.steps,
     )
 
 
@@ -610,25 +640,19 @@ def gamma_scan(
     ks: list[LabelVector],
     settings: KZSettings = KZSettings(),
 ) -> list[dict]:
-    """The induced permutation of Irr(W) for each integral label vector.
-
-    Monodromy composes anti-homomorphically along words, so the character of
-    the induced genuine representation (the transposed anti-representation)
-    is read off from reversed-word products.  The computed map sends a row to
-    its monodromy deformation at +k, which is gamma(-k) in the functor
-    normalization; the composition probe pairs each k with -k accordingly.
-    """
+    """The induced permutation of Irr(W) for each integral label vector, in
+    the convention of the module docstring; the rows of one degree are
+    transported in one sweep."""
     g = fs.group
     for k in ks:
         if not k.is_integral():
             raise KZError("gamma needs integral label vectors")
     gen_hyps = _generator_hyperplanes(g)
     nrows = len(fs.table.rows)
-    embedded_rows = [
-        np.array([v.to_complex() for v in r.values]) for r in fs.table.rows
+    conj_rows = [
+        np.array([v.to_complex() for v in r.values]).conj() for r in fs.table.rows
     ]
     class_words = [g.words[c.rep] for c in g.classes]
-    gen_of_hyp = {h: a for a, h in enumerate(gen_hyps)}
 
     results = [
         {
@@ -636,6 +660,7 @@ def gamma_scan(
             "mapping": {},
             "pure_braid_residual": 0.0,
             "match_residual": 0.0,
+            "transport": {},
             "convention": {
                 "computed": "row -> monodromy deformation at +k",
                 "functor_label": "gamma(-k)",
@@ -643,25 +668,15 @@ def gamma_scan(
         }
         for k in ks
     ]
-    for row in range(nrows):
-        settings_row = settings
-        mats, residual = _gamma_matrices(fs, row, ks, gen_hyps, settings_row)
-        for b in range(len(ks)):
-            results[b]["pure_braid_residual"] = max(
-                results[b]["pure_braid_residual"], residual[b]
-            )
-        # characters of the induced representation, per batch entry
-        values = np.zeros((len(ks), len(class_words)), dtype=complex)
-        for ci, word in enumerate(class_words):
-            l = mats[gen_hyps[0]].shape[-1]
-            acc = np.broadcast_to(np.eye(l, dtype=complex), (len(ks), l, l)).copy()
-            for a in reversed(word):
-                acc = np.einsum("bij,bjk->bik", mats[gen_hyps[a]], acc)
-            values[:, ci] = np.trace(acc, axis1=1, axis2=2)
-        for b in range(len(ks)):
-            match, resid = _match_row(values[b], embedded_rows, settings.match_tol)
-            results[b]["match_residual"] = max(results[b]["match_residual"], resid)
-            results[b]["mapping"][row] = match
+    for rows in _rows_by_degree(fs):
+        values, residual, steps = _sweep(fs, rows, ks, gen_hyps, class_words, settings)
+        for res in results:
+            res["transport"][str(fs.table.rows[rows[0]].degree_int())] = steps
+        for entry, (row, res) in enumerate(itertools.product(rows, results)):
+            match, resid = _match_row(values[entry], conj_rows, settings.match_tol)
+            res["pure_braid_residual"] = max(res["pure_braid_residual"], float(residual[entry]))
+            res["match_residual"] = max(res["match_residual"], resid)
+            res["mapping"][row] = match
     for b, k in enumerate(ks):
         mapping = results[b]["mapping"]
         image = sorted(mapping.values())
@@ -676,28 +691,38 @@ def gamma_scan(
     return results
 
 
-def _gamma_matrices(fs, row, ks, gen_hyps, settings):
-    """Monodromy matrices for the generator braids plus the pure-braid check."""
-    block = assemble_connection(fs, row, ks, settings)
-    g = fs.group
-    mats = {}
-    residual = [0.0] * len(ks)
+def _sweep(fs, rows, ks, gen_hyps, class_words, settings):
+    """One transport sweep over rows of one degree at every k, rows outermost:
+    per (row, k) entry, tr rho(w) at each class representative and the
+    pure-braid residual; and the step statistics of each generator path."""
+    block = assemble_connection(fs, rows, ks, settings)
+    l = block.residues.shape[-1]
+    mats, residual = {}, np.zeros(len(block.labels))
     for h in gen_hyps:
-        m = monodromy(block, h)
-        mats[h] = m
-        e = g.hyperplanes[h].order
-        l = m.shape[-1]
-        power = np.broadcast_to(np.eye(l, dtype=complex), m.shape).copy()
-        for _ in range(e):
-            power = np.einsum("bij,bjk->bik", m, power)
-        for b in range(len(ks)):
-            r = float(np.max(np.abs(power[b] - np.eye(l))))
-            residual[b] = max(residual[b], r)
-            if r > settings.hecke_tol:
-                raise KZError(
-                    f"pure braid generator acts nontrivially at integral k (residual {r:.2e})"
-                )
-    return mats, residual
+        mats[h] = m = monodromy(block, h)
+        power = m
+        for _ in range(fs.group.hyperplanes[h].order - 1):
+            power = m @ power
+        r = np.max(np.abs(power - np.eye(l)), axis=(1, 2))
+        if np.any(r > settings.hecke_tol):
+            worst = r[np.argmax(r > settings.hecke_tol)]
+            raise KZError(
+                f"pure braid generator acts nontrivially at integral k (residual {worst:.2e})"
+            )
+        residual = np.maximum(residual, r)
+    values = np.zeros((len(block.labels), len(class_words)), dtype=complex)
+    for ci, word in enumerate(class_words):
+        acc = np.broadcast_to(np.eye(l, dtype=complex), (len(block.labels), l, l))
+        for a in word:
+            acc = mats[gen_hyps[a]] @ acc
+        values[:, ci] = np.trace(acc, axis1=1, axis2=2)
+    return values, residual, {str(h): block.steps[h] for h in gen_hyps}
+
+
+def _rows_by_degree(fs: FakeDegreeSet) -> list[list[int]]:
+    """The rows of each degree, degrees in order of first appearance."""
+    degrees = [r.degree_int() for r in fs.table.rows]
+    return [[i for i, d in enumerate(degrees) if d == deg] for deg in dict.fromkeys(degrees)]
 
 
 def _match_row(values: np.ndarray, embedded_rows, tol: float):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
@@ -137,6 +136,9 @@ def nullspace(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
     the whole kernel and, having the reduced-echelon shape, is its unique
     reduced-echelon basis.  Recovered entries carry the lcm of the conductors
     of `a`; the ones at free columns have conductor 1.
+
+    Raises ExactError if no lift passes within _PRIME_BUDGET primes, enough
+    for coefficients of up to about 990 bits (the corpus needs one prime).
     """
     if not a:
         return []
@@ -151,7 +153,7 @@ def nullspace(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
     best = None  # (nullity, negated free columns) of the reductions kept
     moduli: list[int] = []
     images: list[list[int]] = []  # per kept prime: coefficients of every entry
-    for i in count():
+    for i in range(_PRIME_BUDGET):
         p, nodes, vinv = _embeddings(L, i)
         spaces = []
         seen: dict[tuple, list[list[int]]] = {}
@@ -194,6 +196,7 @@ def nullspace(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
             ))
         if all(_annihilates(sparse, v) for v in basis):
             return basis
+    raise ExactError(f"nullspace not certified within {_PRIME_BUDGET} primes")
 
 
 def _integral_row(row) -> list[tuple[int, int, dict[int, int]]]:
@@ -317,6 +320,7 @@ def _primitive_root_power(p: int, e: int) -> int:
 
 
 _PRIME_LIMIT = 1 << 31  # keeps the packed slots of _fp_rref small
+_PRIME_BUDGET = 64  # primes nullspace tries before it gives up
 
 
 @lru_cache(maxsize=None)

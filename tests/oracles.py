@@ -4,7 +4,9 @@ These deliberately avoid the production code paths: the character-table
 oracle decomposes the regular representation numerically, the fake-degree
 oracle sums over all group elements instead of conjugacy classes, and the
 equivariant-basis oracle intersects one generator's constraints at a time by
-exact CycNum elimination instead of one modular solve.
+exact CycNum elimination instead of one modular solve.  The transport oracle
+is the RK kernel kz used before its batch moved to the last axis: it
+evaluates omega at every stage of every step and keeps the batch first.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from reflekt.exact import (
     poly_one_minus_Tk,
     series_inverse,
 )
+from reflekt.kz import KZError
 from reflekt.minmat import _monomials, _substitution_matrix, predicted_equivariant_dimension
 
 
@@ -263,3 +266,48 @@ def sequential_equivariant_basis(real, p: int, fs=None):
                 f"fake degree predicts {want}"
             )
     return basis
+
+
+def reference_transport(block, path) -> np.ndarray:
+    """Transport matrices of Phi' = -omega(v'(t)) Phi, batched over labels.
+
+    Classical fourth-order stepping with step doubling; the local relative
+    error of the half-step pair is kept below rtol.  Legs of a composite path
+    are integrated in sequence.
+    """
+    a = block.residues  # (B, H, l, l)
+    alpha = block.alpha_rows
+    bsz, nh, l, _ = a.shape
+    rtol = block.settings.rtol
+    y = np.broadcast_to(np.eye(l, dtype=complex), (bsz, l, l)).copy()
+
+    for seg_point, seg_vel in path.segments():
+
+        def omega(t: float) -> np.ndarray:
+            coef = (alpha @ seg_vel(t)) / (alpha @ seg_point(t))
+            return -np.einsum("h,bhij->bij", coef, a)
+
+        def rk4(t: float, h: float, yy: np.ndarray) -> np.ndarray:
+            k1 = np.einsum("bij,bjk->bik", omega(t), yy)
+            k2 = np.einsum("bij,bjk->bik", omega(t + h / 2), yy + h / 2 * k1)
+            k3 = np.einsum("bij,bjk->bik", omega(t + h / 2), yy + h / 2 * k2)
+            k4 = np.einsum("bij,bjk->bik", omega(t + h), yy + h * k3)
+            return yy + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+        t, h = 0.0, 0.05
+        while t < 1.0 - 1e-15:
+            h = min(h, 1.0 - t)
+            full = rk4(t, h, y)
+            half = rk4(t + h / 2, h / 2, rk4(t, h / 2, y))
+            err = float(np.max(np.abs(full - half)))
+            scale = max(1.0, float(np.max(np.abs(half))))
+            if err <= rtol * scale:
+                y = half + (half - full) / 15.0  # Richardson extrapolation
+                t += h
+                growth = 2.0 if err == 0 else min(2.0, max(0.3, 0.9 * (rtol * scale / err) ** 0.2))
+                h *= growth
+            else:
+                h *= max(0.1, 0.9 * (rtol * scale / err) ** 0.2)
+            if h < block.settings.min_step:
+                raise KZError("step-size underflow near a hyperplane")
+    return y

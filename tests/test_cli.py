@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,23 @@ def test_kz_monodromy_cli(capsys):
     res = json.loads(out)["result"]
     assert res["passed"] is True
     assert res["deck_convention"].startswith("tau(s_H)^{-1}")
+
+
+def test_kz_gamma_zero_on_non_real_group_is_identity(capsys):
+    code, out, err = run_capture(capsys, ["kz", "gamma", "G(3,1,1)", "--k", '{"0":[0,0,0]}'])
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["pairs"] == [[0, 0], [1, 1], [2, 2]]
+    # one sweep for the degree-1 rows, with step statistics per generator path
+    assert set(res["transport"]) == {"1"}
+    assert set(res["transport"]["1"]["0"]) == {"accepted", "rejected", "min_step", "eps"}
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, reflekt.cli; sys.exit('numpy' in sys.modules)"
+    src = str(Path(cli_mod.__file__).resolve().parents[1])  # the reflekt under test
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_kz_bad_labels_exit_2(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ from reflekt.groups import build_group
 from reflekt.chars import character_table, det_character, trivial_character
 from reflekt.fake import FakeDegreeSet
 from reflekt import linalg
+from reflekt import kz
 from reflekt.kz import (
     KZError,
     KZSettings,
@@ -22,11 +24,13 @@ from reflekt.kz import (
     monodromy_rep,
 )
 
+from oracles import reference_transport
+
 
 @pytest.fixture(scope="module")
 def built():
     out = {}
-    for d in ["S3", "G(2,1,2)", "G(2,1,1)", "G(3,1,1)", "G(4,1,1)"]:
+    for d in ["S3", "G(2,1,2)", "G(2,1,1)", "G(3,1,1)", "G(4,1,1)", "G(3,1,2)"]:
         g = build_group(d)
         out[d] = FakeDegreeSet(g, character_table(g))
     return out
@@ -183,12 +187,23 @@ def test_gamma_composition_probe_s3(built):
             assert bwd[fwd[src]] == src
 
 
+def test_gamma_zero_is_identity_on_non_real_groups(built):
+    for name in ["G(3,1,1)", "G(4,1,1)", "G(3,1,2)"]:
+        fs = built[name]
+        assert fs.conj_perm != list(range(len(fs.table.rows)))
+        res = gamma_permutation(fs, LabelVector.zero(fs.group))
+        assert res["pairs"] == [(i, i) for i in range(len(fs.table.rows))], name
+
+
 def test_gamma_preserves_dimension_and_local_data(built):
-    fs = built["S3"]
-    res = gamma_permutation(fs, label(fs, c0=[0, 1]))
-    for src, dst in res["pairs"]:
-        assert fs.table.rows[src].degree_int() == fs.table.rows[dst].degree_int()
-        assert fs.local[src].multiplicities == fs.local[dst].multiplicities
+    for fs, k in [
+        (built["S3"], label(built["S3"], c0=[0, 1])),
+        (built["G(3,1,2)"], label(built["G(3,1,2)"], c0=[0, 1, -1], c1=[1, 0])),
+    ]:
+        res = gamma_permutation(fs, k)
+        for src, dst in res["pairs"]:
+            assert fs.table.rows[src].degree_int() == fs.table.rows[dst].degree_int()
+            assert fs.local[src].multiplicities == fs.local[dst].multiplicities
 
 
 def test_base_point_independence(built):
@@ -210,3 +225,93 @@ def test_group_order_cap():
     fs = FakeDegreeSet(g, character_table(g))
     with pytest.raises(KZError, match="cap"):
         assemble_connection(fs, 0, LabelVector.zero(g))
+
+
+def random_labels(g, rng, count):
+    return [
+        LabelVector(
+            tuple(
+                tuple(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(o.order))
+                for o in g.orbits
+            )
+        )
+        for _ in range(count)
+    ]
+
+
+def integral_labels(g, bound):
+    out = []
+    for flat in itertools.product(range(-bound, bound + 1), repeat=sum(o.order for o in g.orbits)):
+        vals, pos = [], 0
+        for o in g.orbits:
+            vals.append(tuple(complex(x) for x in flat[pos : pos + o.order]))
+            pos += o.order
+        out.append(LabelVector(tuple(vals)))
+    return out
+
+
+def test_transport_matches_reference_kernel(built):
+    rng = random.Random(11)
+    for name in ["S3", "G(2,1,2)", "G(3,1,2)"]:
+        fs = built[name]
+        ks = random_labels(fs.group, rng, 3)
+        for row in range(len(fs.table.rows)):
+            block = assemble_connection(fs, row, ks)
+            for h in kz._generator_hyperplanes(fs.group):
+                path = braid_path(block, h)
+                got, steps = kz._transport(block, path)
+                want = reference_transport(block, path)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (name, row, h)
+                assert steps["accepted"] > 0 and steps["eps"] == path.eps
+
+
+def test_degree_sweep_matches_per_row_scan(built, monkeypatch):
+    for name in ["S3", "G(2,1,2)"]:
+        fs = built[name]
+        ks = integral_labels(fs.group, 1)
+        swept = gamma_scan(fs, ks)
+        rows = range(len(fs.table.rows))
+        monkeypatch.setattr(kz, "_rows_by_degree", lambda fs: [[r] for r in rows])
+        per_row = gamma_scan(fs, ks)
+        monkeypatch.undo()
+        for a, b in zip(swept, per_row):
+            assert a["pairs"] == b["pairs"], name
+            assert abs(a["pure_braid_residual"] - b["pure_braid_residual"]) <= 1e-9
+            assert abs(a["match_residual"] - b["match_residual"]) <= 1e-9
+
+
+def test_rows_of_one_block_share_their_degree(built):
+    fs = built["S3"]
+    with pytest.raises(KZError, match="degree"):
+        assemble_connection(fs, [0, 2], LabelVector.zero(fs.group))
+
+
+def test_block_checks_every_row_against_its_own_local_data(built, monkeypatch):
+    fs = built["S3"]
+    k = label(fs, c0=[0.2, -0.1])
+    assemble_connection(fs, [0, 1], k)
+    # give the second row the first row's local data: only its entries break
+    monkeypatch.setattr(fs, "local", [fs.local[0], fs.local[0], fs.local[2]])
+    with pytest.raises(KZError, match="residue spectrum"):
+        assemble_connection(fs, [0, 1], k)
+
+
+def test_transport_diagnostics_in_json(built):
+    fs = built["G(2,1,2)"]
+    g = fs.group
+    std = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 2)
+    rep = monodromy_rep(fs, std, label(fs, c0=[0.1, -0.2], c1=[0.05, 0.1]))
+    block = assemble_connection(fs, std, LabelVector.zero(g))
+    doc = rep.to_json()["transport"]
+    assert set(doc) == {str(h) for h in rep.hyperplanes}
+    for h in rep.hyperplanes:
+        steps = doc[str(h)]
+        assert steps["accepted"] > 0 and steps["rejected"] >= 0
+        assert 0 < steps["min_step"] <= 1.0
+        assert steps["eps"] == block.paths[h].eps
+    res = gamma_permutation(fs, label(fs, c0=[1, 0], c1=[0, -1]))
+    assert set(res["transport"]) == {"1", "2"}  # one sweep per degree
+    for per_path in res["transport"].values():
+        assert set(per_path) == {str(h) for h in rep.hyperplanes}
+        assert all(per_path[str(h)]["eps"] == block.paths[h].eps for h in rep.hyperplanes)

@@ -4,8 +4,10 @@ from math import isqrt
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import pytest
+
 from reflekt import linalg
-from reflekt.exact import CycNum, euler_phi
+from reflekt.exact import CycNum, ExactError, euler_phi
 
 from oracles import exact_nullspace, exact_rref
 
@@ -89,6 +91,21 @@ def test_large_entry_needs_several_primes_and_a_retry(monkeypatch):
     assert basis_key(got) == basis_key(exact_nullspace(a))
     assert checks[0] is False and checks[-1] is True
     assert len(primes) > 1
+
+
+def test_uncertified_nullspace_raises_after_the_prime_budget(monkeypatch):
+    primes = []
+    embeddings = linalg._embeddings
+
+    def spy_embeddings(L, i):
+        primes.append(i)
+        return embeddings(L, i)
+
+    monkeypatch.setattr(linalg, "_embeddings", spy_embeddings)
+    monkeypatch.setattr(linalg, "_annihilates", lambda rows, v: False)
+    with pytest.raises(ExactError, match="certified"):
+        linalg.nullspace([[CycNum.rational(1), CycNum.rational(2)]])
+    assert max(primes) == linalg._PRIME_BUDGET - 1
 
 
 def test_is_prime_matches_trial_division():
