@@ -296,26 +296,20 @@ def defining_character(g: ReflectionGroup) -> ClassFunction:
 
 
 def local_data(tau: ClassFunction, g: ReflectionGroup) -> LocalData:
-    """Multiplicities of det^{-j} in the restriction to each orbit stabilizer."""
+    """Multiplicities of det^{-j} in the restriction to each orbit stabilizer.
+
+    The stabilizer is <s_H> with det(s_H) = zeta_e, so det^{-j} is the
+    eigenvalue zeta_e^{-j} of s_H.
+    """
+    deg = tau.degree_int()
     out = []
     for orbit in g.orbits:
         hp = g.hyperplanes[orbit.members[0]]
-        e = hp.order
-        row = []
-        for j in range(e):
-            acc = CycNum.zero()
-            for w in hp.stabilizer:
-                acc = acc + tau.value_on_element(w) * g.det(w) ** j
-            val = acc / e
-            if not val.is_integer() or val.as_fraction() < 0:
-                raise CharTableError(
-                    f"restriction multiplicity n_(C,{j}) is not a nonnegative integer"
-                )
-            row.append(int(val.as_fraction()))
-        deg = tau.degree_int()
+        mults = g.cyclic_multiplicities(hp.generator, tau.value_on_element)
+        row = tuple(mults[-j % hp.order] for j in range(hp.order))
         if sum(row) != deg:
             raise CharTableError("local multiplicities do not sum to the degree")
-        out.append(tuple(row))
+        out.append(row)
     return LocalData(tuple(out))
 
 

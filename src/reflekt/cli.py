@@ -40,15 +40,19 @@ class UsageError(Exception):
     """Bad input, or a failed computation: 'error: ...' on stderr, exit 2."""
 
 
+# KZ tolerances of every kz subcommand, echoed in each document's config.  The
+# rtol is the contract ceiling, looser than the library default of 1e-11.
+KZ_RTOL = 1e-10
+KZ_HECKE_TOL = 1e-6
+KZ_MATCH_TOL = 1e-6
+
+
 @dataclass
 class RunConfig:
     descriptor: str
     subcommand: str
     max_order: int = 50_000
     seed: int = 0
-    kz_rtol: float = 1e-10
-    kz_hecke_tol: float = 1e-6
-    kz_match_tol: float = 1e-6
     output: str | None = None
     cache_dir: str | None = None
 
@@ -59,9 +63,9 @@ class RunConfig:
             "subcommand": self.subcommand,
             "max_order": self.max_order,
             "seed": self.seed,
-            "kz_rtol": self.kz_rtol,
-            "kz_hecke_tol": self.kz_hecke_tol,
-            "kz_match_tol": self.kz_match_tol,
+            "kz_rtol": KZ_RTOL,
+            "kz_hecke_tol": KZ_HECKE_TOL,
+            "kz_match_tol": KZ_MATCH_TOL,
         }
 
 
@@ -276,12 +280,7 @@ def cmd_minmat(cfg: RunConfig, cache: Cache, rep: int) -> tuple[int, dict]:
 def _kz_settings(cfg: RunConfig):
     from .kz import KZSettings  # kz, and numpy with it, loads only for kz commands
 
-    return KZSettings(
-        rtol=cfg.kz_rtol,
-        hecke_tol=cfg.kz_hecke_tol,
-        match_tol=cfg.kz_match_tol,
-        seed=cfg.seed,
-    )
+    return KZSettings(rtol=KZ_RTOL, hecke_tol=KZ_HECKE_TOL, match_tol=KZ_MATCH_TOL, seed=cfg.seed)
 
 
 def cmd_kz_monodromy(cfg: RunConfig, cache: Cache, rep: int, k_json: str) -> tuple[int, dict]:
@@ -302,7 +301,7 @@ def cmd_kz_monodromy(cfg: RunConfig, cache: Cache, rep: int, k_json: str) -> tup
         raise UsageError(str(exc)) from exc
     payload = rep_data.to_json()
     worst = max(max(v) for v in rep_data.residuals.values())
-    payload["passed"] = worst <= cfg.kz_hecke_tol
+    payload["passed"] = worst <= KZ_HECKE_TOL
     return (0 if payload["passed"] else 1), payload
 
 

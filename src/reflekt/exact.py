@@ -520,10 +520,6 @@ def poly_from_ints(*cs: int) -> PolyT:
     return PolyT([CycNum.rational(c) for c in cs])
 
 
-def poly_one() -> PolyT:
-    return poly_from_ints(1)
-
-
 def poly_one_minus_Tk(k: int) -> PolyT:
     return PolyT([ONE] + [ZERO] * (k - 1) + [CycNum.rational(-1)])
 

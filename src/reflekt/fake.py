@@ -14,7 +14,6 @@ reporting, since its failure can only mean an arithmetic bug.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -47,7 +46,6 @@ class VerificationError(Exception):
 class FakeDegree:
     polynomial: PolyT
     exponents: tuple[int, ...]
-    convention: str  # "chi" normally; "conjugate" if the fallback was needed
 
     def to_json(self) -> dict:
         return {
@@ -55,7 +53,7 @@ class FakeDegree:
                 int(c.as_fraction()) for c in self.polynomial.coeffs
             ],
             "exponents": list(self.exponents),
-            "convention": self.convention,
+            "convention": "chi",
         }
 
 
@@ -95,25 +93,13 @@ def _fake_degree_from_values(g: ReflectionGroup, values) -> PolyT:
 def fake_degree(g: ReflectionGroup, chi: ClassFunction) -> FakeDegree:
     """Fake degree of a character; sums constituents when chi is reducible."""
     poly = _fake_degree_from_values(g, chi.values)
-    convention = "chi"
-    try:
-        exps = poly.exponents()
-    except ExactError:
-        # The integrality arbiter rejected the primary convention; try the
-        # conjugate one once and report the discrepancy loudly.
-        poly2 = _fake_degree_from_values(g, [v.conjugate() for v in chi.values])
-        exps = poly2.exponents()
-        print(
-            "warning: fake degree needed the conjugate character convention",
-            file=sys.stderr,
-        )
-        poly, convention = poly2, "conjugate"
+    exps = poly.exponents()
     deg = chi.degree_int()
     if poly.evaluate(1) != deg:
         raise VerificationError("fake degree does not evaluate to deg(chi) at T=1")
     if exps and (exps[-1] > len(g.reflections) or exps[0] < 0):
         raise VerificationError("fake degree exponent out of [0, #R]")
-    return FakeDegree(polynomial=poly, exponents=tuple(exps), convention=convention)
+    return FakeDegree(polynomial=poly, exponents=tuple(exps))
 
 
 class FakeDegreeSet:

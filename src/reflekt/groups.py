@@ -15,10 +15,11 @@ element (shortest, then lexicographically smallest) is stored.  The search
 records the Cayley graph of right multiplication by the generators
 (rmul[i][g] = index of w_i * s_g) and the BFS tree (w_j = w_parent(j) * s_last),
 so it costs |W| * #generators matrix products.  All pure group structure -
-the multiplication table, products, inverses, element orders, conjugacy
-classes - is integer lookups in that graph.  Matrices are used only where the
-answer is linear algebra: traces, determinants and eigenvalues, the rank test
-for reflections (one per class), hyperplane forms and the action on them.
+products (w_i * w_j walks the word of w_j from i), inverses, element orders,
+conjugacy classes - is integer lookups in that graph.  Matrices are used only
+where the answer is linear algebra: traces, determinants and eigenvalues, the
+rank test for reflections (one per class), hyperplane forms and the action on
+them.
 Everything is exact; all data is immutable after construction.
 """
 from __future__ import annotations
@@ -45,9 +46,6 @@ from . import linalg
 from .linalg import Matrix, Vector
 
 DEFAULT_MAX_ORDER = 50_000
-# Full multiplication tables only below this size; above it a product w_i * w_j
-# walks the word of w_j from i through the Cayley graph.
-MULT_TABLE_LIMIT = 4096
 
 
 class GroupBuildError(Exception):
@@ -300,19 +298,6 @@ class ReflectionGroup:
         self.identity = 0
         self._rmul = rmul
         self.generator_elements = rmul[0]
-
-        if self.order <= MULT_TABLE_LIMIT:
-            # Row i follows the BFS tree: i * w_j = (i * w_parent(j)) * gen_last(j).
-            steps = [(parent[j], words[j][-1]) for j in range(1, self.order)]
-            table = []
-            for i in range(self.order):
-                row = [i]
-                for p, a in steps:
-                    row.append(rmul[row[p]][a])
-                table.append(row)
-            self._mult_table: list[list[int]] | None = table
-        else:
-            self._mult_table = None
         # (w_parent * s)^-1 = s^-1 * w_parent^-1, with s^-1 = s^(o-1) from the s-cycle through 1.
         gen_inv = []
         for a in range(len(self.generator_matrices)):
@@ -326,8 +311,7 @@ class ReflectionGroup:
         self.inverse_table = inv
 
     def mult(self, i: int, j: int) -> int:
-        if self._mult_table is not None:
-            return self._mult_table[i][j]
+        """w_i * w_j: walk the word of w_j from i through the Cayley graph."""
         rmul = self._rmul
         for a in self.words[j]:
             i = rmul[i][a]
@@ -335,17 +319,6 @@ class ReflectionGroup:
 
     def inverse(self, i: int) -> int:
         return self.inverse_table[i]
-
-    def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(i), -k)
-        acc, base = 0, i
-        while k:
-            if k & 1:
-                acc = self.mult(acc, base)
-            base = self.mult(base, base)
-            k >>= 1
-        return acc
 
     def word_product(self, word: tuple[int, ...]) -> int:
         acc = 0
@@ -378,35 +351,40 @@ class ReflectionGroup:
             dets[i] = linalg.det(self.elements[i])
         return dets[i]
 
+    def cyclic_multiplicities(self, w: int, value) -> list[int]:
+        """Multiplicity of zeta_o^t, t = 0..o-1, in the restriction to <w>.
+
+        o is the order of w and value maps an element to its character value
+        (a trace, or ClassFunction.value_on_element); the multiplicities are
+        the exact discrete Fourier transform (1/o) sum_s value(w^s) zeta_o^{-ts}.
+        """
+        o = self.element_orders[w]
+        values, cur = [], self.identity
+        for _ in range(o):
+            values.append(value(cur))
+            cur = self.mult(cur, w)
+        out = []
+        for t in range(o):
+            acc = CycNum.zero()
+            for s, v in enumerate(values):
+                acc = acc + v * CycNum.zeta(o, (-t * s) % o)
+            mult = acc / o
+            if not mult.is_integer() or mult.as_fraction() < 0:
+                raise ExactError("restriction multiplicity is not a nonnegative integer")
+            out.append(int(mult.as_fraction()))
+        return out
+
     def eigenvalue_multiplicities(self, i: int) -> list[tuple[int, int, int]]:
         """Eigenvalues of element i as (order o, power t, multiplicity).
 
         The eigenvalues of a finite-order unitary matrix are o-th roots of
-        unity; multiplicities come from the exact discrete Fourier transform
-        of the traces of powers.
+        unity; their multiplicities are those of the restriction of the trace.
         """
         o = self.element_orders[i]
-        traces = []
-        cur = 0
-        for _ in range(o):
-            traces.append(self.trace(cur))
-            cur = self.mult(cur, i)
-        out = []
-        oinv = Fraction(1, o)
-        for t in range(o):
-            s_sum = CycNum.zero()
-            for s in range(o):
-                s_sum = s_sum + traces[s] * CycNum.zeta(o, (-t * s) % o)
-            mult = s_sum * oinv
-            if mult.is_zero():
-                continue
-            if not mult.is_integer():
-                raise ExactError("non-integer eigenvalue multiplicity (bug)")
-            out.append((o, t, int(mult.as_fraction())))
-        total = sum(m for _, _, m in out)
-        if total != self.dimension:
+        mults = self.cyclic_multiplicities(i, self.trace)
+        if sum(mults) != self.dimension:
             raise ExactError("eigenvalue multiplicities do not sum to dim (bug)")
-        return out
+        return [(o, t, m) for t, m in enumerate(mults) if m]
 
     def char_poly_one_minus_Tw(self, i: int) -> PolyT:
         """det_V(1 - T w_i) as an exact polynomial in T."""

@@ -8,7 +8,11 @@ generator path
 
     v(t) = proj_H(v0) + exp(2 pi i t / e_H) (v0 - proj_H(v0)),
 
-which ends at s_H v0 (with det(s_H) = exp(2 pi i / e_H)).
+which ends at s_H v0 (with det(s_H) = exp(2 pi i / e_H)).  The base point
+v0 and the braid paths depend only on the group and the seed: they are chosen
+once per (group, seed) and kept, read-only, for as long as the group lives.
+A transport that needs more than STEP_BUDGET attempted steps on one path
+raises KZError instead of crawling on with ever smaller steps.
 
 Frozen monodromy convention
 ---------------------------
@@ -33,6 +37,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,17 +57,22 @@ class KZError(Exception):
 @dataclass(frozen=True)
 class KZSettings:
     rtol: float = 1e-11  # local relative error; the contract ceiling is 1e-10
-    curvature_tol: float = 1e-8
     hecke_tol: float = 1e-6
-    calibration_tol: float = 1e-8
     match_tol: float = 1e-6
-    margin_factor: float = 0.1
-    path_samples: int = 128
     seed: int = 0
-    retry_budget: int = 12
-    max_group_order: int = 48
-    max_rep_degree: int = 4
-    min_step: float = 1e-10
+
+
+CURVATURE_TOL = 1e-8
+CALIBRATION_TOL = 1e-8
+MARGIN_FACTOR = 0.1  # base-point margin to the hyperplanes, relative to |v0|
+PATH_SAMPLES = 128
+RETRY_BUDGET = 12  # base-point draws per (group, seed)
+MAX_GROUP_ORDER = 48
+MAX_REP_DEGREE = 4
+MIN_STEP = 1e-10
+# Attempted steps (accepted plus rejected) per path; the most any path of the
+# tests or the benchmark takes is 3,830 (G(2,1,2), the [-2,2]^4 degree-1 sweep).
+STEP_BUDGET = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +156,7 @@ class ConnectionBlock:
 
     Batch entry b is row `rows[b]` at label vector `labels[b]`; `residues` has
     shape (batch, hyperplanes, l, l).  The base point and braid paths depend
-    only on the group and the settings, so all entries share one RK sweep.
+    only on the group and the seed, so all entries share one RK sweep.
     """
 
     fs: FakeDegreeSet
@@ -156,7 +166,7 @@ class ConnectionBlock:
     residues: np.ndarray
     base_point: np.ndarray
     alpha_rows: np.ndarray  # (hyperplanes, n) complex linear forms
-    paths: list["BraidPath"]
+    paths: tuple["BraidPath", ...]
     settings: KZSettings
     seed_used: int
     steps: dict[int, dict] = field(default_factory=dict)  # hyperplane -> step statistics
@@ -190,7 +200,21 @@ def stabilizer_projectors(real: Realization, h_idx: int) -> list[linalg.Matrix]:
     return projs
 
 
-def _choose_base_point(g: ReflectionGroup, settings: KZSettings, alpha: np.ndarray):
+# group -> {seed: _choose_base_point(group, seed)}; nothing in an arrangement
+# refers back to its group, so the memo does not keep groups alive.
+_ARRANGEMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _arrangement(g: ReflectionGroup, seed: int):
+    """(alpha rows, base point, attempt, braid paths) of g at seed, computed
+    once per (group, seed); every array in it is read-only."""
+    per_seed = _ARRANGEMENTS.setdefault(g, {})
+    if seed not in per_seed:
+        per_seed[seed] = _choose_base_point(g, seed)
+    return per_seed[seed]
+
+
+def _choose_base_point(g: ReflectionGroup, seed: int):
     """Deterministic pseudo-random base point admissible for every braid path.
 
     Admissibility of v0, with v0 = center_H + nu_H the orthogonal split along
@@ -199,9 +223,12 @@ def _choose_base_point(g: ReflectionGroup, settings: KZSettings, alpha: np.ndarr
     constructed braid paths (see _build_path) keep a sampled margin.
     Violations resample v0 deterministically (seed, attempt).
     """
+    alpha = _read_only(
+        np.array([[x.to_complex() for x in hp.form] for hp in g.hyperplanes])
+    )
     nh, n = alpha.shape
-    for attempt in range(settings.retry_budget):
-        rng = random.Random((settings.seed, attempt, g.descriptor.canonical(), "v0").__repr__())
+    for attempt in range(RETRY_BUDGET):
+        rng = random.Random((seed, attempt, g.descriptor.canonical(), "v0").__repr__())
         v0 = np.array(
             [
                 complex(rng.randint(-19, 19) / 20 + rng.randint(-19, 19) / 20 * 1j)
@@ -211,23 +238,26 @@ def _choose_base_point(g: ReflectionGroup, settings: KZSettings, alpha: np.ndarr
         scale = float(np.sqrt(np.mean(np.abs(v0) ** 2))) if n else 1.0
         if scale < 1e-3:
             continue
-        delta = settings.margin_factor * scale
+        delta = MARGIN_FACTOR * scale
         if min(abs(alpha @ v0)) < delta:
             continue
         paths = []
-        ok = True
         for h in range(nh):
-            path = _build_path(g, h, v0, alpha, delta, settings)
+            path = _build_path(g, h, v0, alpha, delta)
             if path is None:
-                ok = False
                 break
             paths.append(path)
-        if ok:
-            return v0, delta, attempt, paths
+        else:
+            return alpha, _read_only(v0), attempt, tuple(paths)
     raise KZError("no admissible base point within the retry budget")
 
 
-def _build_path(g, h_idx, v0, alpha, delta, settings):
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _build_path(g, h_idx, v0, alpha, delta):
     """Braid generator path for one hyperplane, or None if inadmissible.
 
     When the closed 2-disc swept by rotating the normal component of v0 is
@@ -241,7 +271,7 @@ def _build_path(g, h_idx, v0, alpha, delta, settings):
     s_H v0.  That composite is homotopic to the plain arc whenever the disc
     is free and is the standard braid generator always: its winding disc of
     radius eps misses the other hyperplanes by construction, which is what
-    the Hecke relation needs.
+    the Hecke relation needs.  An admissible path is checked to end at s_H v0.
     """
     hp = g.hyperplanes[h_idx]
     e = hp.order
@@ -261,7 +291,7 @@ def _build_path(g, h_idx, v0, alpha, delta, settings):
         if eps < 1e-4:
             return None
     segments = _path_segments(center, nu, e, eps)
-    ts = np.linspace(0.0, 1.0, settings.path_samples)
+    ts = np.linspace(0.0, 1.0, PATH_SAMPLES)
     for seg_point, _seg_vel in segments:
         for t in ts:
             vt = seg_point(t)
@@ -269,7 +299,14 @@ def _build_path(g, h_idx, v0, alpha, delta, settings):
             vals[h_idx] = np.inf  # margin to H itself is |alpha_H| >= eps*|alpha_H(nu)|
             if len(alpha) > 1 and vals.min() < 0.25 * delta:
                 return None
-    return BraidPath(hyperplane=h_idx, order=e, center=center, nu=nu, eps=eps)
+    path = BraidPath(
+        hyperplane=h_idx, order=e, center=_read_only(center), nu=_read_only(nu), eps=eps
+    )
+    end = path.endpoint()
+    s_mat = linalg.mat_to_complex(g.elements[hp.generator])
+    if np.max(np.abs(s_mat @ v0 - end)) > 1e-12 * max(1.0, float(np.max(np.abs(end)))):
+        raise KZError("path endpoint is not s_H v0 (bug)")
+    return path
 
 
 def _path_segments(center, nu, e: int, eps: float):
@@ -315,11 +352,11 @@ def assemble_connection(
     """The block of each row (all of one degree) at each label vector, rows
     outermost; every check runs on every (row, label) entry."""
     g = fs.group
-    if g.order > settings.max_group_order:
-        raise KZError(f"group order {g.order} exceeds the kz cap {settings.max_group_order}")
+    if g.order > MAX_GROUP_ORDER:
+        raise KZError(f"group order {g.order} exceeds the kz cap {MAX_GROUP_ORDER}")
     rows = [row] if isinstance(row, int) else list(row)
     degrees = {fs.table.rows[r].degree_int() for r in rows}
-    if max(degrees) > settings.max_rep_degree:
+    if max(degrees) > MAX_REP_DEGREE:
         raise KZError("representation degree exceeds the kz cap")
     if len(degrees) != 1:
         raise KZError("the rows of one block must share their degree")
@@ -327,9 +364,6 @@ def assemble_connection(
     reals = {r: matrix_realization(g, fs.table, r) for r in rows}
     l = degrees.pop()
     nh, nk = len(g.hyperplanes), len(batch)
-    alpha = np.array(
-        [[x.to_complex() for x in g.hyperplanes[h].form] for h in range(nh)]
-    )
     residues = np.zeros((len(rows) * nk, nh, l, l), dtype=complex)
     for i, r in enumerate(rows):
         for h in range(nh):
@@ -338,7 +372,7 @@ def assemble_connection(
             projs = [linalg.mat_to_complex(p) for p in stabilizer_projectors(reals[r], h)]
             kh = np.array([k.values[c] for k in batch])
             residues[i * nk : (i + 1) * nk, h] = np.einsum("bj,jxy->bxy", e * kh, projs)
-    v0, delta, attempt, paths = _choose_base_point(g, settings, alpha)
+    alpha, v0, attempt, paths = _arrangement(g, settings.seed)
     block = ConnectionBlock(
         fs=fs,
         rows=[r for r in rows for _ in batch],
@@ -403,7 +437,7 @@ def _check_curvature(block: ConnectionBlock) -> None:
         m1 = np.einsum("h,bhij->bij", wx, a)
         m2 = np.einsum("h,bhij->bij", wy, a)
         curv = m1 @ m2 - m2 @ m1
-        if np.any(np.max(np.abs(curv), axis=(1, 2)) > block.settings.curvature_tol * scale):
+        if np.any(np.max(np.abs(curv), axis=(1, 2)) > CURVATURE_TOL * scale):
             raise KZError("curvature spot check failed (assembly bug)")
 
 
@@ -433,18 +467,6 @@ class BraidPath:
         return self.center + np.exp(2j * np.pi / self.order) * self.nu
 
 
-def braid_path(block: ConnectionBlock, h_idx: int) -> BraidPath:
-    path = block.paths[h_idx]
-    hp = block.group.hyperplanes[h_idx]
-    end = path.endpoint()
-    s_mat = linalg.mat_to_complex(block.group.elements[hp.generator])
-    if np.max(np.abs(s_mat @ block.base_point - end)) > 1e-12 * max(
-        1.0, float(np.max(np.abs(end)))
-    ):
-        raise KZError("path endpoint is not s_H v0 (bug)")
-    return path
-
-
 def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dict]:
     """Transport matrices (batch, l, l) of Phi' = -omega(v'(t)) Phi along the
     legs of the path in turn, and the path's step statistics.
@@ -455,7 +477,8 @@ def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dic
     so omega is one product of the path's coefficients with the flattened
     residues per node, and the end node starts the next step.  Y has shape
     (l, l, batch): the batch on the last axis keeps each product contiguous.
-    min_step omits a step cut short to end a leg.
+    min_step omits a step cut short to end a leg.  More than STEP_BUDGET
+    attempted steps raise KZError.
     """
     a = block.residues  # (B, H, l, l)
     bsz, nh, l, _ = a.shape
@@ -474,6 +497,8 @@ def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dic
         t, h = 0.0, 0.05
         w0 = omega(t)
         while t < 1.0 - 1e-15:
+            if stats["accepted"] + stats["rejected"] >= STEP_BUDGET:
+                raise KZError(f"transport exceeded {STEP_BUDGET} steps on one path")
             cut = h > 1.0 - t
             h = min(h, 1.0 - t)
             wq, wh, w3q, w1 = (omega(t + f * h) for f in (0.25, 0.5, 0.75, 1.0))
@@ -495,7 +520,7 @@ def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dic
             else:
                 stats["rejected"] += 1
                 h *= max(0.1, 0.9 * (rtol * scale / err) ** 0.2)
-            if h < block.settings.min_step:
+            if h < MIN_STEP:
                 raise KZError("step-size underflow near a hyperplane")
     return np.moveaxis(y, 2, 0), stats
 
@@ -517,8 +542,7 @@ def monodromy(block: ConnectionBlock, h_idx: int) -> np.ndarray:
     """Braid generator matrices (batch, l, l) in the frozen convention
     tau(s_H)^{-1} @ transport, each entry with its own row's tau;
     self-calibrates whenever a label is zero."""
-    path = braid_path(block, h_idx)
-    transports, block.steps[h_idx] = _transport(block, path)
+    transports, block.steps[h_idx] = _transport(block, block.paths[h_idx])
     s_inv = block.group.inverse(block.group.hyperplanes[h_idx].generator)
     reals = block.realizations.items()
     decks = {r: linalg.mat_to_complex(x.element_matrix(s_inv)) for r, x in reals}
@@ -526,7 +550,7 @@ def monodromy(block: ConnectionBlock, h_idx: int) -> np.ndarray:
     out = deck @ transports
     for b, k in enumerate(block.labels):
         # at k = 0 the target is tau(s_H)^{-1}, which is tau(s_H) whenever e_H = 2
-        if k.is_zero() and np.max(np.abs(out[b] - deck[b])) > block.settings.calibration_tol:
+        if k.is_zero() and np.max(np.abs(out[b] - deck[b])) > CALIBRATION_TOL:
             raise KZError("k = 0 calibration failed: monodromy != deck matrix")
     return out
 

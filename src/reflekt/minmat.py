@@ -31,6 +31,9 @@ from .groups import ReflectionGroup
 from .chars import CharacterTable, ClassFunction
 from .fake import FakeDegreeSet, degree_numerator
 
+# Pseudo-random column mixings tried before a zero determinant is reported.
+MIXING_ATTEMPTS = 32
+
 
 class RealizationError(Exception):
     """Could not produce or validate an explicit matrix realization."""
@@ -58,13 +61,10 @@ class Realization:
         got = self._cache.get(i)
         if got is None:
             m = linalg.identity(self.dim)
-            for a in self.words_for(i):
+            for a in self.group.words[i]:
                 m = linalg.mat_mul(m, self.generator_matrices[a])
             got = self._cache[i] = m
         return got
-
-    def words_for(self, i: int):
-        return self.group.words[i]
 
     def validate(self, table_row: ClassFunction) -> None:
         g = self.group
@@ -117,19 +117,9 @@ def _induced_realization(g, table, row_idx) -> Realization:
         m = g.element_orders[z]
         if m == 1:
             continue
-        for j in range(m):
-            acc = CycNum.zero()
-            cur = g.identity
-            for s in range(m):
-                acc = acc + row.value_on_element(cur) * CycNum.zeta(m, (-j * s) % m)
-                cur = g.mult(cur, z)
-            mult = acc / m
-            if not mult.is_integer() or mult.as_fraction() < 0:
-                raise RealizationError("restriction multiplicity not a nonneg integer")
-            if mult == 1:
-                choice = (z, m, j)
-                break
-        if choice:
+        mults = g.cyclic_multiplicities(z, row.value_on_element)
+        if 1 in mults:
+            choice = (z, m, mults.index(1))
             break
     if choice is None:
         raise RealizationError(
@@ -392,9 +382,7 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def build_minimal_matrix(
-    fs: FakeDegreeSet, row_idx: int, seed: int = 0, retry_budget: int = 32
-) -> MinimalTauMatrix:
+def build_minimal_matrix(fs: FakeDegreeSet, row_idx: int, seed: int = 0) -> MinimalTauMatrix:
     g = fs.group
     real = matrix_realization(g, fs.table, row_idx)
     exponents = fs.fds[row_idx].exponents
@@ -403,7 +391,7 @@ def build_minimal_matrix(
         raise ExactError("exponent count differs from the degree (bug)")
     bases = {p: equivariant_basis(real, p, fs) for p in sorted(set(exponents))}
     rng = random.Random((seed, g.descriptor.canonical(), row_idx, "minmat").__repr__())
-    for attempt in range(retry_budget):
+    for attempt in range(MIXING_ATTEMPTS):
         cols = []
         for p in exponents:
             basis = bases[p]
@@ -440,7 +428,7 @@ def build_minimal_matrix(
             )
             _assert_minimal_properties(fs, mm)
             return mm
-    raise ExactError(f"det(M) = 0 after {retry_budget} mixing attempts")
+    raise ExactError(f"det(M) = 0 after {MIXING_ATTEMPTS} mixing attempts")
 
 
 def _assert_minimal_properties(fs: FakeDegreeSet, mm: MinimalTauMatrix) -> None:

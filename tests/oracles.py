@@ -23,6 +23,7 @@ from reflekt.exact import (
     poly_one_minus_Tk,
     series_inverse,
 )
+from reflekt import kz
 from reflekt.kz import KZError
 from reflekt.minmat import _monomials, _substitution_matrix, predicted_equivariant_dimension
 
@@ -308,6 +309,6 @@ def reference_transport(block, path) -> np.ndarray:
                 h *= growth
             else:
                 h *= max(0.1, 0.9 * (rtol * scale / err) ** 0.2)
-            if h < block.settings.min_step:
+            if h < kz.MIN_STEP:
                 raise KZError("step-size underflow near a hyperplane")
     return y

@@ -38,13 +38,9 @@ from reflekt.kz import (
 )
 from reflekt import linalg
 
+from corpus import CORPUS
 from oracles import brute_force_fake_degree, regular_rep_characters
 
-CORPUS = (
-    ["S3", "S4", "G(2,1,2)", "G(3,1,2)", "G(3,3,3)", "G(4,4,2)"]
-    + [f"G({m},1,1)" for m in range(2, 7)]
-    + [f"G({m},{m},2)" for m in range(2, 7) if m != 4]  # m = 4 is G(4,4,2) above
-)
 
 MINMAT_SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)"] + [f"G({m},1,1)" for m in range(2, 5)]
 

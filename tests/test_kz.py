@@ -15,7 +15,6 @@ from reflekt.kz import (
     KZSettings,
     LabelVector,
     assemble_connection,
-    braid_path,
     euler_scalar,
     gamma_permutation,
     gamma_scan,
@@ -76,10 +75,13 @@ def test_cyclic_residue_is_scalar(built):
 def test_braid_path_endpoint(built):
     fs = built["G(2,1,2)"]
     std = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 2)
-    block = assemble_connection(fs, std, LabelVector.zero(fs.group))
-    for h in range(len(fs.group.hyperplanes)):
-        path = braid_path(block, h)  # endpoint check is built in
-        assert path.order == fs.group.hyperplanes[h].order
+    g = fs.group
+    block = assemble_connection(fs, std, LabelVector.zero(g))
+    for h, hp in enumerate(g.hyperplanes):
+        path = block.paths[h]
+        assert path.order == hp.order
+        s_mat = linalg.mat_to_complex(g.elements[hp.generator])
+        assert np.max(np.abs(s_mat @ block.base_point - path.endpoint())) < 1e-12
 
 
 def test_monodromy_at_zero_is_deck_matrix(built):
@@ -258,7 +260,7 @@ def test_transport_matches_reference_kernel(built):
         for row in range(len(fs.table.rows)):
             block = assemble_connection(fs, row, ks)
             for h in kz._generator_hyperplanes(fs.group):
-                path = braid_path(block, h)
+                path = block.paths[h]
                 got, steps = kz._transport(block, path)
                 want = reference_transport(block, path)
                 assert got.shape == want.shape
@@ -315,3 +317,33 @@ def test_transport_diagnostics_in_json(built):
     for per_path in res["transport"].values():
         assert set(per_path) == {str(h) for h in rep.hyperplanes}
         assert all(per_path[str(h)]["eps"] == block.paths[h].eps for h in rep.hyperplanes)
+
+
+def test_arrangement_is_built_once_per_group_and_seed(monkeypatch):
+    g = build_group("S3")  # a fresh group: no arrangement is memoized for it yet
+    fs = FakeDegreeSet(g, character_table(g))
+    calls = []
+    build_path = kz._build_path
+
+    def counting_build_path(*args):
+        calls.append(args)
+        return build_path(*args)
+
+    monkeypatch.setattr(kz, "_build_path", counting_build_path)
+    k = label(fs, c0=[0.1, -0.2])
+    monodromy_rep(fs, 0, k)
+    built_once = len(calls)
+    assert built_once >= len(g.hyperplanes)
+    monodromy_rep(fs, 2, k)
+    gamma_scan(fs, [label(fs, c0=[1, 0])])
+    assert len(calls) == built_once
+    rep = monodromy_rep(fs, 0, k, KZSettings(seed=5))
+    assert len(calls) > built_once
+    assert not rep.base_point.flags.writeable
+
+
+def test_step_budget_raises(built, monkeypatch):
+    fs = built["S3"]
+    monkeypatch.setattr(kz, "STEP_BUDGET", 5)
+    with pytest.raises(KZError, match="steps"):
+        monodromy_rep(fs, 0, label(fs, c0=[0.1, -0.2]))
