@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per CLI output over a fixed check set, to compare trees.
+
+The check set is
+  - the 15 corpus groups x `group`, `chars`, `fake` and the four `verify` kinds;
+  - `minmat --rep i` for every row of criterion 8's scope;
+  - `kz monodromy` for S3 rep 1, S4 rep 2 and G(3,1,2) rep 2 at a fixed label;
+  - `kz gamma` for S3 and G(2,1,2) at one integral label each.
+
+Each command runs as a fresh `python -m reflekt.cli` process with the cache
+off; a line is `<sha256 of stdout> <exit code> <command>`.
+
+    python3 scripts/cli_digests.py                  # this checkout's src/
+    python3 scripts/cli_digests.py OTHER/src        # another tree's src/
+    python3 scripts/cli_digests.py src OTHER/src    # compare; exit 1 on any difference
+"""
+import hashlib
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CORPUS = (
+    ["S3", "S4", "G(2,1,2)", "G(3,1,2)", "G(3,3,3)", "G(4,4,2)"]
+    + [f"G({m},1,1)" for m in range(2, 7)]
+    + [f"G({m},{m},2)" for m in range(2, 7) if m != 4]  # m = 4 is G(4,4,2) above
+)
+MINMAT_SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)"] + [f"G({m},1,1)" for m in range(2, 5)]
+MINMAT_ROWS = {"S3": 3, "S4": 5, "G(2,1,2)": 5, "G(3,1,2)": 9, "G(2,1,1)": 2, "G(3,1,1)": 3, "G(4,1,1)": 4}
+KZ_COMMANDS = [
+    ["kz", "monodromy", "S3", "--rep", "1", "--k", '{"0":[0.1,-0.05]}'],
+    ["kz", "monodromy", "S4", "--rep", "2", "--k", '{"0":[0.1,-0.05]}'],
+    ["kz", "monodromy", "G(3,1,2)", "--rep", "2", "--k", '{"0":[0.1,0,-0.05],"1":[0.05,0]}'],
+    ["kz", "gamma", "S3", "--k", '{"0":[1,0]}'],
+    ["kz", "gamma", "G(2,1,2)", "--k", '{"0":[1,0],"1":[0,-1]}'],
+]
+
+
+def commands() -> list[list[str]]:
+    out = []
+    for d in CORPUS:
+        out += [["group", d], ["chars", d], ["fake", d]]
+        out += [["verify", kind, d] for kind in ("pn", "symmetry", "palindrome", "poincare")]
+    for d in MINMAT_SCOPE:
+        out += [["minmat", d, "--rep", str(i)] for i in range(MINMAT_ROWS[d])]
+    return out + KZ_COMMANDS
+
+
+def digests(src: str) -> list[str]:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REFLEKT_")}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    lines = []
+    for cmd in commands():
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflekt.cli", "--no-cache", *cmd],
+            env=env, capture_output=True, cwd=ROOT,
+        )
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        lines.append(f"{digest} {proc.returncode} {' '.join(cmd)}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    srcs = argv or [os.path.join(ROOT, "src")]
+    if len(srcs) == 1:
+        print("\n".join(digests(srcs[0])))
+        return 0
+    base = digests(srcs[0])
+    differ = 0
+    for other in srcs[1:]:
+        for a, b in zip(base, digests(other)):
+            if a != b:
+                differ += 1
+                print(f"differs in {other}: {a.split(' ', 2)[2]}")
+    print(f"{len(base)} outputs, {differ} differing")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,10 +2,11 @@
 
 Submodules map onto the functional areas:
 
-  exact    cyclotomic scalars, polynomials/series in T, multivariate polynomials
-  groups   Shephard-Todd constructors, enumeration, reflections, classes, degrees
+  exact    cyclotomic scalars, polynomials in T, multivariate polynomials
+  groups   Shephard-Todd constructors, enumeration, reflections, classes, degrees,
+           coinvariant graded traces per class, polynomial substitution
   chars    exact character tables (Burnside-Dixon) and local restriction data
-  fake     fake degrees, graded characters and the identity verifiers
+  fake     fake degrees as class sums of graded traces; the identity verifiers
   minmat   minimal equivariant polynomial matrices
   kz       numerical monodromy of the KZ connection
   cli      command-line front end with JSON output and caching
@@ -13,4 +14,4 @@ Submodules map onto the functional areas:
 
 ALGORITHM_VERSION = "reflekt-0.1.0/alg1"
 
-from .exact import CycNum, PolyT, SeriesT, MultiPoly  # noqa: F401,E402
+from .exact import CycNum, PolyT, MultiPoly  # noqa: F401,E402

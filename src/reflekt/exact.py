@@ -8,8 +8,8 @@ conductors promotes both operands to their lcm.
 
 On top of the scalars:
 
-  PolyT     dense univariate polynomials in the grading variable T
-  SeriesT   truncated power series in T (coefficients valid up to `order`)
+  PolyT     dense univariate polynomials in the grading variable T; a power
+            series cut at degree `order` (series_inverse) is a PolyT too
   MultiPoly sparse multivariate polynomials on the ambient vector space
 
 All values are immutable after construction and safe to share between
@@ -390,11 +390,6 @@ def _zeta_power(N: int, e: int) -> complex:
     return cmath.exp(2j * cmath.pi * e / N)
 
 
-def cyc_reduce(raw: Mapping[int, RatLike], N: int) -> CycNum:
-    """Canonical form of sum_e raw[e] * zeta_N^e.  Rejects N = 0."""
-    return CycNum(N, raw)
-
-
 ZERO = CycNum.zero()
 ONE = CycNum.one()
 
@@ -546,78 +541,9 @@ def poly_divide_exact(num: PolyT, den: PolyT) -> PolyT:
     return PolyT(q)
 
 
-# ---------------------------------------------------------------------------
-# SeriesT
-# ---------------------------------------------------------------------------
-
-class SeriesT:
-    """Truncated power series in T: coefficients valid for degrees 0..order."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Iterable[CycNum | RatLike], order: int):
-        cs = [as_cyc(c) for c in coeffs][: order + 1]
-        cs += [ZERO] * (order + 1 - len(cs))
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("SeriesT is immutable")
-
-    def __getitem__(self, k: int) -> CycNum:
-        if k > self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k] if k >= 0 else ZERO
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeriesT):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __add__(self, other: SeriesT) -> SeriesT:
-        order = min(self.order, other.order)
-        return SeriesT([self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order)
-
-    def __sub__(self, other: SeriesT) -> SeriesT:
-        order = min(self.order, other.order)
-        return SeriesT([self.coeffs[k] - other.coeffs[k] for k in range(order + 1)], order)
-
-    def __mul__(self, other) -> SeriesT:
-        if isinstance(other, (int, Fraction, CycNum)):
-            return SeriesT([c * as_cyc(other) for c in self.coeffs], self.order)
-        order = min(self.order, other.order)
-        out = [CycNum.zero() for _ in range(order + 1)]
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return SeriesT(out, order)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: CycNum | RatLike) -> SeriesT:
-        return self * as_cyc(c)
-
-    def to_poly(self) -> PolyT:
-        return PolyT(self.coeffs)
-
-    def __repr__(self):
-        return f"SeriesT(order={self.order}, {list(self.coeffs)!r})"
-
-
-def series_of_poly(p: PolyT, order: int) -> SeriesT:
-    return SeriesT(list(p.coeffs), order)
-
-
-def series_inverse(p: PolyT, order: int) -> SeriesT:
-    """Series b with p*b = 1 + O(T^{order+1}); requires nonzero constant term."""
+def series_inverse(p: PolyT, order: int) -> PolyT:
+    """Coefficients 0..order of 1/p, i.e. b with p*b = 1 + O(T^{order+1});
+    requires a nonzero constant term."""
     if p.is_zero() or p.coeffs[0].is_zero():
         raise ExactError("series_inverse: zero constant term")
     a0_inv = p.coeffs[0].inverse()
@@ -627,7 +553,7 @@ def series_inverse(p: PolyT, order: int) -> SeriesT:
         for i in range(1, min(k, p.degree) + 1):
             s = s + p.coeffs[i] * out[k - i]
         out.append(-(s * a0_inv))
-    return SeriesT(out, order)
+    return PolyT(out)
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +665,6 @@ class MultiPoly:
             raise ExactError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
         return degs.pop()
 
-    def euler(self) -> MultiPoly:
-        """Apply the Euler operator sum_i x_i d/dx_i."""
-        return MultiPoly(self.nvars, {e: c * sum(e) for e, c in self.terms.items()})
-
     def evaluate(self, point: Sequence[CycNum | RatLike]) -> CycNum:
         acc = CycNum.zero()
         pt = [as_cyc(p) for p in point]
@@ -751,38 +673,6 @@ class MultiPoly:
             for i, a in enumerate(e):
                 for _ in range(a):
                     term = term * pt[i]
-            acc = acc + term
-        return acc
-
-    def evaluate_complex(self, point: Sequence[complex]) -> complex:
-        acc = 0j
-        for e, c in self.terms.items():
-            term = c.to_complex()
-            for i, a in enumerate(e):
-                term *= point[i] ** a
-            acc += term
-        return acc
-
-    def compose_matrix(self, matrix: Sequence[Sequence[CycNum]]) -> MultiPoly:
-        """f(A v): substitute x_i -> sum_j A[i][j] x_j."""
-        n = self.nvars
-        rows = [MultiPoly.linear_form([matrix[i][j] for j in range(n)]) for i in range(n)]
-        # Cache powers of each substituted coordinate.
-        pow_cache: list[dict[int, MultiPoly]] = [dict() for _ in range(n)]
-
-        def row_pow(i: int, k: int) -> MultiPoly:
-            got = pow_cache[i].get(k)
-            if got is None:
-                got = rows[i] ** k
-                pow_cache[i][k] = got
-            return got
-
-        acc = MultiPoly.zero(n)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(n, c)
-            for i, a in enumerate(e):
-                if a:
-                    term = term * row_pow(i, a)
             acc = acc + term
         return acc
 

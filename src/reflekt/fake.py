@@ -1,10 +1,13 @@
 """Fake degrees, graded characters, and the identity verifiers built on them.
 
-The fake degree of a character chi is computed from the class-grouped sum
+The fake degree of a character chi is its graded multiplicity in the
+coinvariant algebra, the class-weighted sum
 
-    F_chi(T) = (1/|W|) sum_w chi(w) * prod_i (1 - T^{d_i}) / det_V(1 - T w)
+    F_chi(T) = (1/|W|) sum_c |c| chi(c) G_c(T),
+    G_c(T) = prod_i (1 - T^{d_i}) / det_V(1 - T c),
 
-truncated at #reflections (the top degree of the coinvariant algebra), and is
+of the coinvariant graded traces G_c, polynomials of degree <= #reflections
+that the group computes once per class (`class_coinvariant_traces`).  F_chi is
 asserted to be a polynomial with nonnegative integer coefficients summing to
 chi(1).  R_chi denotes the fake degree of the complex-conjugate character.
 
@@ -18,15 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exact import (
-    CycNum,
-    ExactError,
-    PolyT,
-    SeriesT,
-    poly_divide_exact,
-    poly_one_minus_Tk,
-    series_inverse,
-)
+from .exact import CycNum, ExactError, PolyT, poly_divide_exact, poly_one_minus_Tk
 from .groups import ReflectionGroup
 from .chars import (
     CharacterTable,
@@ -65,11 +60,9 @@ def degree_numerator(g: ReflectionGroup) -> PolyT:
     return p
 
 
-def graded_character(g: ReflectionGroup, w: int, order: int) -> SeriesT:
-    """Graded trace of w on the coinvariant algebra, to the given order."""
-    numer = SeriesT(list(degree_numerator(g).coeffs), order)
-    den = g.char_poly_one_minus_Tw(g.inverse(w))
-    return numer * series_inverse(den, order)
+def graded_character(g: ReflectionGroup, w: int) -> PolyT:
+    """Graded trace of w on the coinvariant algebra: G_c for c the class of w^-1."""
+    return g.class_coinvariant_traces[g.inverse_class[g.class_of[w]]]
 
 
 def coinvariant_poincare(g: ReflectionGroup) -> PolyT:
@@ -81,13 +74,10 @@ def coinvariant_poincare(g: ReflectionGroup) -> PolyT:
 
 
 def _fake_degree_from_values(g: ReflectionGroup, values) -> PolyT:
-    order = len(g.reflections)
-    numer = SeriesT(list(degree_numerator(g).coeffs), order)
-    acc = SeriesT([], order)
+    acc = PolyT([])
     for idx, cls in enumerate(g.classes):
-        acc = acc + g.class_inverse_series[idx] * (values[idx] * cls.size)
-    total = (numer * acc).scale(Fraction(1, g.order))
-    return PolyT(list(total.coeffs))
+        acc = acc + g.class_coinvariant_traces[idx] * (values[idx] * cls.size)
+    return acc * Fraction(1, g.order)
 
 
 def fake_degree(g: ReflectionGroup, chi: ClassFunction) -> FakeDegree:
@@ -187,11 +177,16 @@ def verify_symmetry(fs: FakeDegreeSet) -> dict:
     chi_b-twisted cyclic shift of tau's (a diagnostic, not an assertion).
     """
     g = fs.group
+    # chi_b and its det powers on the orbits depend on b only, not on the row.
+    b_shifts = []
+    for b in all_b_vectors(g):
+        chi_b = _pi_b_character(fs, b)
+        b_shifts.append((b, [orbit_det_power(g, chi_b, c) for c in range(len(g.orbits))]))
     items = []
     all_passed = True
     for i, row in enumerate(fs.table.rows):
         deg = row.degree_int()
-        for b in all_b_vectors(g):
+        for b, shifts in b_shifts:
             n_shift = symmetry_shift(fs, i, b)
             entry: dict = {"row": i, "b": list(b)}
             if n_shift.denominator != 1:
@@ -214,8 +209,6 @@ def verify_symmetry(fs: FakeDegreeSet) -> dict:
                 for j in range(len(fs.table.rows))
                 if fs.table.rows[j].degree_int() == deg and fs.f_poly(j) == target
             ]
-            chi_b = _pi_b_character(fs, b)
-            shifts = [orbit_det_power(g, chi_b, c) for c in range(len(g.orbits))]
             diag = []
             for j in matches:
                 ok = True
@@ -255,9 +248,11 @@ def palindrome_check(fs: FakeDegreeSet) -> dict:
     all_passed = True
     for i, row in enumerate(fs.table.rows):
         r_rev = fs.r_poly(i).reversed_shift(nrefl)
-        twisted = tensor_with_linear(row, det_row)
-        f_twisted = fake_degree(g, twisted).polynomial
-        if r_rev != f_twisted:
+        try:
+            twisted = fs.table.row_index(tensor_with_linear(row, det_row))
+        except KeyError:
+            raise VerificationError(f"row {i}: the det twist is not a row of the table") from None
+        if r_rev != fs.f_poly(twisted):
             raise VerificationError(
                 f"row {i}: T^#R R(1/T) != F of the det twist (arithmetic bug)"
             )

@@ -19,7 +19,7 @@ products (w_i * w_j walks the word of w_j from i), inverses, element orders,
 conjugacy classes - is integer lookups in that graph.  Matrices are used only
 where the answer is linear algebra: traces, determinants and eigenvalues, the
 rank test for reflections (one per class), hyperplane forms and the action on
-them.
+them, and the substitution f(w v) of polynomials (`substitute`).
 Everything is exact; all data is immutable after construction.
 """
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .exact import (
     ExactError,
     MultiPoly,
     PolyT,
-    SeriesT,
     ZERO,
     ONE,
     poly_one_minus_Tk,
@@ -246,6 +245,8 @@ class ReflectionGroup:
             if not linalg.is_unitary(mt):
                 raise GroupBuildError("non-unitary generator matrix")
         self.generator_matrices = gen_mats
+        self._monomial_images: dict[int, dict[tuple[int, ...], MultiPoly]] = {}
+        self._monomial_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         self._enumerate(max_order)
         if expected is not None and self.order != expected:
@@ -320,12 +321,6 @@ class ReflectionGroup:
     def inverse(self, i: int) -> int:
         return self.inverse_table[i]
 
-    def word_product(self, word: tuple[int, ...]) -> int:
-        acc = 0
-        for a in word:
-            acc = self._rmul[acc][a]
-        return acc
-
     def _element_orders(self) -> None:
         orders = [1] * self.order
         for i in range(self.order):
@@ -388,18 +383,47 @@ class ReflectionGroup:
 
     def char_poly_one_minus_Tw(self, i: int) -> PolyT:
         """det_V(1 - T w_i) as an exact polynomial in T."""
-        try:
-            polys = self._char_polys
-        except AttributeError:
-            polys = self._char_polys = {}
-        if i not in polys:
-            p = PolyT([ONE])
-            for o, t, mult in self.eigenvalue_multiplicities(i):
-                factor = PolyT([ONE, -CycNum.zeta(o, t)])
-                for _ in range(mult):
-                    p = p * factor
-            polys[i] = p
-        return polys[i]
+        p = PolyT([ONE])
+        for o, t, mult in self.eigenvalue_multiplicities(i):
+            factor = PolyT([ONE, -CycNum.zeta(o, t)])
+            for _ in range(mult):
+                p = p * factor
+        return p
+
+    def monomial_image(self, i: int, e: tuple[int, ...]) -> MultiPoly:
+        """(A v)^e = prod_k (row k of A . v)^{e_k}, with A the matrix of w_i.
+
+        Memoized per group and element, and built degree by degree: the image
+        of e is the image of e minus its last nonzero exponent times the
+        matching coordinate form.  The memo is per group because rational
+        CycNums compare and hash equal across conductors, so a memo keyed on
+        matrix values would hand one group's conductor labels to another.
+        """
+        images = self._monomial_images.get(i)
+        if images is None:
+            n = self.dimension
+            images = self._monomial_images[i] = {(0,) * n: MultiPoly.constant(n, 1)}
+            for k, row in enumerate(self.elements[i]):
+                images[tuple(int(j == k) for j in range(n))] = MultiPoly.linear_form(row)
+        got = images.get(e)
+        if got is None:
+            k = max(j for j, a in enumerate(e) if a)
+            lower = e[:k] + (e[k] - 1,) + e[k + 1 :]
+            unit = tuple(int(j == k) for j in range(self.dimension))
+            prod = self.monomial_image(i, lower) * images[unit]
+            # one exponent tuple per monomial, shared by every image holding it
+            keys = self._monomial_keys
+            terms = {keys.setdefault(m, m): c for m, c in prod.terms.items()}
+            got = images[e] = MultiPoly(self.dimension, terms)
+        return got
+
+    def substitute(self, f: MultiPoly, i: int) -> MultiPoly:
+        """f(w_i v): every monomial x^e of f becomes its image (A v)^e."""
+        out: dict[tuple[int, ...], CycNum] = {}
+        for e, c in f.terms.items():
+            for m, a in self.monomial_image(i, e).terms.items():
+                out[m] = out.get(m, ZERO) + a * c
+        return MultiPoly(self.dimension, out)
 
     # -- reflections and hyperplanes -----------------------------------------
 
@@ -574,20 +598,19 @@ class ReflectionGroup:
         n = self.dimension
         nrefl = len(self.reflections)
         order = nrefl + n
-        # 1/det(1 - T c) per class representative c, shared with the fake degrees;
-        # promoted to the conductor, where the character values live.
-        inverses = [series_inverse(self.char_poly_one_minus_Tw(c.rep), order) for c in self.classes]
-        self.class_inverse_series = tuple(
-            SeriesT([x.promote(self.conductor) for x in inv.coeffs], order) for inv in inverses
-        )
-        total = SeriesT([], order)
-        for cls, inv in zip(self.classes, self.class_inverse_series):
-            total = total + inv.scale(cls.size)
-        molien = total.scale(Fraction(1, self.order))
-        numer = series_inverse(molien.to_poly(), order)
-        poly = numer.to_poly()
-        if poly.degree != order:
+        # 1/det(1 - T c) to `order` per class representative c, promoted to
+        # the conductor, where the character values live.
+        inverses = []
+        for cls in self.classes:
+            inv = series_inverse(self.char_poly_one_minus_Tw(cls.rep), order)
+            inverses.append(PolyT([inv[k].promote(self.conductor) for k in range(order + 1)]))
+        total = PolyT([])
+        for cls, inv in zip(self.classes, inverses):
+            total = total + inv * cls.size
+        numer = series_inverse(total * Fraction(1, self.order), order)
+        if numer.degree != order:
             raise ExactError("Molien numerator has unexpected degree (bug)")
+        poly = numer
         degrees = []
         for _ in range(n):
             d = next(
@@ -608,6 +631,18 @@ class ReflectionGroup:
             raise ExactError("product of degrees != |W| (bug)")
         if sum(d - 1 for d in self.degrees) != nrefl:
             raise ExactError("sum of (d_i - 1) != number of reflections (bug)")
+        # The coinvariant graded trace G_c = numer / det(1 - T c) is a polynomial
+        # of degree <= #R: the product with 1/det(1 - T c) cut at #R, taken over
+        # the nonzero terms of numer = prod (1 - T^{d_i}) only.
+        terms = [(m, a) for m, a in enumerate(numer.coeffs) if not a.is_zero()]
+        traces = []
+        for inv in inverses:
+            out = [ZERO] * (nrefl + 1)
+            for m, a in terms:
+                for k in range(m, nrefl + 1):
+                    out[k] = out[k] + inv[k - m] * a
+            traces.append(PolyT(out))
+        self.class_coinvariant_traces = tuple(traces)
 
     # -- reporting -------------------------------------------------------------
 

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CycNum, ExactError, MultiPoly, SeriesT, series_inverse
+from .exact import CycNum, ExactError, MultiPoly, series_inverse
 from . import linalg
 from .linalg import Matrix
 from .groups import ReflectionGroup
@@ -231,53 +231,11 @@ def _monomials(n: int, p: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _substitution_matrix(g: ReflectionGroup, elt: int, monos) -> list[list[CycNum]]:
-    """S[d'][d] = coefficient of mono d' in (A v)^{mono d}, A = matrix of elt.
-
-    Cached on the group keyed by (element, degree): the matrix is shared by
-    every character of the group.
-    """
-    p = sum(monos[0]) if monos else 0
-    try:
-        cache = g._subst_cache
-    except AttributeError:
-        cache = g._subst_cache = {}
-    got = cache.get((elt, p))
-    if got is not None:
-        return got
-    mats = g.elements[elt]
-    n = g.dimension
-    rows = [MultiPoly.linear_form([mats[i][jj] for jj in range(n)]) for i in range(n)]
-    pow_cache: list[dict[int, MultiPoly]] = [dict() for _ in range(n)]
-
-    def row_pow(i, k):
-        gotp = pow_cache[i].get(k)
-        if gotp is None:
-            gotp = rows[i] ** k
-            pow_cache[i][k] = gotp
-        return gotp
-
-    index = {mo: d for d, mo in enumerate(monos)}
-    D = len(monos)
-    S = [[CycNum.zero()] * D for _ in range(D)]
-    for d, mo in enumerate(monos):
-        term = MultiPoly.constant(n, 1)
-        for i, a in enumerate(mo):
-            if a:
-                term = term * row_pow(i, a)
-        for e, c in term.terms.items():
-            S[index[e]][d] = c
-    cache[(elt, p)] = S
-    return S
-
-
 def predicted_equivariant_dimension(fs: FakeDegreeSet, row_idx: int, p: int) -> int:
     """[T^p] of F_tau(T) * (Molien series), the ambient multiplicity."""
-    g = fs.group
-    molien = series_inverse(degree_numerator(g), p)
-    f_series = SeriesT(list(fs.f_poly(row_idx).coeffs), p)
-    val = (f_series * molien)[p]
-    return int(val.as_fraction())
+    molien = series_inverse(degree_numerator(fs.group), p)
+    f = fs.f_poly(row_idx)
+    return int(sum((f[k] * molien[p - k] for k in range(p + 1)), CycNum.zero()).as_fraction())
 
 
 def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None):
@@ -298,14 +256,16 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
     zero = CycNum.zero()
     rows: list[list[CycNum]] = []
     for a, gelt in enumerate(g.generator_elements):
-        S = _substitution_matrix(g, g.inverse(gelt), monos)
+        # column d of the substitution: the image of monomial d under w_a^-1
+        images = [g.monomial_image(g.inverse(gelt), mo).terms for mo in monos]
         tau = real.generator_matrices[a]
         for dp in range(D):
             for s in range(l):
                 rowvec = [zero] * nun
                 for d in range(D):
-                    if not S[dp][d].is_zero():
-                        rowvec[d * l + s] = S[dp][d]
+                    c = images[d].get(monos[dp])
+                    if c is not None:
+                        rowvec[d * l + s] = c
                 for t in range(l):
                     if not tau[s][t].is_zero():
                         rowvec[dp * l + t] = rowvec[dp * l + t] - tau[s][t]
@@ -438,22 +398,21 @@ def _assert_minimal_properties(fs: FakeDegreeSet, mm: MinimalTauMatrix) -> None:
     gen_elts = g.generator_elements
     # Equivariance on generators (suffices by generation).
     for a, gelt in enumerate(gen_elts):
-        minv = g.elements[g.inverse(gelt)]
         tau = real.generator_matrices[a]
         for i in range(l):
             for jj in range(l):
-                lhs = mm.matrix[i][jj].compose_matrix(minv)
+                lhs = g.substitute(mm.matrix[i][jj], g.inverse(gelt))
                 rhs = MultiPoly.zero(g.dimension)
                 for t in range(l):
                     if not tau[i][t].is_zero():
                         rhs = rhs + mm.matrix[t][jj] * tau[i][t]
                 if lhs != rhs:
                     raise ExactError("minimal matrix equivariance failed (bug)")
-    # Euler property: E M = M diag(p_j), i.e. column homogeneity.
+    # Euler property E M = M diag(p_j): E f = p f exactly when f is
+    # homogeneous of degree p or zero.
     for i in range(l):
         for jj in range(l):
-            entry = mm.matrix[i][jj]
-            if entry.euler() != entry * mm.column_degrees[jj]:
+            if mm.matrix[i][jj].homogeneous_degree() not in (mm.column_degrees[jj], None):
                 raise ExactError("Euler property failed (bug)")
     # Trace condition.
     lhs = sum(mm.column_degrees)
@@ -529,8 +488,7 @@ def verify_quotient_property(
                     acc = acc + adj[i][k] * nmat[k][jj]
                 r_entry = acc.divide_exact(detp)
                 for gelt in gen_elts:
-                    minv = g.elements[g.inverse(gelt)]
-                    if r_entry.compose_matrix(minv) != r_entry:
+                    if g.substitute(r_entry, g.inverse(gelt)) != r_entry:
                         invariant_ok = False
     except ExactError:
         entries_ok = False

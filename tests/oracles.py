@@ -4,7 +4,10 @@ These deliberately avoid the production code paths: the character-table
 oracle decomposes the regular representation numerically, the fake-degree
 oracle sums over all group elements instead of conjugacy classes, and the
 equivariant-basis oracle intersects one generator's constraints at a time by
-exact CycNum elimination instead of one modular solve.  The transport oracle
+exact CycNum elimination instead of one modular solve.  The substitution
+oracle expands each monomial image as a product of powers of the substituted
+coordinates, not degree by degree from the memoized images of
+`ReflectionGroup.substitute`.  The transport oracle
 is the RK kernel kz used before its batch moved to the last axis: it
 evaluates omega at every stage of every step and keeps the batch first.
 """
@@ -19,13 +22,12 @@ from reflekt.exact import (
     ExactError,
     MultiPoly,
     PolyT,
-    SeriesT,
     poly_one_minus_Tk,
     series_inverse,
 )
 from reflekt import kz
 from reflekt.kz import KZError
-from reflekt.minmat import _monomials, _substitution_matrix, predicted_equivariant_dimension
+from reflekt.minmat import _monomials, predicted_equivariant_dimension
 
 
 def regular_rep_characters(g, seed: int = 20240811) -> list[np.ndarray]:
@@ -87,15 +89,14 @@ def brute_force_fake_degree(g, values) -> PolyT:
     numer = PolyT([CycNum.one()])
     for d in g.degrees:
         numer = numer * poly_one_minus_Tk(d)
-    acc = SeriesT([], order)
+    acc = PolyT([])
     for w in range(g.order):
         chi = values[g.class_of[w]]
         det_poly = _det_one_minus_T_times(g, w)
         term = series_inverse(det_poly, order) * chi
         acc = acc + term
-    numer_series = SeriesT(list(numer.coeffs), order)
-    total = numer_series * acc
-    coeffs = [c / g.order for c in total.coeffs]
+    total = numer * acc
+    coeffs = [total[k] / g.order for k in range(order + 1)]
     return PolyT(coeffs)
 
 
@@ -132,6 +133,50 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+# ---------------------------------------------------------------------------
+# substitution: the reference for ReflectionGroup.substitute
+# ---------------------------------------------------------------------------
+
+def substitution_matrix(g, elt: int, monos) -> list[list[CycNum]]:
+    """S[d'][d] = coefficient of mono d' in (A v)^{mono d}, A = matrix of elt.
+
+    Cached on the group keyed by (element, degree): the matrix is shared by
+    every character of the group.
+    """
+    p = sum(monos[0]) if monos else 0
+    try:
+        cache = g._subst_cache
+    except AttributeError:
+        cache = g._subst_cache = {}
+    got = cache.get((elt, p))
+    if got is not None:
+        return got
+    mats = g.elements[elt]
+    n = g.dimension
+    rows = [MultiPoly.linear_form([mats[i][jj] for jj in range(n)]) for i in range(n)]
+    pow_cache: list[dict[int, MultiPoly]] = [dict() for _ in range(n)]
+
+    def row_pow(i, k):
+        gotp = pow_cache[i].get(k)
+        if gotp is None:
+            gotp = rows[i] ** k
+            pow_cache[i][k] = gotp
+        return gotp
+
+    index = {mo: d for d, mo in enumerate(monos)}
+    D = len(monos)
+    S = [[CycNum.zero()] * D for _ in range(D)]
+    for d, mo in enumerate(monos):
+        term = MultiPoly.constant(n, 1)
+        for i, a in enumerate(mo):
+            if a:
+                term = term * row_pow(i, a)
+        for e, c in term.terms.items():
+            S[index[e]][d] = c
+    cache[(elt, p)] = S
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +244,7 @@ def sequential_equivariant_basis(real, p: int, fs=None):
     basis_vecs: list[list[CycNum]] | None = None  # None means the full space
     zero = CycNum.zero()
     for a, gelt in enumerate(gen_elts):
-        S = _substitution_matrix(g, g.inverse(gelt), monos)
+        S = substitution_matrix(g, g.inverse(gelt), monos)
         tau = real.generator_matrices[a]
         rows: list[list[CycNum]] = []
         for dp in range(D):

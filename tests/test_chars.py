@@ -144,7 +144,7 @@ def test_pi_character_is_linear_table_row(built):
         for orbit in g.orbits:
             vals = []
             for cls in g.classes:
-                composed = orbit.pi.compose_matrix(g.elements[g.inverse(cls.rep)])
+                composed = g.substitute(orbit.pi, g.inverse(cls.rep))
                 ratio = composed.divide_exact(orbit.pi)
                 vals.append(ratio.terms[(0,) * g.dimension])
             chi = ClassFunction(g, tuple(vals))

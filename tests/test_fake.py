@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from reflekt.exact import PolyT, poly_from_ints
+from reflekt.exact import CycNum, PolyT, poly_from_ints
 from reflekt.groups import build_group
 from reflekt.chars import character_table, det_character, trivial_character
 from reflekt.fake import (
@@ -33,14 +33,14 @@ def built():
 
 def test_graded_character_examples(built):
     fs = built["S3"]
-    s = graded_character(fs.group, fs.group.identity, 3)
+    s = graded_character(fs.group, fs.group.identity)
     assert list(s.coeffs) == list(poly_from_ints(1, 2, 2, 1).coeffs)
     fs3 = built["G(3,1,1)"]
-    s3 = graded_character(fs3.group, fs3.group.identity, 2)
+    s3 = graded_character(fs3.group, fs3.group.identity)
     assert list(s3.coeffs) == list(poly_from_ints(1, 1, 1).coeffs)
     for name in ["S4", "G(3,1,2)"]:
         g = built[name].group
-        assert graded_character(g, g.identity, 4)[0] == 1
+        assert graded_character(g, g.identity)[0] == 1
 
 
 def test_coinvariant_poincare_matches_graded_character(built):
@@ -48,9 +48,18 @@ def test_coinvariant_poincare_matches_graded_character(built):
         g = fs.group
         order = len(g.reflections)
         poly = coinvariant_poincare(g)
-        series = graded_character(g, g.identity, order)
-        assert PolyT(list(series.coeffs)) == poly, name
+        assert graded_character(g, g.identity) == poly, name
         assert poly.degree == order, name
+
+
+def test_graded_traces_sum_to_the_regular_character(built):
+    """The coinvariant algebra affords the regular representation, so at T = 1
+    G_c sums to |W| on the identity class and to 0 on every other class."""
+    for name, fs in built.items():
+        g = fs.group
+        for idx, trace in enumerate(g.class_coinvariant_traces):
+            total = sum(trace.coeffs, CycNum.zero())
+            assert total == (g.order if idx == g.class_of[g.identity] else 0), (name, idx)
 
 
 def test_fake_degree_examples(built):

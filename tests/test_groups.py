@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from reflekt.exact import CycNum
+from reflekt.exact import CycNum, MultiPoly
 from reflekt import linalg
 from reflekt.groups import (
     GroupBuildError,
@@ -10,7 +10,10 @@ from reflekt.groups import (
     parse_descriptor,
 )
 
+from reflekt.minmat import _monomials
+
 from corpus import CORPUS
+from oracles import substitution_matrix
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +109,7 @@ def test_corpus_unitarity_and_words(groups):
     for name, g in groups.items():
         for i in range(g.order):
             assert linalg.is_unitary(g.elements[i]), name
-            assert g.word_product(g.words[i]) == i, name
+            assert g.mult(0, i) == i, name
 
 
 def test_corpus_stabilizers(groups):
@@ -152,7 +155,7 @@ def test_corpus_orbit_semi_invariance(groups):
             )
             assert count == in_orbit, name
             for w in gen_elts:
-                composed = orbit.pi.compose_matrix(g.elements[g.inverse(w)])
+                composed = g.substitute(orbit.pi, g.inverse(w))
                 ratio = composed.divide_exact(orbit.pi)
                 assert ratio.homogeneous_degree() == 0
                 c = ratio.terms[(0,) * g.dimension]
@@ -163,9 +166,46 @@ def test_orbit_character_matches_polynomial_ratio(groups):
     for name, g in groups.items():
         for c, orbit in enumerate(g.orbits):
             for k, cls in enumerate(g.classes):
-                composed = orbit.pi.compose_matrix(g.elements[g.inverse(cls.rep)])
+                composed = g.substitute(orbit.pi, g.inverse(cls.rep))
                 ratio = composed.divide_exact(orbit.pi)
                 assert g.orbit_character(c)[k] == ratio.terms[(0,) * g.dimension], name
+
+
+def labelled_terms(f: MultiPoly):
+    """Terms with each coefficient's conductor label, which reaches the JSON."""
+    return sorted((mono, c.N, sorted(c.coeffs.items())) for mono, c in f.terms.items())
+
+
+def test_substitute_matches_power_expansion_oracle(groups):
+    """Image of every monomial of degree 0-4 under every generator inverse,
+    conductor labels included, against the expansion by coordinate powers."""
+    for name, g in groups.items():
+        for gelt in g.generator_elements:
+            w = g.inverse(gelt)
+            for p in range(5):
+                monos = _monomials(g.dimension, p)
+                S = substitution_matrix(g, w, monos)
+                for d, mono in enumerate(monos):
+                    want = MultiPoly(
+                        g.dimension,
+                        {mo: S[dp][d] for dp, mo in enumerate(monos) if not S[dp][d].is_zero()},
+                    )
+                    got = g.substitute(MultiPoly(g.dimension, {mono: 1}), w)
+                    assert labelled_terms(got) == labelled_terms(want), (name, w, mono)
+
+
+def test_substitute_labels_stay_with_their_group():
+    """Rational CycNums hash equal across conductors; images of one group must
+    not carry another group's conductor labels."""
+    other = build_group("G(3,1,2)")
+    g = build_group("G(2,1,2)")
+    for h in (other, g):
+        for w in range(h.order):
+            for p in range(5):
+                for mono in _monomials(h.dimension, p):
+                    image = h.substitute(MultiPoly(h.dimension, {mono: 1}), w)
+                    if h is g:
+                        assert all(4 % c.N == 0 for c in image.terms.values()), (w, mono)
 
 
 def test_file_group_roundtrip(tmp_path):
