@@ -4,7 +4,9 @@ Scalars are elements of cyclotomic fields Q(zeta_N), stored on the power basis
 zeta_N^0 .. zeta_N^{phi(N)-1} as a sparse map exponent -> Fraction, reduced
 modulo the N-th cyclotomic polynomial.  The reduced form is canonical at fixed
 conductor, so equality and hashing are plain dict comparisons.  Mixing two
-conductors promotes both operands to their lcm.
+conductors promotes both operands to their lcm.  Inverses come from the Galois
+norm: 1/x is the product of the other conjugates of x divided by the rational
+norm N(x), the product of all of them, at the conductor of x.
 
 On top of the scalars:
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 RatLike = int | Fraction
@@ -203,11 +205,14 @@ class CycNum:
     def is_integer(self) -> bool:
         return self.is_rational() and self.as_fraction().denominator == 1
 
-    def conjugate(self) -> CycNum:
+    def galois(self, j: int) -> CycNum:
+        """The image under the automorphism zeta_N -> zeta_N^j, j prime to N."""
         return CycNum._make(
-            self.N,
-            _reduce(self.N, {(self.N - e) % self.N: c for e, c in self.coeffs.items()}),
+            self.N, _reduce(self.N, {e * j % self.N: c for e, c in self.coeffs.items()})
         )
+
+    def conjugate(self) -> CycNum:
+        return self.galois(-1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -284,35 +289,18 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
-        """Multiplicative inverse, via a linear solve over the power basis."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        of self divided by the rational norm, the product of all of them."""
         if self.is_zero():
             raise ZeroDivisionError("CycNum inverse of zero")
         if self.is_rational():
             return CycNum.rational(1 / self.as_fraction(), self.N)
-        phi = euler_phi(self.N)
-        # Columns: self * zeta^b expanded over the basis.
-        cols = []
-        for b in range(phi):
-            prod = _reduce(self.N, {e + b: c for e, c in self.coeffs.items()})
-            cols.append(prod)
-        # Solve sum_b y_b * col_b = e_0 by Gaussian elimination.
-        mat = [[cols[b].get(r, Fraction(0)) for b in range(phi)] for r in range(phi)]
-        rhs = [Fraction(1 if r == 0 else 0) for r in range(phi)]
-        for col in range(phi):
-            piv = next((r for r in range(col, phi) if mat[r][col]), None)
-            if piv is None:
-                raise ExactError("singular multiplication matrix (bug)")
-            mat[col], mat[piv] = mat[piv], mat[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = 1 / mat[col][col]
-            mat[col] = [x * inv for x in mat[col]]
-            rhs[col] *= inv
-            for r in range(phi):
-                if r != col and mat[r][col]:
-                    f = mat[r][col]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                    rhs[r] -= f * rhs[col]
-        return CycNum._make(self.N, {b: rhs[b] for b in range(phi) if rhs[b]})
+        N = self.N
+        others = self.galois(N - 1)
+        for j in range(2, N - 1):
+            if gcd(j, N) == 1:
+                others = others * self.galois(j)
+        return others * (1 / (self * others).as_fraction())
 
     def __truediv__(self, other) -> CycNum:
         if isinstance(other, (int, Fraction)):

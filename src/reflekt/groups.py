@@ -17,9 +17,11 @@ records the Cayley graph of right multiplication by the generators
 so it costs |W| * #generators matrix products.  All pure group structure -
 products (w_i * w_j walks the word of w_j from i), inverses, element orders,
 conjugacy classes - is integer lookups in that graph.  Matrices are used only
-where the answer is linear algebra: traces, determinants and eigenvalues, the
-rank test for reflections (one per class), hyperplane forms and the action on
-them, and the substitution f(w v) of polynomials (`substitute`).
+where the answer is linear algebra: traces, hyperplane forms and the action on
+them, and the substitution f(w v) of polynomials (`substitute`).  The spectrum
+of each class representative is read off the traces of its powers, once per
+class; the determinant, the reflections (eigenvalue 1 of multiplicity dim - 1)
+and det(1 - T w) all come from it.
 Everything is exact; all data is immutable after construction.
 """
 from __future__ import annotations
@@ -172,9 +174,12 @@ def _file_generator_matrices(path: str) -> list[Matrix]:
         raise GroupBuildError("generator file must be a nonempty JSON list of matrices")
     mats = []
     for mdata in data:
-        rows = [tuple(CycNum.from_json(x) for x in row) for row in mdata]
-        if any(len(r) != len(rows) for r in rows):
-            raise GroupBuildError("generator matrices must be square")
+        try:
+            rows = [tuple(CycNum.from_json(x) for x in row) for row in mdata]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise GroupBuildError(f"generator file has a malformed entry: {exc!r}") from None
+        if not rows or any(len(r) != len(rows) for r in rows):
+            raise GroupBuildError("generator matrices must be square and nonempty")
         mats.append(tuple(rows))
     if len({len(m) for m in mats}) != 1:
         raise GroupBuildError("generator matrices must share one dimension")
@@ -191,7 +196,6 @@ class Hyperplane:
 
     form: Vector            # row covector, first nonzero coefficient = 1
     alpha: MultiPoly        # the same form as a polynomial on V
-    fixed_basis: tuple[Vector, ...]
     order: int              # e_H
     generator: int          # element index of s_H, det(s_H) = zeta_{e_H}
     stabilizer: tuple[int, ...]
@@ -256,6 +260,7 @@ class ReflectionGroup:
         self._element_orders()
         self.conductor = lcm(n0, *self.element_orders) if self.order > 1 else n0
         self._find_classes()
+        self._find_spectra()
         self._find_reflections()
         self._find_hyperplanes()
         if descriptor.kind == "file":
@@ -338,13 +343,9 @@ class ReflectionGroup:
         return linalg.trace(self.elements[i])
 
     def det(self, i: int) -> CycNum:
-        try:
-            dets = self._dets
-        except AttributeError:
-            dets = self._dets = {}
-        if i not in dets:
-            dets[i] = linalg.det(self.elements[i])
-        return dets[i]
+        """det(w_i) = zeta_o^{sum t m} over the spectrum of its class."""
+        spectrum = self.class_spectra[self.class_of[i]]
+        return CycNum.zeta(spectrum[0][0], sum(t * m for _, t, m in spectrum))
 
     def cyclic_multiplicities(self, w: int, value) -> list[int]:
         """Multiplicity of zeta_o^t, t = 0..o-1, in the restriction to <w>.
@@ -369,22 +370,23 @@ class ReflectionGroup:
             out.append(int(mult.as_fraction()))
         return out
 
-    def eigenvalue_multiplicities(self, i: int) -> list[tuple[int, int, int]]:
-        """Eigenvalues of element i as (order o, power t, multiplicity).
-
-        The eigenvalues of a finite-order unitary matrix are o-th roots of
-        unity; their multiplicities are those of the restriction of the trace.
-        """
-        o = self.element_orders[i]
-        mults = self.cyclic_multiplicities(i, self.trace)
-        if sum(mults) != self.dimension:
-            raise ExactError("eigenvalue multiplicities do not sum to dim (bug)")
-        return [(o, t, m) for t, m in enumerate(mults) if m]
+    def _find_spectra(self) -> None:
+        """Eigenvalues of each class representative as (order o, power t,
+        multiplicity): those of a unitary w of order o are o-th roots of unity,
+        with the multiplicities of the restriction of its trace to <w>."""
+        spectra = []
+        for cls in self.classes:
+            o = self.element_orders[cls.rep]
+            mults = self.cyclic_multiplicities(cls.rep, self.trace)
+            if sum(mults) != self.dimension:
+                raise ExactError("eigenvalue multiplicities do not sum to dim (bug)")
+            spectra.append(tuple((o, t, m) for t, m in enumerate(mults) if m))
+        self.class_spectra = tuple(spectra)
 
     def char_poly_one_minus_Tw(self, i: int) -> PolyT:
         """det_V(1 - T w_i) as an exact polynomial in T."""
         p = PolyT([ONE])
-        for o, t, mult in self.eigenvalue_multiplicities(i):
+        for o, t, mult in self.class_spectra[self.class_of[i]]:
             factor = PolyT([ONE, -CycNum.zeta(o, t)])
             for _ in range(mult):
                 p = p * factor
@@ -428,11 +430,10 @@ class ReflectionGroup:
     # -- reflections and hyperplanes -----------------------------------------
 
     def _find_reflections(self) -> None:
-        # Being a reflection is a class property: test the representatives.
+        # w is a reflection when eigenvalue 1 (t = 0) has multiplicity dim - 1.
         refl = []
-        ident = linalg.identity(self.dimension)
-        for cls in self.classes[1:]:
-            if linalg.rank(linalg.mat_sub(self.elements[cls.rep], ident)) == 1:
+        for cls, spectrum in zip(self.classes, self.class_spectra):
+            if sum(m for _, t, m in spectrum if t == 0) == self.dimension - 1:
                 refl.extend(cls.members)
         self.reflections = tuple(sorted(refl))
 
@@ -456,7 +457,6 @@ class ReflectionGroup:
         self.hyperplane_index: dict[Vector, int] = {}
         for form, members in forms.items():
             alpha = MultiPoly.linear_form(form)
-            basis = linalg.nullspace([list(form)])
             # The pointwise stabilizer of H is 1 plus the reflections with hyperplane H.
             stab = [0] + members
             e = len(stab)
@@ -473,7 +473,6 @@ class ReflectionGroup:
                 Hyperplane(
                     form=form,
                     alpha=alpha,
-                    fixed_basis=tuple(basis),
                     order=e,
                     generator=gen,
                     stabilizer=tuple(stab),

@@ -91,10 +91,12 @@ class LabelVector:
 
     @staticmethod
     def from_json(obj, g: ReflectionGroup) -> LabelVector:
+        if not isinstance(obj, dict):
+            raise KZError("label vector must be a JSON object")
         vals = []
         for c, orbit in enumerate(g.orbits):
             row = obj.get(str(c))
-            if row is None or len(row) != orbit.order:
+            if not isinstance(row, list) or len(row) != orbit.order:
                 raise KZError(
                     f"label vector needs key '{c}' with {orbit.order} entries"
                 )
@@ -125,12 +127,15 @@ class LabelVector:
 
 
 def _parse_label(x) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, str):
-        return complex(Fraction(x))
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
+    try:
+        if isinstance(x, (int, float)):
+            return complex(x)
+        if isinstance(x, str):
+            return complex(Fraction(x))
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            return complex(float(x[0]), float(x[1]))
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
     raise KZError(f"cannot parse label component {x!r}")
 
 
@@ -615,12 +620,9 @@ def monodromy_rep(
     row: int,
     labels: LabelVector | list[LabelVector],
     settings: KZSettings = KZSettings(),
-    hyperplanes: list[int] | None = None,
 ) -> MonodromyRep:
     block = assemble_connection(fs, row, labels, settings)
-    g = fs.group
-    if hyperplanes is None:
-        hyperplanes = _generator_hyperplanes(g)
+    hyperplanes = _generator_hyperplanes(fs.group)
     mats = {}
     residuals = {}
     for h in hyperplanes:
@@ -630,7 +632,7 @@ def monodromy_rep(
     return MonodromyRep(
         row=row,
         labels=block.labels,
-        hyperplanes=list(hyperplanes),
+        hyperplanes=hyperplanes,
         matrices=mats,
         residuals=residuals,
         settings=settings,

@@ -1,12 +1,14 @@
 """Small dense linear algebra over CycNum, and the one F_p toolkit.
 
 Matrices are immutable tuples of tuples of CycNum (row major), so they can be
-hashed and used as dictionary keys during group enumeration.
+hashed and used as dictionary keys during group enumeration.  There is no exact
+determinant or rank here: a group element's determinant and its fixed space
+come from its spectrum (`groups`), which the traces give.
 
 The F_p helpers (primes, roots of unity, elimination and determinants modulo
 a prime) serve both the Burnside-Dixon character table in `chars` and the
-exact solves here.  `nullspace` (and `rref`, `rank`, `column_space_basis`
-through it) works over Q(zeta_L) multi-modularly: it eliminates the images of
+exact solves here.  `nullspace` (and `rref`, `column_space_basis` through it)
+works over Q(zeta_L) multi-modularly: it eliminates the images of
 the system modulo primes p = 1 (mod L) under every embedding zeta_L -> r^j,
 recovers power-basis coefficients by inverting the Vandermonde matrix of the
 embeddings, lifts them by CRT and rational reconstruction, and accepts the
@@ -48,17 +50,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                         s = s + x * y
             row.append(s)
         out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_vec(a: Matrix, v: Sequence[CycNum]) -> Vector:
-    out = []
-    for row in a:
-        s = ZERO
-        for x, y in zip(row, v):
-            if not x.is_zero() and not y.is_zero():
-                s = s + x * y
-        out.append(s)
     return tuple(out)
 
 
@@ -113,11 +104,6 @@ def rref(rows: Sequence[Sequence[CycNum]]) -> tuple[list[list[CycNum]], list[int
         for pc in pivots
     ]
     return red + [[ZERO] * ncols for _ in range(len(rows) - len(red))], pivots
-
-
-def rank(a: Sequence[Sequence[CycNum]]) -> int:
-    _, pivots = rref(a)
-    return len(pivots)
 
 
 def column_space_basis(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
@@ -235,26 +221,6 @@ def _lift(moduli: list[int], images: list[list[int]]) -> list[Fraction] | None:
         if abs(s1) > bound or gcd(r1, s1) != 1:
             return None
         out.append(Fraction(r1, s1))
-    return out
-
-
-def det(a: Matrix) -> CycNum:
-    n = len(a)
-    m = [list(r) for r in a]
-    out = ONE
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if piv is None:
-            return ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out = out * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return out
 
 

@@ -7,9 +7,10 @@ M(w^{-1} v) = tau(w) M(v) for all w.  Columns come from the space of
 equivariant polynomial maps V -> C^l of each degree: the constraints of all
 generators form one linear system, solved by `linalg.nullspace` (modular,
 then certified exactly).  When the solution space is bigger than the number
-of columns needed, a deterministic pseudo-random mixing is drawn and the
-determinant certified nonzero by exact evaluation at a random rational point
-(one nonzero evaluation is a proof).
+of columns needed, a deterministic pseudo-random mixing is drawn.  Its
+determinant det(M) is expanded once, by Laplace along the first row, and
+certified nonzero by its exact value at a random rational point (one nonzero
+value is a proof); both verifiers read it from the `MinimalTauMatrix`.
 
 Matrix realizations come from the defining representation (possibly twisted
 by a linear character) when the character matches, and otherwise from
@@ -303,43 +304,37 @@ class MinimalTauMatrix:
     matrix: list[list[MultiPoly]]  # entries; column j homogeneous of degree p_j
     column_degrees: tuple[int, ...]
     seed: int
+    det: MultiPoly  # det(M), computed once when the mixing is accepted
 
     @property
     def dim(self) -> int:
         return len(self.column_degrees)
 
-    def det_poly(self) -> MultiPoly:
-        return _poly_det(self.matrix, self.group.dimension)
-
 
 def _poly_det(m: list[list[MultiPoly]], nvars: int) -> MultiPoly:
-    import itertools
-
-    l = len(m)
+    """Determinant by Laplace expansion along the first row."""
+    if not m:
+        return MultiPoly.constant(nvars, 1)
     acc = MultiPoly.zero(nvars)
-    for perm in itertools.permutations(range(l)):
-        sign = _perm_sign(perm)
-        term = MultiPoly.constant(nvars, sign)
-        for i in range(l):
-            term = term * m[i][perm[i]]
-        acc = acc + term
+    for j, entry in enumerate(m[0]):
+        if not entry.is_zero():
+            term = entry * _poly_det([row[:j] + row[j + 1 :] for row in m[1:]], nvars)
+            acc = acc - term if j % 2 else acc + term
     return acc
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        jj, ln = i, 0
-        while not seen[jj]:
-            seen[jj] = True
-            jj = perm[jj]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
+def _mix(basis, coeffs: list[int]) -> list[MultiPoly]:
+    """The column sum_b coeffs[b] * basis[b] of equivariant maps; coefficients
+    that are all zero are replaced by those of basis[0] alone."""
+    if not any(coeffs):
+        coeffs = [1] + coeffs[1:]
+    nvars, l = basis[0][0].nvars, len(basis[0])
+    col = [MultiPoly.zero(nvars) for _ in range(l)]
+    for c, vec in zip(coeffs, basis):
+        if c:
+            for s in range(l):
+                col[s] = col[s] + vec[s] * c
+    return col
 
 
 def build_minimal_matrix(fs: FakeDegreeSet, row_idx: int, seed: int = 0) -> MinimalTauMatrix:
@@ -351,33 +346,20 @@ def build_minimal_matrix(fs: FakeDegreeSet, row_idx: int, seed: int = 0) -> Mini
         raise ExactError("exponent count differs from the degree (bug)")
     bases = {p: equivariant_basis(real, p, fs) for p in sorted(set(exponents))}
     rng = random.Random((seed, g.descriptor.canonical(), row_idx, "minmat").__repr__())
-    for attempt in range(MIXING_ATTEMPTS):
+    for _ in range(MIXING_ATTEMPTS):
         cols = []
         for p in exponents:
             basis = bases[p]
             if not basis:
                 raise ExactError(f"no equivariant maps at exponent {p} (bug)")
-            if len(basis) == 1 and len([q for q in exponents if q == p]) == 1:
-                coeffs = [1]
+            if len(basis) == 1 and exponents.count(p) == 1:
+                cols.append(_mix(basis, [1]))
             else:
-                coeffs = [rng.randint(-3, 3) for _ in basis]
-                if all(c == 0 for c in coeffs):
-                    coeffs[0] = 1
-            col = [MultiPoly.zero(g.dimension) for _ in range(l)]
-            for c, vec in zip(coeffs, basis):
-                if c:
-                    for s in range(l):
-                        col[s] = col[s] + vec[s] * c
-            cols.append(col)
+                cols.append(_mix(basis, [rng.randint(-3, 3) for _ in basis]))
         matrix = [[cols[jj][i] for jj in range(l)] for i in range(l)]
+        det = _poly_det(matrix, g.dimension)
         point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(g.dimension)]
-        val = linalg.det(
-            tuple(
-                tuple(matrix[i][jj].evaluate(point) for jj in range(l))
-                for i in range(l)
-            )
-        )
-        if not val.is_zero():
+        if not det.evaluate(point).is_zero():
             mm = MinimalTauMatrix(
                 group=g,
                 row=row_idx,
@@ -385,6 +367,7 @@ def build_minimal_matrix(fs: FakeDegreeSet, row_idx: int, seed: int = 0) -> Mini
                 matrix=matrix,
                 column_degrees=tuple(exponents),
                 seed=seed,
+                det=det,
             )
             _assert_minimal_properties(fs, mm)
             return mm
@@ -428,7 +411,6 @@ def _assert_minimal_properties(fs: FakeDegreeSet, mm: MinimalTauMatrix) -> None:
 def verify_det_factorization(fs: FakeDegreeSet, mm: MinimalTauMatrix) -> dict:
     """det(M) = const * prod_C pi_C^{sum_j j n_{C,j}} by exact division."""
     g = mm.group
-    detp = mm.det_poly()
     expected = MultiPoly.constant(g.dimension, 1)
     exps = []
     for c, orbit in enumerate(g.orbits):
@@ -437,7 +419,7 @@ def verify_det_factorization(fs: FakeDegreeSet, mm: MinimalTauMatrix) -> dict:
         if e:
             expected = expected * orbit.pi ** e
     try:
-        ratio = detp.divide_exact(expected)
+        ratio = mm.det.divide_exact(expected)
         constant = ratio.homogeneous_degree() in (0, None)
         ok = constant and not ratio.is_zero()
         c_val = ratio.terms.get((0,) * g.dimension, CycNum.zero())
@@ -464,18 +446,9 @@ def verify_quotient_property(
     cols = []
     for p in mm.column_degrees:
         basis = equivariant_basis(real, p + d1)
-        coeffs = [rng.randint(-2, 2) for _ in basis]
-        if all(c == 0 for c in coeffs):
-            coeffs[0] = 1
-        col = [MultiPoly.zero(g.dimension) for _ in range(l)]
-        for c, vec in zip(coeffs, basis):
-            if c:
-                for s in range(l):
-                    col[s] = col[s] + vec[s] * c
-        cols.append(col)
+        cols.append(_mix(basis, [rng.randint(-2, 2) for _ in basis]))
     nmat = [[cols[jj][i] for jj in range(l)] for i in range(l)]
 
-    detp = mm.det_poly()
     adj = _adjugate(mm.matrix, g.dimension)
     gen_elts = g.generator_elements
     entries_ok = True
@@ -486,7 +459,7 @@ def verify_quotient_property(
                 acc = MultiPoly.zero(g.dimension)
                 for k in range(l):
                     acc = acc + adj[i][k] * nmat[k][jj]
-                r_entry = acc.divide_exact(detp)
+                r_entry = acc.divide_exact(mm.det)
                 for gelt in gen_elts:
                     if g.substitute(r_entry, g.inverse(gelt)) != r_entry:
                         invariant_ok = False

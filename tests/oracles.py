@@ -7,7 +7,10 @@ equivariant-basis oracle intersects one generator's constraints at a time by
 exact CycNum elimination instead of one modular solve.  The substitution
 oracle expands each monomial image as a product of powers of the substituted
 coordinates, not degree by degree from the memoized images of
-`ReflectionGroup.substitute`.  The transport oracle
+`ReflectionGroup.substitute`.  The determinant and reflection oracles work on
+each element's matrix by exact elimination, where the group reads both off the
+spectrum of its class, and the Leibniz oracle sums over permutations where
+minmat expands det(M) by Laplace.  The transport oracle
 is the RK kernel kz used before its batch moved to the last axis: it
 evaluates omega at every stage of every step and keeps the batch first.
 """
@@ -119,6 +122,19 @@ def _det_one_minus_T_times(g, w: int) -> PolyT:
     return acc
 
 
+def leibniz_det(m, nvars: int) -> MultiPoly:
+    """det of a square MultiPoly matrix as the signed sum over permutations."""
+    import itertools
+
+    acc = MultiPoly.zero(nvars)
+    for perm in itertools.permutations(range(len(m))):
+        term = MultiPoly.constant(nvars, _perm_sign(perm))
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        acc = acc + term
+    return acc
+
+
 def _perm_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -208,6 +224,37 @@ def exact_rref(rows):
         if r == len(m):
             break
     return m[:r] + m[r:], pivots
+
+
+def elimination_det(a) -> CycNum:
+    """det of a CycNum matrix by Gaussian elimination."""
+    n = len(a)
+    m = [list(r) for r in a]
+    out = ONE
+    for c in range(n):
+        piv = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
+        if piv is None:
+            return ZERO
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out = out * m[c][c]
+        inv = m[c][c].inverse()
+        for i in range(c + 1, n):
+            if not m[i][c].is_zero():
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
+
+
+def rank_reflections(g) -> tuple[int, ...]:
+    """The elements w with rank(w - 1) = 1, by exact elimination of each matrix."""
+    return tuple(
+        i
+        for i, m in enumerate(g.elements)
+        if len(exact_rref([[x - int(r == c) for c, x in enumerate(row)]
+                           for r, row in enumerate(m)])[1]) == 1
+    )
 
 
 def exact_nullspace(a):

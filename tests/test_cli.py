@@ -107,8 +107,13 @@ def test_import_does_not_load_numpy():
 
 
 def test_kz_bad_labels_exit_2(capsys):
-    code, out, err = run_capture(capsys, ["kz", "gamma", "S3", "--k", '{"0":[0]}'])
-    assert code == 2
+    bad = ['{"0":[0]}', "[0,1]", '"s"', '{"0":["abc",0]}', '{"0":[[1,"x"],0]}', '{"0":5}']
+    for sub in (["gamma", "S3"], ["monodromy", "S3", "--rep", "1"]):
+        for labels in bad:
+            code, out, err = run_capture(capsys, ["kz", *sub, "--k", labels])
+            assert code == 2, (sub, labels)
+            assert out == ""
+            assert err.startswith("error: bad label vector: "), (sub, labels)
 
 
 def test_determinism_byte_identical(capsys):
@@ -159,6 +164,19 @@ def test_file_descriptor_via_cli(capsys, tmp_path):
     code, out, err = run_capture(capsys, ["group", f"file:{path}"])
     assert code == 0
     assert json.loads(out)["result"]["order"] == 8
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[1], [[[1]]], [[[{"N": 1, "terms": ["x"]}]]], [[[{"N": 1, "terms": [[0, "x"]]}]]], [[]]],
+)
+def test_file_descriptor_bad_entries_exit_2(capsys, tmp_path, data):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_capture(capsys, ["--no-cache", "group", f"file:{path}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: generator")
 
 
 def test_cache_misses_after_file_group_changes(capsys, tmp_path):

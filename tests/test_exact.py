@@ -101,6 +101,7 @@ def test_field_axioms(N, data):
     assert x * (y + z) == x * y + x * z
     if not x.is_zero():
         assert x * x.inverse() == 1
+        assert x.inverse().N == x.N
 
 
 @given(cyc_numbers())

@@ -13,7 +13,7 @@ from reflekt.groups import (
 from reflekt.minmat import _monomials
 
 from corpus import CORPUS
-from oracles import substitution_matrix
+from oracles import elimination_det, rank_reflections, substitution_matrix
 
 
 @pytest.fixture(scope="module")
@@ -112,24 +112,39 @@ def test_corpus_unitarity_and_words(groups):
             assert g.mult(0, i) == i, name
 
 
+def fixes(m, v) -> bool:
+    """m v == v, row by row."""
+    return all(sum((x * y for x, y in zip(row, v)), CycNum.zero()) == c for row, c in zip(m, v))
+
+
 def test_corpus_stabilizers(groups):
     for name, g in groups.items():
         for hp in g.hyperplanes:
             assert g.element_orders[hp.generator] == hp.order
             assert g.det(hp.generator) == CycNum.zeta(hp.order)
-            for v in hp.fixed_basis:
-                assert linalg.mat_vec(g.elements[hp.generator], v) == v
+            for v in linalg.nullspace([list(hp.form)]):
+                assert fixes(g.elements[hp.generator], v)
 
 
 def test_corpus_stabilizers_match_fixed_point_scan(groups):
     for name, g in groups.items():
         for hp in g.hyperplanes:
+            fixed = linalg.nullspace([list(hp.form)])
             scan = tuple(
-                i
-                for i in range(g.order)
-                if all(linalg.mat_vec(g.elements[i], v) == v for v in hp.fixed_basis)
+                i for i in range(g.order) if all(fixes(g.elements[i], v) for v in fixed)
             )
             assert hp.stabilizer == scan, name
+
+
+def test_det_from_spectrum_matches_elimination(groups):
+    for name, g in groups.items():
+        for i in range(g.order):
+            assert g.det(i) == elimination_det(g.elements[i]), (name, i)
+
+
+def test_reflections_from_spectrum_match_rank_test(groups):
+    for name, g in groups.items():
+        assert g.reflections == rank_reflections(g), name
 
 
 @pytest.mark.parametrize("name", ["S4", "G(3,1,2)", "G(4,4,2)"])

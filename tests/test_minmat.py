@@ -14,7 +14,7 @@ from reflekt.minmat import (
     verify_quotient_property,
 )
 
-from oracles import sequential_equivariant_basis
+from oracles import leibniz_det, sequential_equivariant_basis
 
 SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)", "G(2,1,1)", "G(3,1,1)", "G(4,1,1)"]
 
@@ -87,7 +87,7 @@ def test_minimal_matrix_s3_standard(built):
     std = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 2)
     mm = build_minimal_matrix(fs, std)
     assert mm.column_degrees == (1, 2)
-    det = mm.det_poly()
+    det = mm.det
     assert det.homogeneous_degree() == 3
     rep = verify_det_factorization(fs, mm)
     # det(M) = c * pi_C^1 with pi_C the degree-3 product of the root forms
@@ -136,6 +136,7 @@ def test_full_scope_minimal_matrices(built, name):
     fs = built[name]
     for i in range(len(fs.table.rows)):
         mm = build_minimal_matrix(fs, i)
+        assert poly_key(mm.det) == poly_key(leibniz_det(mm.matrix, fs.group.dimension)), (name, i)
         assert verify_det_factorization(fs, mm)["passed"], (name, i)
         assert verify_quotient_property(fs, mm)["passed"], (name, i)
 
