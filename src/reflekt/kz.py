@@ -11,8 +11,12 @@ generator path
 which ends at s_H v0 (with det(s_H) = exp(2 pi i / e_H)).  The base point
 v0 and the braid paths depend only on the group and the seed: they are chosen
 once per (group, seed) and kept, read-only, for as long as the group lives.
-A transport that needs more than STEP_BUDGET attempted steps on one path
-raises KZError instead of crawling on with ever smaller steps.
+On a block of degree 1 each A_H is a scalar, omega is closed, and the
+transport along a path is exactly exp(-sum_H A_H Lambda_H) with
+Lambda_H = int dalpha_H/alpha_H, computed once per path (see _log_integrals).
+Blocks of degree >= 2 are transported by adaptive RK4; one that needs more
+than STEP_BUDGET attempted steps on one path raises KZError instead of
+crawling on with ever smaller steps.
 
 Frozen monodromy convention
 ---------------------------
@@ -70,8 +74,9 @@ RETRY_BUDGET = 12  # base-point draws per (group, seed)
 MAX_GROUP_ORDER = 48
 MAX_REP_DEGREE = 4
 MIN_STEP = 1e-10
-# Attempted steps (accepted plus rejected) per path; the most any path of the
-# tests or the benchmark takes is 3,830 (G(2,1,2), the [-2,2]^4 degree-1 sweep).
+# Attempted RK steps (accepted plus rejected) per path; the most any path of
+# the tests or the benchmark takes is 1,897 (G(2,1,2), the contracted path of
+# the degree-2 sweep over [-1,1]^4).  Degree-1 blocks take no steps.
 STEP_BUDGET = 100_000
 
 
@@ -117,7 +122,10 @@ class LabelVector:
         return LabelVector(tuple(tuple(-v for v in row) for row in self.values))
 
     def q(self, c: int, j: int) -> complex:
-        return cmath.exp(-2j * cmath.pi * self.values[c][j])
+        try:
+            return cmath.exp(-2j * cmath.pi * self.values[c][j])
+        except OverflowError:
+            raise KZError(f"q_{{{c},{j}}} = exp(-2 pi i k_{{{c},{j}}}) overflows") from None
 
     def to_json(self) -> dict:
         return {
@@ -127,16 +135,23 @@ class LabelVector:
 
 
 def _parse_label(x) -> complex:
-    try:
-        if isinstance(x, (int, float)):
-            return complex(x)
-        if isinstance(x, str):
-            return complex(Fraction(x))
-        if isinstance(x, (list, tuple)) and len(x) == 2:
-            return complex(float(x[0]), float(x[1]))
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
-    raise KZError(f"cannot parse label component {x!r}")
+    """A finite complex label from a number, a fraction string or a [re, im]
+    pair; booleans are not numbers here."""
+    z = None
+    parts = x if isinstance(x, (list, tuple)) else [x]
+    if not any(isinstance(p, bool) for p in parts):
+        try:
+            if isinstance(x, (int, float)):
+                z = complex(x)
+            elif isinstance(x, str):
+                z = complex(Fraction(x))
+            elif isinstance(x, (list, tuple)) and len(x) == 2:
+                z = complex(float(x[0]), float(x[1]))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    if z is None or not cmath.isfinite(z):
+        raise KZError(f"cannot parse label component {x!r} as a finite number")
+    return z
 
 
 def euler_scalar(fs: FakeDegreeSet, row: int, k: LabelVector) -> complex:
@@ -161,7 +176,7 @@ class ConnectionBlock:
 
     Batch entry b is row `rows[b]` at label vector `labels[b]`; `residues` has
     shape (batch, hyperplanes, l, l).  The base point and braid paths depend
-    only on the group and the seed, so all entries share one RK sweep.
+    only on the group and the seed, so all entries share one transport sweep.
     """
 
     fs: FakeDegreeSet
@@ -305,13 +320,41 @@ def _build_path(g, h_idx, v0, alpha, delta):
             if len(alpha) > 1 and vals.min() < 0.25 * delta:
                 return None
     path = BraidPath(
-        hyperplane=h_idx, order=e, center=_read_only(center), nu=_read_only(nu), eps=eps
+        hyperplane=h_idx,
+        order=e,
+        center=_read_only(center),
+        nu=_read_only(nu),
+        eps=eps,
+        log_integrals=_read_only(_log_integrals(segments, alpha, h_idx, e)),
     )
     end = path.endpoint()
     s_mat = linalg.mat_to_complex(g.elements[hp.generator])
     if np.max(np.abs(s_mat @ v0 - end)) > 1e-12 * max(1.0, float(np.max(np.abs(end)))):
         raise KZError("path endpoint is not s_H v0 (bug)")
     return path
+
+
+def _log_integrals(segments, alpha, h_idx: int, e: int) -> np.ndarray:
+    """Lambda_{H'} = int dalpha_{H'}/alpha_{H'} along the path, per hyperplane.
+
+    For H' != H it is the sum over the legs of the principal
+    Log(alpha_{H'}(leg end) / alpha_{H'}(leg start)), which is exact when
+    alpha_{H'} turns by less than pi along the leg:
+      - a radial leg maps to a straight segment of C that misses 0;
+      - on an arc leg alpha_{H'} stays in a disc around alpha_{H'}(center)
+        that misses 0: its radius eps |alpha_{H'}(nu)| is at most
+        0.8 |alpha_{H'}(center)| on the contracted arc (eps <= 0.8 ratio),
+        and below |alpha_{H'}(center)| / 1.3 on the plain arc (ratio > 1.3).
+    For H itself alpha_H(center) = 0, so the arc turns alpha_H by exactly
+    2 pi/e and the radial legs cancel; Lambda_H = 2 pi i/e is set outright,
+    since at e = 2 the endpoint ratio is -1, where the principal Log's branch
+    is ambiguous.
+    """
+    lam = np.zeros(len(alpha), dtype=complex)
+    for seg_point, _seg_vel in segments:
+        lam += np.log((alpha @ seg_point(1.0)) / (alpha @ seg_point(0.0)))
+    lam[h_idx] = 2j * np.pi / e
+    return lam
 
 
 def _path_segments(center, nu, e: int, eps: float):
@@ -376,7 +419,10 @@ def assemble_connection(
             e = g.hyperplanes[h].order
             projs = [linalg.mat_to_complex(p) for p in stabilizer_projectors(reals[r], h)]
             kh = np.array([k.values[c] for k in batch])
-            residues[i * nk : (i + 1) * nk, h] = np.einsum("bj,jxy->bxy", e * kh, projs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                residues[i * nk : (i + 1) * nk, h] = np.einsum("bj,jxy->bxy", e * kh, projs)
+    if not np.all(np.isfinite(residues)):
+        raise KZError("the label vector gives residues that are not finite")
     alpha, v0, attempt, paths = _arrangement(g, settings.seed)
     block = ConnectionBlock(
         fs=fs,
@@ -464,6 +510,7 @@ class BraidPath:
     center: np.ndarray
     nu: np.ndarray
     eps: float
+    log_integrals: np.ndarray  # (hyperplanes,): Lambda_{H'} = int dalpha_{H'}/alpha_{H'}
 
     def segments(self):
         return _path_segments(self.center, self.nu, self.order, self.eps)
@@ -476,8 +523,13 @@ def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dic
     """Transport matrices (batch, l, l) of Phi' = -omega(v'(t)) Phi along the
     legs of the path in turn, and the path's step statistics.
 
-    Classical RK4 with step doubling, keeping the local relative error of the
-    full step against two half steps below rtol, then Richardson
+    At degree l = 1 every A_H is a scalar and omega is closed, so the
+    transport is exactly exp(-sum_H A_H Lambda_H), one product for the whole
+    batch: no step is taken (accepted = rejected = 0, min_step 1.0), and a
+    result that is not finite raises KZError.
+
+    Otherwise classical RK4 with step doubling, keeping the local relative
+    error of the full step against two half steps below rtol, then Richardson
     extrapolation.  The steps share the nodes t, t+h/4, t+h/2, t+3h/4, t+h,
     so omega is one product of the path's coefficients with the flattened
     residues per node, and the end node starts the next step.  Y has shape
@@ -487,11 +539,17 @@ def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dic
     """
     a = block.residues  # (B, H, l, l)
     bsz, nh, l, _ = a.shape
+    stats = {"accepted": 0, "rejected": 0, "min_step": 1.0, "eps": path.eps}
+    if l == 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = np.exp(-(a[:, :, 0, 0] @ path.log_integrals))
+        if not np.all(np.isfinite(phi)):
+            raise KZError("degree-1 transport is not finite")
+        return phi.reshape(bsz, 1, 1), stats
     res = -a.transpose(1, 2, 3, 0).reshape(nh, l * l * bsz)
     alpha = block.alpha_rows
     rtol = block.settings.rtol
     y = np.broadcast_to(np.eye(l, dtype=complex)[:, :, None], (l, l, bsz)).copy()
-    stats = {"accepted": 0, "rejected": 0, "min_step": 1.0, "eps": path.eps}
 
     for seg_point, seg_vel in path.segments():
 

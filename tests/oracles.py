@@ -12,7 +12,9 @@ each element's matrix by exact elimination, where the group reads both off the
 spectrum of its class, and the Leibniz oracle sums over permutations where
 minmat expands det(M) by Laplace.  The transport oracle
 is the RK kernel kz used before its batch moved to the last axis: it
-evaluates omega at every stage of every step and keeps the batch first.
+evaluates omega at every stage of every step and keeps the batch first.  The
+log-integral oracle unwraps the argument of each alpha_H over finely sampled
+points of every leg, where kz takes one principal Log per leg end.
 """
 from __future__ import annotations
 
@@ -404,3 +406,15 @@ def reference_transport(block, path) -> np.ndarray:
             if h < kz.MIN_STEP:
                 raise KZError("step-size underflow near a hyperplane")
     return y
+
+
+def sampled_log_integrals(path, alpha, samples: int = 2048) -> np.ndarray:
+    """int_path dalpha_H/alpha_H for every hyperplane H, from the unwrapped
+    argument of alpha_H at `samples` points per leg."""
+    ts = np.linspace(0.0, 1.0, samples)
+    total = np.zeros(len(alpha), dtype=complex)
+    for seg_point, _seg_vel in path.segments():
+        vals = np.array([alpha @ seg_point(t) for t in ts])  # (samples, H)
+        turn = np.unwrap(np.angle(vals), axis=0)
+        total += np.log(np.abs(vals[-1]) / np.abs(vals[0])) + 1j * (turn[-1] - turn[0])
+    return total

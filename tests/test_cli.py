@@ -108,12 +108,26 @@ def test_import_does_not_load_numpy():
 
 def test_kz_bad_labels_exit_2(capsys):
     bad = ['{"0":[0]}', "[0,1]", '"s"', '{"0":["abc",0]}', '{"0":[[1,"x"],0]}', '{"0":5}']
+    bad += ['{"0":[NaN,0]}', '{"0":[Infinity,0]}', '{"0":[true,0]}', '{"0":[[0,true],0]}']
+    bad += ['{"0":[[0,"nan"],0]}', '{"0":["1e400",0]}']
     for sub in (["gamma", "S3"], ["monodromy", "S3", "--rep", "1"]):
         for labels in bad:
             code, out, err = run_capture(capsys, ["kz", *sub, "--k", labels])
             assert code == 2, (sub, labels)
             assert out == ""
             assert err.startswith("error: bad label vector: "), (sub, labels)
+    # finite labels whose residues, q or degree-1 transport overflow
+    overflowing = [
+        (["monodromy", "S3", "--rep", "1"], '{"0":[[1e308,1e308],0]}', "residues that are not finite"),
+        (["gamma", "S3"], '{"0":[1e308,0]}', "residues that are not finite"),
+        (["monodromy", "S3", "--rep", "0"], '{"0":[[0,300],0]}', "overflows"),
+        (["monodromy", "S3", "--rep", "1"], '{"0":[[0,300],0]}', "transport is not finite"),
+    ]
+    for sub, labels, message in overflowing:
+        code, out, err = run_capture(capsys, ["kz", *sub, "--k", labels])
+        assert code == 2, (sub, labels)
+        assert out == ""
+        assert err.startswith("error: ") and message in err, (sub, labels, err)
 
 
 def test_determinism_byte_identical(capsys):

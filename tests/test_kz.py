@@ -23,7 +23,7 @@ from reflekt.kz import (
     monodromy_rep,
 )
 
-from oracles import reference_transport
+from oracles import reference_transport, sampled_log_integrals
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +265,11 @@ def test_transport_matches_reference_kernel(built):
                 want = reference_transport(block, path)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (name, row, h)
-                assert steps["accepted"] > 0 and steps["eps"] == path.eps
+                assert steps["eps"] == path.eps
+                if fs.table.rows[row].degree_int() == 1:  # closed form: no step taken
+                    assert steps["accepted"] == steps["rejected"] == 0
+                else:
+                    assert steps["accepted"] > 0
 
 
 def test_degree_sweep_matches_per_row_scan(built, monkeypatch):
@@ -344,6 +348,81 @@ def test_arrangement_is_built_once_per_group_and_seed(monkeypatch):
 
 def test_step_budget_raises(built, monkeypatch):
     fs = built["S3"]
+    std = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 2)
     monkeypatch.setattr(kz, "STEP_BUDGET", 5)
     with pytest.raises(KZError, match="steps"):
-        monodromy_rep(fs, 0, label(fs, c0=[0.1, -0.2]))
+        monodromy_rep(fs, std, label(fs, c0=[0.1, -0.2]))
+
+
+def test_log_integrals_match_sampled_oracle(built):
+    for name in ["S3", "G(2,1,2)", "G(3,1,2)", "G(4,1,1)"]:
+        g = built[name].group
+        for seed in (0, 5):
+            alpha, _v0, _attempt, paths = kz._arrangement(g, seed)
+            for path in paths:
+                lam = path.log_integrals
+                assert lam.shape == (len(g.hyperplanes),) and not lam.flags.writeable
+                want = sampled_log_integrals(path, alpha)
+                assert np.max(np.abs(lam - want)) < 1e-12, (name, seed, path.hyperplane)
+                assert lam[path.hyperplane] == 2j * np.pi / path.order
+
+
+def test_degree_one_closed_form_matches_reference_kernel(built):
+    rng = random.Random(13)
+    for name, fs in built.items():
+        g = fs.group
+        ks = [
+            LabelVector(
+                tuple(
+                    tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(o.order))
+                    for o in g.orbits
+                )
+            )
+            for _ in range(3)
+        ]
+        rows = [r for r in range(len(fs.table.rows)) if fs.table.rows[r].degree_int() == 1]
+        block = assemble_connection(fs, rows, ks)
+        for path in block.paths:
+            got, _steps = kz._transport(block, path)
+            want = reference_transport(block, path)
+            for b in range(len(rows)):
+                part = slice(b * len(ks), (b + 1) * len(ks))
+                err = np.max(np.abs(got[part] - want[part]))
+                assert err <= 1e-9 * np.max(np.abs(want[part])), (name, rows[b], path.hyperplane)
+
+
+def test_cyclic_monodromy_is_exact(built):
+    # the closed form reproduces exp(2 pi i (j - e k_j)/e) to rounding
+    for name, e in [("G(2,1,1)", 2), ("G(3,1,1)", 3), ("G(4,1,1)", 4)]:
+        fs = built[name]
+        g = fs.group
+        rng = random.Random(17)
+        tau = trivial_character(g)
+        for j in range(e):
+            ks = [
+                LabelVector(
+                    (tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(e)),)
+                )
+                for _ in range(4)
+            ]
+            mats = monodromy(assemble_connection(fs, fs.table.row_index(tau), ks), 0)
+            for b, k in enumerate(ks):
+                expect = cmath.exp(2j * cmath.pi * (j - e * k.values[0][j]) / e)
+                assert abs(mats[b][0, 0] - expect) <= 1e-12 * abs(expect), (name, j)
+            tau = tau.tensor(det_character(g).conjugate())
+
+
+def test_degree_two_transport_obeys_liouville(built):
+    # det T = exp(-sum_H tr(A_H) Lambda_H): checks Lambda and the RK kernel
+    rng = random.Random(19)
+    for name in ["S3", "G(2,1,2)", "G(3,1,2)"]:
+        fs = built[name]
+        rows = [r for r in range(len(fs.table.rows)) if fs.table.rows[r].degree_int() == 2]
+        block = assemble_connection(fs, rows, random_labels(fs.group, rng, 3))
+        traces = np.trace(block.residues, axis1=2, axis2=3)  # (batch, hyperplanes)
+        for path in block.paths:
+            got, steps = kz._transport(block, path)
+            assert steps["accepted"] > 0
+            want = np.exp(-(traces @ path.log_integrals))
+            err = np.abs(np.linalg.det(got) - want)
+            assert np.all(err <= 1e-9 * np.abs(want)), (name, path.hyperplane)
