@@ -41,7 +41,8 @@ class UsageError(Exception):
 
 
 # KZ tolerances of every kz subcommand, echoed in each document's config.  The
-# rtol is the contract ceiling, looser than the library default of 1e-11.
+# rtol is the stated ceiling of the transport error; the series kernel sums to
+# double precision and does not read it.
 KZ_RTOL = 1e-10
 KZ_HECKE_TOL = 1e-6
 KZ_MATCH_TOL = 1e-6

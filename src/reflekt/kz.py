@@ -14,9 +14,9 @@ once per (group, seed) and kept, read-only, for as long as the group lives.
 On a block of degree 1 each A_H is a scalar, omega is closed, and the
 transport along a path is exactly exp(-sum_H A_H Lambda_H) with
 Lambda_H = int dalpha_H/alpha_H, computed once per path (see _log_integrals).
-Blocks of degree >= 2 are transported by adaptive RK4; one that needs more
-than STEP_BUDGET attempted steps on one path raises KZError instead of
-crawling on with ever smaller steps.
+Blocks of degree >= 2 are transported by power series in the coordinate u of
+v = center + u nu, disc by disc (see _transport); more than TERM_BUDGET
+series terms on one path raise KZError.
 
 Frozen monodromy convention
 ---------------------------
@@ -55,12 +55,12 @@ from .minmat import Realization, matrix_realization
 
 
 class KZError(Exception):
-    """Numerical monodromy failure (calibration, margins, step underflow)."""
+    """Numerical monodromy failure (calibration, margins, term budget, over- or underflow)."""
 
 
 @dataclass(frozen=True)
 class KZSettings:
-    rtol: float = 1e-11  # local relative error; the contract ceiling is 1e-10
+    rtol: float = 1e-11  # stated error ceiling, echoed in output; _transport does not read it
     hecke_tol: float = 1e-6
     match_tol: float = 1e-6
     seed: int = 0
@@ -73,11 +73,10 @@ PATH_SAMPLES = 128
 RETRY_BUDGET = 12  # base-point draws per (group, seed)
 MAX_GROUP_ORDER = 48
 MAX_REP_DEGREE = 4
-MIN_STEP = 1e-10
-# Attempted RK steps (accepted plus rejected) per path; the most any path of
-# the tests or the benchmark takes is 1,897 (G(2,1,2), the contracted path of
-# the degree-2 sweep over [-1,1]^4).  Degree-1 blocks take no steps.
-STEP_BUDGET = 100_000
+RHO = 0.5  # series step length over the distance to the nearest pole
+GROWTH = 4.0  # bound on the step length times sum_H ||A_H||/|d_H|
+TINY = 2.0 ** -52  # a series step ends on 3 consecutive terms this small
+TERM_BUDGET = 100_000  # series terms per path (degree >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ class ConnectionBlock:
     paths: tuple["BraidPath", ...]
     settings: KZSettings
     seed_used: int
-    steps: dict[int, dict] = field(default_factory=dict)  # hyperplane -> step statistics
+    steps: dict[int, dict] = field(default_factory=dict)  # hyperplane -> series statistics
 
     @property
     def group(self) -> ReflectionGroup:
@@ -521,84 +520,97 @@ class BraidPath:
 
 def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dict]:
     """Transport matrices (batch, l, l) of Phi' = -omega(v'(t)) Phi along the
-    legs of the path in turn, and the path's step statistics.
+    legs of the path in turn, and the path's statistics: series steps (discs),
+    series terms and eps.
 
     At degree l = 1 every A_H is a scalar and omega is closed, so the
     transport is exactly exp(-sum_H A_H Lambda_H), one product for the whole
-    batch: no step is taken (accepted = rejected = 0, min_step 1.0), and a
-    result that is not finite raises KZError.
+    batch: no step is taken (steps = terms = 0), and a result that is not
+    finite raises KZError.
 
-    Otherwise classical RK4 with step doubling, keeping the local relative
-    error of the full step against two half steps below rtol, then Richardson
-    extrapolation.  The steps share the nodes t, t+h/4, t+h/2, t+3h/4, t+h,
-    so omega is one product of the path's coefficients with the flattened
-    residues per node, and the end node starts the next step.  Y has shape
-    (l, l, batch): the batch on the last axis keeps each product contiguous.
-    min_step omits a step cut short to end a leg.  More than STEP_BUDGET
-    attempted steps raise KZError.
+    Otherwise by power series in the braid-path coordinate u.  Every leg lies
+    on v = center + u nu: the plain arc is u = exp(i theta), theta from 0 to
+    2 pi/e; the contracted path is u = 1 to eps, eps exp(i theta), then eps
+    zeta_e to zeta_e.  With a_H = alpha_H(center), b_H = alpha_H(nu) and
+    p_H = -a_H/b_H, dalpha_H/alpha_H = du/(u - p_H); p_H = 0 for the path's
+    own H, and a term with b_H = 0 drops out.  So Y solves dY/du =
+    -sum_H A_H/(u - p_H) Y.  A step from u0 to u0 + x sums the Taylor series
+    at u0: with d_H = u0 - p_H the scaled coefficients (y_0 = Y(u0)) obey
+
+        W_{H,n} = y_n - (x/d_H) W_{H,n-1},  W_{H,0} = y_0,
+        y_{n+1} = -(x/(n+1)) sum_H (A_H/d_H) W_{H,n},
+
+    one batched (H, l, l, batch) contraction per term.  |x| <= min(RHO
+    min_H |d_H|, GROWTH / sum_H ||A_H||/|d_H|), ||A_H|| the largest row-sum
+    norm over the batch, so no step is ever rejected.  A step sums until, on
+    3 consecutive terms, every batch entry's term is at most TINY = 2^-52 of
+    its partial sum: the kernel sums to double precision and does not read
+    settings.rtol.  Arcs of radius r are stepped along chords: the own pole
+    0 is r away, so |x| <= r/2, the chord subtends less than pi, and the arc
+    from u0 to u0 + x stays within |x| of u0.  The region between chord and
+    arc thus lies in the disc |u - u0| <= |x| < min_H |d_H|, free of poles,
+    so the continuation stays on the braid generator's branch.  More than
+    TERM_BUDGET terms on one path, or a result that is not finite, raise
+    KZError.
     """
     a = block.residues  # (B, H, l, l)
-    bsz, nh, l, _ = a.shape
-    stats = {"accepted": 0, "rejected": 0, "min_step": 1.0, "eps": path.eps}
+    bsz, _, l, _ = a.shape
+    stats = {"steps": 0, "terms": 0, "eps": path.eps}
     if l == 1:
         with np.errstate(over="ignore", invalid="ignore"):
             phi = np.exp(-(a[:, :, 0, 0] @ path.log_integrals))
         if not np.all(np.isfinite(phi)):
             raise KZError("degree-1 transport is not finite")
         return phi.reshape(bsz, 1, 1), stats
-    res = -a.transpose(1, 2, 3, 0).reshape(nh, l * l * bsz)
     alpha = block.alpha_rows
-    rtol = block.settings.rtol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        poles = -(alpha @ path.center) / (alpha @ path.nu)
+    poles[path.hyperplane] = 0.0
+    live = np.isfinite(poles)  # b_H = 0: alpha_H is constant on the path
+    poles, a = poles[live], a[:, live]
+    res = a.transpose(2, 1, 3, 0).reshape(l, -1, 1, bsz)  # A as (l, H*l, 1, B)
+    norms = np.abs(a).sum(axis=-1).max(axis=(0, 2))
     y = np.broadcast_to(np.eye(l, dtype=complex)[:, :, None], (l, l, bsz)).copy()
-
-    for seg_point, seg_vel in path.segments():
-
-        def omega(t: float) -> np.ndarray:
-            coef = (alpha @ seg_vel(t)) / (alpha @ seg_point(t))
-            return (coef @ res).reshape(l, l, bsz)
-
-        t, h = 0.0, 0.05
-        w0 = omega(t)
-        while t < 1.0 - 1e-15:
-            if stats["accepted"] + stats["rejected"] >= STEP_BUDGET:
-                raise KZError(f"transport exceeded {STEP_BUDGET} steps on one path")
-            cut = h > 1.0 - t
-            h = min(h, 1.0 - t)
-            wq, wh, w3q, w1 = (omega(t + f * h) for f in (0.25, 0.5, 0.75, 1.0))
-            k1 = _mul(w0, y)
-            full = _rk4(y, k1, h, wh, w1)
-            mid = _rk4(y, k1, h / 2, wq, wh)
-            half = _rk4(mid, _mul(wh, mid), h / 2, w3q, w1)
-            err = float(np.max(np.abs(full - half)))
-            scale = max(1.0, float(np.max(np.abs(half))))
-            if err <= rtol * scale:
-                y = half + (half - full) / 15.0  # Richardson extrapolation
-                stats["accepted"] += 1
-                if not cut:
-                    stats["min_step"] = min(stats["min_step"], h)
-                t += h
-                w0 = w1
-                growth = 2.0 if err == 0 else min(2.0, max(0.3, 0.9 * (rtol * scale / err) ** 0.2))
-                h *= growth
+    eps, zeta = path.eps, np.exp(2j * np.pi / path.order)
+    legs = [(1.0, zeta, 1.0)] if eps >= 1.0 else [(1.0, eps, 0), (eps, eps * zeta, eps), (eps * zeta, zeta, 0)]
+    for u0, end, radius in legs:
+        theta = 0.0
+        while u0 != end:
+            d = u0 - poles
+            load = float(norms @ (1 / np.abs(d)))
+            h = min(RHO * np.abs(d).min(), GROWTH / load if load else np.inf)
+            if radius:  # the chord to radius exp(i theta)
+                theta += 2 * np.arcsin(h / (2 * radius))
+                u1 = end if theta >= 2 * np.pi / path.order else radius * np.exp(1j * theta)
             else:
-                stats["rejected"] += 1
-                h *= max(0.1, 0.9 * (rtol * scale / err) ** 0.2)
-            if h < MIN_STEP:
-                raise KZError("step-size underflow near a hyperplane")
+                u1 = end if abs(end - u0) <= h else u0 + h * (end - u0) / abs(end - u0)
+            y = _series_step(y, res, d, u1 - u0, stats)
+            u0 = u1
     return np.moveaxis(y, 2, 0), stats
 
 
-def _mul(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """m @ y per batch entry, the batch on the last axis."""
-    return (m[:, :, None, :] * y[None, :, :, :]).sum(axis=1)
-
-
-def _rk4(y, k1, h, w_mid, w_end):
-    """RK4 step of Y' = w Y from the slope k1 = w(t) Y and w at t+h/2, t+h."""
-    k2 = _mul(w_mid, y + h / 2 * k1)
-    k3 = _mul(w_mid, y + h / 2 * k2)
-    k4 = _mul(w_end, y + h * k3)
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+@np.errstate(over="ignore", invalid="ignore")
+def _series_step(y, res, d, x, stats) -> np.ndarray:
+    """Y(u0 + x) from y = Y(u0) of shape (l, l, B), by the recursion in
+    _transport; W starts at 0, so its first update gives W_0 = y_0."""
+    l, bsz = y.shape[0], y.shape[2]
+    c = res * np.repeat(-x / d, l)[None, :, None, None]  # -x A_H/d_H
+    ratio = (x / d)[:, None, None, None]
+    total, term, w, n, quiet = y.copy(), y, 0, 0, 0
+    while quiet < 3:
+        if stats["terms"] >= TERM_BUDGET:
+            raise KZError(f"transport exceeded {TERM_BUDGET} series terms on one path")
+        w = term - ratio * w
+        n += 1
+        term = (c * w.reshape(-1, l, bsz)).sum(axis=1) / n
+        total += term
+        stats["terms"] += 1
+        big = np.abs(term).max(axis=(0, 1)) > TINY * np.abs(total).max(axis=(0, 1))
+        quiet = 0 if big.any() else quiet + 1  # NaN counts as quiet, and raises below
+    stats["steps"] += 1
+    if not np.all(np.isfinite(total)):
+        raise KZError("series transport is not finite")
+    return total
 
 
 def monodromy(block: ConnectionBlock, h_idx: int) -> np.ndarray:
@@ -618,6 +630,10 @@ def monodromy(block: ConnectionBlock, h_idx: int) -> np.ndarray:
     return out
 
 
+def _hecke_roots(k: LabelVector, c: int, e: int) -> list[complex]:  # q_{C,j} zeta^j
+    return [k.q(c, j) * cmath.exp(2j * cmath.pi * j / e) for j in range(e)]
+
+
 def hecke_residuals(block: ConnectionBlock, h_idx: int, mats: np.ndarray) -> list[float]:
     """|| prod_j (T - q_{H,j} zeta_H^j) || per batch entry."""
     g = block.group
@@ -627,11 +643,25 @@ def hecke_residuals(block: ConnectionBlock, h_idx: int, mats: np.ndarray) -> lis
     for b, k in enumerate(block.labels):
         l = mats.shape[-1]
         prod = np.eye(l, dtype=complex)
-        for j in range(e):
-            root = k.q(c, j) * cmath.exp(2j * cmath.pi * j / e)
+        for root in _hecke_roots(k, c, e):
             prod = prod @ (mats[b] - root * np.eye(l))
         out.append(float(np.max(np.abs(prod))))
     return out
+
+
+def _check_determinant(block: ConnectionBlock, h_idx: int, mats: np.ndarray) -> None:
+    """det m = prod_j (q_{H,j} zeta_H^j)^{n_{C,j}} to hecke_tol relative: a transport
+    that under- or overflowed can pass the absolute Hecke residual, not this."""
+    c = block.group.orbit_of_hyperplane[h_idx]
+    e = block.group.hyperplanes[h_idx].order
+    dets = np.linalg.det(mats)
+    for got, row, k in zip(dets, block.rows, block.labels):
+        with np.errstate(over="ignore", invalid="ignore"):
+            target = np.prod(np.power(_hecke_roots(k, c, e), block.fs.local[row].multiplicities[c]))
+        if not (got and target and np.isfinite(got) and np.isfinite(target)):
+            raise KZError("monodromy determinant or its Hecke target is 0 or not finite")
+        if abs(got - target) > block.settings.hecke_tol * abs(target):
+            raise KZError(f"monodromy determinant is off its Hecke target by {abs(got / target - 1):.2e}")
 
 
 @dataclass
@@ -646,7 +676,7 @@ class MonodromyRep:
     settings: KZSettings
     base_point: np.ndarray
     seed_used: int
-    transport: dict[int, dict]  # h_idx -> step statistics of its path
+    transport: dict[int, dict]  # h_idx -> series statistics of its path
 
     def matrix(self, h_idx: int, b: int = 0) -> np.ndarray:
         return self.matrices[h_idx][b]
@@ -684,8 +714,8 @@ def monodromy_rep(
     mats = {}
     residuals = {}
     for h in hyperplanes:
-        m = monodromy(block, h)
-        mats[h] = m
+        mats[h] = m = monodromy(block, h)
+        _check_determinant(block, h, m)
         residuals[h] = hecke_residuals(block, h, m)
     return MonodromyRep(
         row=row,
@@ -778,7 +808,7 @@ def gamma_scan(
 def _sweep(fs, rows, ks, gen_hyps, class_words, settings):
     """One transport sweep over rows of one degree at every k, rows outermost:
     per (row, k) entry, tr rho(w) at each class representative and the
-    pure-braid residual; and the step statistics of each generator path."""
+    pure-braid residual; and the series statistics of each generator path."""
     block = assemble_connection(fs, rows, ks, settings)
     l = block.residues.shape[-1]
     mats, residual = {}, np.zeros(len(block.labels))

@@ -30,7 +30,6 @@ from reflekt.exact import (
     poly_one_minus_Tk,
     series_inverse,
 )
-from reflekt import kz
 from reflekt.kz import KZError
 from reflekt.minmat import _monomials, predicted_equivariant_dimension
 
@@ -363,6 +362,9 @@ def sequential_equivariant_basis(real, p: int, fs=None):
     return basis
 
 
+MIN_STEP = 1e-10  # reference_transport's own step-size floor
+
+
 def reference_transport(block, path) -> np.ndarray:
     """Transport matrices of Phi' = -omega(v'(t)) Phi, batched over labels.
 
@@ -403,7 +405,7 @@ def reference_transport(block, path) -> np.ndarray:
                 h *= growth
             else:
                 h *= max(0.1, 0.9 * (rtol * scale / err) ** 0.2)
-            if h < kz.MIN_STEP:
+            if h < MIN_STEP:
                 raise KZError("step-size underflow near a hyperplane")
     return y
 

@@ -94,9 +94,9 @@ def test_kz_gamma_zero_on_non_real_group_is_identity(capsys):
     assert code == 0
     res = json.loads(out)["result"]
     assert res["pairs"] == [[0, 0], [1, 1], [2, 2]]
-    # one sweep for the degree-1 rows, with step statistics per generator path
+    # one sweep for the degree-1 rows, with series statistics per generator path
     assert set(res["transport"]) == {"1"}
-    assert set(res["transport"]["1"]["0"]) == {"accepted", "rejected", "min_step", "eps"}
+    assert set(res["transport"]["1"]["0"]) == {"steps", "terms", "eps"}
 
 
 def test_import_does_not_load_numpy():
@@ -116,12 +116,15 @@ def test_kz_bad_labels_exit_2(capsys):
             assert code == 2, (sub, labels)
             assert out == ""
             assert err.startswith("error: bad label vector: "), (sub, labels)
-    # finite labels whose residues, q or degree-1 transport overflow
+    # finite labels whose residues, q or transport overflow, or whose transport underflows
     overflowing = [
         (["monodromy", "S3", "--rep", "1"], '{"0":[[1e308,1e308],0]}', "residues that are not finite"),
         (["gamma", "S3"], '{"0":[1e308,0]}', "residues that are not finite"),
         (["monodromy", "S3", "--rep", "0"], '{"0":[[0,300],0]}', "overflows"),
         (["monodromy", "S3", "--rep", "1"], '{"0":[[0,300],0]}', "transport is not finite"),
+        (["monodromy", "S3", "--rep", "2"], '{"0":[[0,300],0]}', "transport is not finite"),
+        (["monodromy", "S3", "--rep", "1"], '{"0":[[0,-300],0]}', "determinant"),
+        (["monodromy", "S3", "--rep", "2"], '{"0":[[0,-300],0]}', "determinant"),
     ]
     for sub, labels, message in overflowing:
         code, out, err = run_capture(capsys, ["kz", *sub, "--k", labels])
