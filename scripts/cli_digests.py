@@ -7,8 +7,8 @@ The check set is
   - `kz monodromy` for S3 rep 1, S4 rep 2 and G(3,1,2) rep 2 at a fixed label;
   - `kz gamma` for S3 and G(2,1,2) at one integral label each.
 
-Each command runs as a fresh `python -m reflekt.cli` process with the cache
-off; a line is `<sha256 of stdout> <exit code> <command>`.
+Each command runs as a fresh `python -m reflekt.cli` process with every
+`REFLEKT_*` variable unset; a line is `<sha256 of stdout> <exit code> <command>`.
 
     python3 scripts/cli_digests.py                  # this checkout's src/
     python3 scripts/cli_digests.py OTHER/src        # another tree's src/
@@ -53,7 +53,7 @@ def digests(src: str) -> list[str]:
     lines = []
     for cmd in commands():
         proc = subprocess.run(
-            [sys.executable, "-m", "reflekt.cli", "--no-cache", *cmd],
+            [sys.executable, "-m", "reflekt.cli", *cmd],
             env=env, capture_output=True, cwd=ROOT,
         )
         digest = hashlib.sha256(proc.stdout).hexdigest()

@@ -8,8 +8,8 @@ roots of unity.  The finished table is validated by exact row and column
 orthogonality and any inconsistency raises - there is no approximate fallback.
 
 Row order is canonical: by degree, then lexicographically on the numerically
-embedded values (exact JSON as the final tiebreak), so cached tables and
-cross-run row references are stable.
+embedded values (exact JSON as the final tiebreak), so cross-run row
+references are stable.
 """
 from __future__ import annotations
 

@@ -1,31 +1,25 @@
-"""Command-line front end: JSON emission and a content-addressed cache.
+"""Command-line front end: one canonical-JSON document per subcommand.
 
 Every subcommand prints exactly one canonical-JSON document on stdout
 (sorted keys, tight separators, trailing newline) and reserves stderr for
 diagnostics.  Exit codes: 0 success / verifications passed, 1 verification
 failure, 2 usage or input error.  The emitted document embeds the resolved
-run configuration (minus cache settings, so cache on/off cannot change
-output bytes) and the algorithm version string.
+run configuration and the algorithm version string.
 
-Cache entries live under REFLEKT_CACHE (or --cache), keyed by a hash of the
-canonical descriptor, artifact kind and algorithm version; a file: descriptor
-also carries a hash of its generator matrices, so editing the file misses.
-Entries are revalidated on load and discarded with a warning when corrupt.
+Each run computes from scratch: build the group, then its character table,
+then the fake degrees.  Nothing is stored on or read back from disk.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 from . import ALGORITHM_VERSION
-from .exact import CycNum
 from .groups import GroupBuildError, build_group
-from .chars import CharacterTable, ClassFunction, character_table
+from .chars import character_table
 from .fake import (
     FakeDegreeSet,
     palindrome_check,
@@ -55,10 +49,8 @@ class RunConfig:
     max_order: int = 50_000
     seed: int = 0
     output: str | None = None
-    cache_dir: str | None = None
 
     def echo(self) -> dict:
-        # cache settings deliberately omitted: they must not affect output bytes
         return {
             "descriptor": self.descriptor,
             "subcommand": self.subcommand,
@@ -75,99 +67,6 @@ def canonical_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-class Cache:
-    def __init__(self, directory: str | None):
-        self.directory = directory
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, key + ".json")
-
-    @staticmethod
-    def key(descriptor: str, kind: str) -> str:
-        blob = canonical_json(
-            {"descriptor": descriptor, "kind": kind, "version": ALGORITHM_VERSION}
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def lookup(self, descriptor: str, kind: str):
-        if not self.directory:
-            return None
-        path = self._path(self.key(descriptor, kind))
-        try:
-            with open(path) as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"warning: discarding corrupt cache entry {path}: {exc}", file=sys.stderr)
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-
-    def store(self, descriptor: str, kind: str, payload) -> None:
-        if not self.directory:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        path = self._path(self.key(descriptor, kind))
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(canonical_json(payload))
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-
-def _cache_name(g) -> str:
-    """The descriptor a group's cache entries are keyed on.
-
-    A file: path can hold different generators from one run to the next, so
-    its name also carries a SHA-256 of the canonical generator matrices.
-    """
-    name = g.descriptor.canonical()
-    if g.descriptor.kind == "file":
-        gens = [[[x.to_json() for x in row] for row in m] for m in g.generator_matrices]
-        name += "#" + hashlib.sha256(canonical_json(gens).encode()).hexdigest()
-    return name
-
-
-def _table_payload(table: CharacterTable) -> dict:
-    return table.to_json()
-
-
-def _table_from_payload(g, payload) -> CharacterTable:
-    rows = [
-        ClassFunction(g, tuple(CycNum.from_json(v) for v in row))
-        for row in payload["rows"]
-    ]
-    # The constructor re-runs the exact orthogonality checks: a corrupt entry
-    # cannot survive the revalidation.
-    return CharacterTable(g, rows)
-
-
-def cached_character_table(g, cache: Cache) -> CharacterTable:
-    descriptor = _cache_name(g)
-    payload = cache.lookup(descriptor, "chartable")
-    if payload is not None:
-        try:
-            return _table_from_payload(g, payload)
-        except Exception as exc:  # noqa: BLE001 - any corruption means recompute
-            print(f"warning: cached table failed revalidation: {exc}", file=sys.stderr)
-    table = character_table(g)
-    cache.store(descriptor, "chartable", _table_payload(table))
-    return table
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -175,15 +74,17 @@ def _build(cfg: RunConfig):
     return build_group(cfg.descriptor, max_order=cfg.max_order)
 
 
-def cmd_group(cfg: RunConfig, cache: Cache) -> tuple[int, dict]:
+def _fake_set(cfg: RunConfig) -> FakeDegreeSet:
     g = _build(cfg)
-    return 0, g.info()
+    return FakeDegreeSet(g, character_table(g))
 
 
-def cmd_chars(cfg: RunConfig, cache: Cache) -> tuple[int, dict]:
-    g = _build(cfg)
-    table = cached_character_table(g, cache)
-    return 0, table.to_json()
+def cmd_group(cfg: RunConfig) -> tuple[int, dict]:
+    return 0, _build(cfg).info()
+
+
+def cmd_chars(cfg: RunConfig) -> tuple[int, dict]:
+    return 0, character_table(_build(cfg)).to_json()
 
 
 def _fake_payload(fs: FakeDegreeSet) -> list:
@@ -197,24 +98,8 @@ def _fake_payload(fs: FakeDegreeSet) -> list:
     ]
 
 
-def cmd_fake(cfg: RunConfig, cache: Cache, csv_path: str | None) -> tuple[int, dict]:
-    g = _build(cfg)
-    table = cached_character_table(g, cache)
-    name = _cache_name(g)
-    payload = cache.lookup(name, "fake")
-    if payload is not None:
-        degrees = [row.degree_int() for row in table.rows]
-        ok = [item["degree"] for item in payload] == degrees and all(
-            item["rep_index"] == i and sum(item["fake_degree"]["coefficients"]) == item["degree"]
-            for i, item in enumerate(payload)
-        )
-        if not ok:
-            print("warning: cached fake degrees failed revalidation", file=sys.stderr)
-            payload = None
-    if payload is None:
-        fs = FakeDegreeSet(g, table)
-        payload = _fake_payload(fs)
-        cache.store(name, "fake", payload)
+def cmd_fake(cfg: RunConfig, csv_path: str | None) -> tuple[int, dict]:
+    payload = _fake_payload(_fake_set(cfg))
     if csv_path:
         _write_fake_csv(csv_path, payload)
     return 0, {"reps": payload}
@@ -240,12 +125,10 @@ def _write_fake_csv(path: str, payload) -> None:
 VERIFY_KINDS = ("pn", "symmetry", "palindrome", "poincare")
 
 
-def cmd_verify(cfg: RunConfig, cache: Cache, kind: str) -> tuple[int, dict]:
+def cmd_verify(cfg: RunConfig, kind: str) -> tuple[int, dict]:
     if kind not in VERIFY_KINDS:
         raise UsageError(f"unknown verification {kind!r}; pick from {VERIFY_KINDS}")
-    g = _build(cfg)
-    table = cached_character_table(g, cache)
-    fs = FakeDegreeSet(g, table)
+    fs = _fake_set(cfg)
     if kind == "pn":
         report = verify_all_pn(fs)
     elif kind == "symmetry":
@@ -257,10 +140,8 @@ def cmd_verify(cfg: RunConfig, cache: Cache, kind: str) -> tuple[int, dict]:
     return (0 if report["passed"] else 1), {"verification": kind, "report": report}
 
 
-def cmd_minmat(cfg: RunConfig, cache: Cache, rep: int) -> tuple[int, dict]:
-    g = _build(cfg)
-    table = cached_character_table(g, cache)
-    fs = FakeDegreeSet(g, table)
+def cmd_minmat(cfg: RunConfig, rep: int) -> tuple[int, dict]:
+    fs = _fake_set(cfg)
     if not 0 <= rep < len(fs.table.rows):
         raise UsageError(f"--rep must be in [0, {len(fs.table.rows)})")
     mm = build_minimal_matrix(fs, rep, seed=cfg.seed)
@@ -284,16 +165,14 @@ def _kz_settings(cfg: RunConfig):
     return KZSettings(rtol=KZ_RTOL, hecke_tol=KZ_HECKE_TOL, match_tol=KZ_MATCH_TOL, seed=cfg.seed)
 
 
-def cmd_kz_monodromy(cfg: RunConfig, cache: Cache, rep: int, k_json: str) -> tuple[int, dict]:
+def cmd_kz_monodromy(cfg: RunConfig, rep: int, k_json: str) -> tuple[int, dict]:
     from .kz import KZError, LabelVector, monodromy_rep
 
-    g = _build(cfg)
-    table = cached_character_table(g, cache)
-    fs = FakeDegreeSet(g, table)
+    fs = _fake_set(cfg)
     if not 0 <= rep < len(fs.table.rows):
         raise UsageError(f"--rep must be in [0, {len(fs.table.rows)})")
     try:
-        k = LabelVector.from_json(json.loads(k_json), g)
+        k = LabelVector.from_json(json.loads(k_json), fs.group)
     except (json.JSONDecodeError, KZError) as exc:
         raise UsageError(f"bad label vector: {exc}")
     try:
@@ -306,14 +185,12 @@ def cmd_kz_monodromy(cfg: RunConfig, cache: Cache, rep: int, k_json: str) -> tup
     return (0 if payload["passed"] else 1), payload
 
 
-def cmd_kz_gamma(cfg: RunConfig, cache: Cache, k_json: str) -> tuple[int, dict]:
+def cmd_kz_gamma(cfg: RunConfig, k_json: str) -> tuple[int, dict]:
     from .kz import KZError, LabelVector, gamma_permutation
 
-    g = _build(cfg)
-    table = cached_character_table(g, cache)
-    fs = FakeDegreeSet(g, table)
+    fs = _fake_set(cfg)
     try:
-        k = LabelVector.from_json(json.loads(k_json), g)
+        k = LabelVector.from_json(json.loads(k_json), fs.group)
     except (json.JSONDecodeError, KZError) as exc:
         raise UsageError(f"bad label vector: {exc}")
     try:
@@ -334,8 +211,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-order", type=int, default=None, help="element cap (REFLEKT_MAX_ORDER)")
     p.add_argument("--seed", type=int, default=None, help="determinism seed (REFLEKT_SEED)")
-    p.add_argument("--cache", default=None, help="cache directory (REFLEKT_CACHE)")
-    p.add_argument("--no-cache", action="store_true", help="disable the cache")
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -388,33 +263,30 @@ def run(argv: list[str]) -> int:
     try:
         max_order = args.max_order if args.max_order is not None else _env_int("REFLEKT_MAX_ORDER", 50_000)
         seed = args.seed if args.seed is not None else _env_int("REFLEKT_SEED", 0)
-        cache_dir = None if args.no_cache else (args.cache or os.environ.get("REFLEKT_CACHE"))
         cfg = RunConfig(
             descriptor=getattr(args, "descriptor", ""),
             subcommand=args.command,
             max_order=max_order,
             seed=seed,
             output=args.output,
-            cache_dir=cache_dir,
         )
-        cache = Cache(cfg.cache_dir)
         if args.command == "group":
-            code, payload = cmd_group(cfg, cache)
+            code, payload = cmd_group(cfg)
         elif args.command == "chars":
-            code, payload = cmd_chars(cfg, cache)
+            code, payload = cmd_chars(cfg)
         elif args.command == "fake":
-            code, payload = cmd_fake(cfg, cache, args.csv)
+            code, payload = cmd_fake(cfg, args.csv)
         elif args.command == "verify":
             cfg.subcommand = f"verify.{args.kind}"
-            code, payload = cmd_verify(cfg, cache, args.kind)
+            code, payload = cmd_verify(cfg, args.kind)
         elif args.command == "minmat":
-            code, payload = cmd_minmat(cfg, cache, args.rep)
+            code, payload = cmd_minmat(cfg, args.rep)
         elif args.command == "kz" and args.kz_command == "monodromy":
             cfg.subcommand = "kz.monodromy"
-            code, payload = cmd_kz_monodromy(cfg, cache, args.rep, args.k)
+            code, payload = cmd_kz_monodromy(cfg, args.rep, args.k)
         elif args.command == "kz" and args.kz_command == "gamma":
             cfg.subcommand = "kz.gamma"
-            code, payload = cmd_kz_gamma(cfg, cache, args.k)
+            code, payload = cmd_kz_gamma(cfg, args.k)
         else:  # pragma: no cover
             raise UsageError(f"unknown command {args.command}")
     except (UsageError, GroupBuildError) as exc:

@@ -77,6 +77,10 @@ RHO = 0.5  # series step length over the distance to the nearest pole
 GROWTH = 4.0  # bound on the step length times sum_H ||A_H||/|d_H|
 TINY = 2.0 ** -52  # a series step ends on 3 consecutive terms this small
 TERM_BUDGET = 100_000  # series terms per path (degree >= 2)
+# every ordering of l eigenvalues, l <= MAX_REP_DEGREE: at most 4! = 24 rows
+PERMUTATIONS = {
+    l: np.array(list(itertools.permutations(range(l)))) for l in range(1, MAX_REP_DEGREE + 1)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +454,12 @@ def _check_residue_spectra(block: ConnectionBlock) -> None:
             c = g.orbit_of_hyperplane[h]
             e = g.hyperplanes[h].order
             target[b, h] = np.repeat([e * v for v in k.values[c]], local[row].multiplicities[c])
-    # complex sort is lexicographic in (real, imag)
-    got = np.sort(np.linalg.eigvals(block.residues), axis=-1)
-    if np.max(np.abs(got - np.sort(target, axis=-1))) > 1e-8:
+    # Compare as multisets: the best matching over all orderings of the
+    # computed eigenvalues.  Sorting both would not do, since numpy sorts
+    # complex values by (real, imag) and rounding in equal real parts reorders them.
+    got = np.linalg.eigvals(block.residues)[..., PERMUTATIONS[target.shape[-1]]]
+    distance = np.max(np.abs(got - target[..., None, :]), axis=-1).min(axis=-1)
+    if np.max(distance) > 1e-8:
         raise KZError("residue spectrum mismatches the local data")
 
 

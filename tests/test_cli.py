@@ -139,38 +139,6 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_cache_roundtrip_and_byte_identity(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    _, plain, _ = run_capture(capsys, ["--no-cache", "chars", "G(2,1,2)"])
-    code, first, _ = run_capture(capsys, ["--cache", str(cache), "chars", "G(2,1,2)"])
-    assert code == 0
-    entries = list(cache.glob("*.json"))
-    assert entries, "cache store happened"
-    code, second, err = run_capture(capsys, ["--cache", str(cache), "chars", "G(2,1,2)"])
-    assert code == 0
-    assert first == second == plain  # hit and cache on/off are byte-identical
-
-
-def test_cache_corrupt_entry_recovers(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    run_capture(capsys, ["--cache", str(cache), "chars", "S3"])
-    entry = next(cache.glob("*.json"))
-    entry.write_text("{broken")
-    code, out, err = run_capture(capsys, ["--cache", str(cache), "chars", "S3"])
-    assert code == 0
-    assert "corrupt" in err or "revalidation" in err
-
-
-def test_cache_version_bump_misses(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    run_capture(capsys, ["--cache", str(cache), "chars", "S3"])
-    n_before = len(list(cache.glob("*.json")))
-    monkeypatch.setattr(cli_mod, "ALGORITHM_VERSION", "reflekt-test/alg2")
-    code, out, err = run_capture(capsys, ["--cache", str(cache), "chars", "S3"])
-    assert code == 0
-    assert len(list(cache.glob("*.json"))) > n_before
-
-
 def test_file_descriptor_via_cli(capsys, tmp_path):
     from reflekt.groups import build_group
 
@@ -190,16 +158,15 @@ def test_file_descriptor_via_cli(capsys, tmp_path):
 def test_file_descriptor_bad_entries_exit_2(capsys, tmp_path, data):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(data))
-    code, out, err = run_capture(capsys, ["--no-cache", "group", f"file:{path}"])
+    code, out, err = run_capture(capsys, ["group", f"file:{path}"])
     assert code == 2
     assert out == ""
     assert err.startswith("error: generator")
 
 
-def test_cache_misses_after_file_group_changes(capsys, tmp_path):
+def test_fake_rereads_an_edited_file_group(capsys, tmp_path):
     from reflekt.groups import build_group
 
-    cache = tmp_path / "cache"
     path = tmp_path / "gens.json"
 
     def write_generators(descriptor):
@@ -209,11 +176,60 @@ def test_cache_misses_after_file_group_changes(capsys, tmp_path):
 
     argv = ["fake", f"file:{path}"]
     write_generators("G(3,1,1)")
-    code, _, _ = run_capture(capsys, ["--cache", str(cache)] + argv)
+    code, first, _ = run_capture(capsys, argv)
     assert code == 0
+    assert len(json.loads(first)["result"]["reps"]) == 3
     write_generators("G(2,1,2)")
-    code, cached, _ = run_capture(capsys, ["--cache", str(cache)] + argv)
-    _, plain, _ = run_capture(capsys, ["--no-cache"] + argv)
+    code, second, _ = run_capture(capsys, argv)
     assert code == 0
-    assert cached == plain
-    assert len(json.loads(plain)["result"]["reps"]) == 5
+    assert len(json.loads(second)["result"]["reps"]) == 5
+
+
+@pytest.mark.parametrize("flag", ["--cache", "--no-cache"])
+def test_cache_flags_are_gone(capsys, tmp_path, flag):
+    argv = [flag, str(tmp_path / "cache")] if flag == "--cache" else [flag]
+    code, out, err = run_capture(capsys, [*argv, "chars", "S3"])
+    assert code == 2
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_env_writes_nothing(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REFLEKT_CACHE", str(cache))
+    code, _, _ = run_capture(capsys, ["chars", "S3"])
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_file_carries_the_stdout_bytes(capsys, tmp_path):
+    _, stdout_text, _ = run_capture(capsys, ["fake", "S3"])
+    path = tmp_path / "out.json"
+    code, out, _ = run_capture(capsys, ["--output", str(path), "fake", "S3"])
+    assert code == 0
+    assert out == ""
+    assert path.read_bytes() == stdout_text.encode()
+
+
+@pytest.mark.parametrize("name, value", [("REFLEKT_SEED", "abc"), ("REFLEKT_MAX_ORDER", "x")])
+def test_non_integer_env_exits_2(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run_capture(capsys, ["group", "S3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be an integer")
+
+
+def test_env_seed_is_echoed(capsys, monkeypatch):
+    monkeypatch.setenv("REFLEKT_SEED", "3")
+    code, out, _ = run_capture(capsys, ["group", "S3"])
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 3
+
+
+def test_kz_monodromy_residue_spectrum_ignores_eigenvalue_order(capsys):
+    # the computed eigenvalues 0 and -2i share their real part up to rounding,
+    # so a lexicographic sort may order them either way
+    code, out, err = run_capture(capsys, ["kz", "monodromy", "S3", "--rep", "2", "--k", '{"0":[[0,-1],0]}'])
+    assert code == 0, err
+    assert json.loads(out)["result"]["passed"] is True
