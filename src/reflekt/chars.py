@@ -4,8 +4,14 @@ The table is computed with the classical Burnside-Dixon method: the class
 constant matrices are simultaneously diagonalized over a prime field F_p with
 p = 1 (mod exponent(W)), p not dividing |W| and p > 2*sqrt(|W|); eigenvalue
 multiplicities of each element recover the character values as exact sums of
-roots of unity.  The finished table is validated by exact row and column
-orthogonality and any inconsistency raises - there is no approximate fallback.
+roots of unity: all multiplicities of a class are read off at once, and each
+value is built once, at the group conductor.  The finished table is certified
+by exact row and column orthogonality at every pair, and any inconsistency
+raises - there is no approximate fallback.  The certificate runs on the packed
+Z[zeta_N] kernel `exact.weighted_sums`: character values are algebraic
+integers, so each is packed into one Python int and every Hermitian product
+sum_c |c| chi(c) conj(psi(c)) is r big-integer multiply-adds, reduced modulo
+Phi_N once.  ClassFunction.inner (and so norm()) uses the same product.
 
 Row order is canonical: by degree, then lexicographically on the numerically
 embedded values (exact JSON as the final tiebreak), so cross-run row
@@ -16,14 +22,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
+from operator import mul
 
-from .exact import CycNum
+from .exact import CycNum, weighted_sums
 from .groups import ReflectionGroup
 from .linalg import _fp_det, _fp_nullspace, _fp_rref, _is_prime, _primitive_root_power
 
 
 class CharTableError(Exception):
     """Internal failure of the character table computation."""
+
+
+def _hermitian_products(weights, xs, ys, pairs) -> list[CycNum]:
+    """sum_k weights[k] xs[i][k] conj(ys[j][k]) for each (i, j) in pairs, on
+    the packed kernel `exact.weighted_sums`; each ys value is conjugated once."""
+    N = lcm(*(v.N for vec in (*xs, *ys) for v in vec))
+    conj = [[(v.conjugate(),) for v in vec] for vec in ys]
+    return [acc for (acc,) in weighted_sums(N, weights, xs, conj, pairs)]
 
 
 @dataclass(frozen=True)
@@ -47,11 +62,11 @@ class ClassFunction:
         return int(d.as_fraction())
 
     def inner(self, other: ClassFunction) -> CycNum:
+        """(1/|W|) sum_c |c| self(c) conj(other(c)); the values must be
+        algebraic integers (ExactError otherwise), as character values are."""
         g = self.group
-        acc = CycNum.zero()
-        for idx, cls in enumerate(g.classes):
-            acc = acc + self.values[idx] * other.values[idx].conjugate() * cls.size
-        return acc / g.order
+        sizes = [c.size for c in g.classes]
+        return _hermitian_products(sizes, [self.values], [other.values], [(0, 0)])[0] / g.order
 
     def norm(self) -> CycNum:
         return self.inner(self)
@@ -92,25 +107,42 @@ class CharacterTable:
         self._validate()
 
     def _validate(self) -> None:
+        """The exact certificate: one row per class, squared degrees summing
+        to |W|, and row and column orthogonality at every pair.
+
+        With X the table and D = diag(|c|), X D X* = |W| I holds exactly when
+        X* X = |W| D^-1 does, since X is square; so a wrong table fails both
+        relations, and each is checked in full.
+        """
         g = self.group
         if len(self.rows) != len(g.classes):
             raise CharTableError("row count differs from class count")
         if sum(r.degree_int() ** 2 for r in self.rows) != g.order:
             raise CharTableError("sum of squared degrees != |W|")
-        # Each row is conjugated once, not once per pair as inner() would.
-        conj = [[v.conjugate() for v in r.values] for r in self.rows]
+        self._check_rows()
+        self._check_columns()
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        r = len(self.rows)
+        return [(i, j) for i in range(r) for j in range(i, r)]
+
+    def _check_rows(self) -> None:
+        g = self.group
+        rows = [row.values for row in self.rows]
         sizes = [c.size for c in g.classes]
-        for i, ri in enumerate(self.rows):
-            for j in range(i, len(self.rows)):
-                acc = sum((x * y * k for x, y, k in zip(ri.values, conj[j], sizes)), CycNum.zero())
-                if acc != (g.order if i == j else 0):
-                    raise CharTableError(f"row orthogonality fails at ({i},{j})")
-        for ci in range(len(g.classes)):
-            for cj in range(ci, len(g.classes)):
-                acc = sum((r.values[ci] * rc[cj] for r, rc in zip(self.rows, conj)), CycNum.zero())
-                want = Fraction(g.order, g.classes[ci].size) if ci == cj else 0
-                if acc != want:
-                    raise CharTableError(f"column orthogonality fails at ({ci},{cj})")
+        pairs = self._pairs()
+        for (i, j), acc in zip(pairs, _hermitian_products(sizes, rows, rows, pairs)):
+            if acc != (g.order if i == j else 0):
+                raise CharTableError(f"row orthogonality fails at ({i},{j})")
+
+    def _check_columns(self) -> None:
+        g = self.group
+        cols = list(zip(*(row.values for row in self.rows)))
+        pairs = self._pairs()
+        for (ci, cj), acc in zip(pairs, _hermitian_products([1] * len(cols), cols, cols, pairs)):
+            want = Fraction(g.order, g.classes[ci].size) if ci == cj else 0
+            if acc != want:
+                raise CharTableError(f"column orthogonality fails at ({ci},{cj})")
 
     def row_index(self, f: ClassFunction) -> int:
         for i, r in enumerate(self.rows):
@@ -221,6 +253,18 @@ def character_table(g: ReflectionGroup) -> CharacterTable:
 
     id_class = g.class_of[g.identity]
     inv_class = g.inverse_class
+    # Row-independent, per class of element order m: the classes of the
+    # powers rep^s, and the inverse DFT matrix zeta_m^(-t s) mod p, s, t < m.
+    powers = []
+    for cls in g.classes:
+        m = g.element_orders[cls.rep]
+        zm = pow(z, exponent // m, p)
+        cur, seq = g.identity, []
+        for _ in range(m):
+            seq.append(g.class_of[cur])
+            cur = g.mult(cur, cls.rep)
+        powers.append((m, seq, [[pow(zm, -t * s % m, p) for s in range(m)] for t in range(m)]))
+    N = g.conductor  # m | exponent | conductor
     rows: list[ClassFunction] = []
     for (vec,) in spaces:
         if vec[id_class] % p == 0:
@@ -241,27 +285,15 @@ def character_table(g: ReflectionGroup) -> CharacterTable:
             deg * omega[j] % p * pow(g.classes[j].size, p - 2, p) % p for j in range(r)
         ]
         values = []
-        for j, cls in enumerate(g.classes):
-            m = g.element_orders[cls.rep]
-            zm = pow(z, exponent // m, p)
+        for m, seq, dft in powers:
             minv = pow(m, p - 2, p)
-            val = CycNum.zero(g.conductor)  # m | exponent | conductor
-            total = 0
-            for t in range(m):
-                acc = 0
-                cur = g.identity
-                for s_pow in range(m):
-                    acc += chi_mod[g.class_of[cur]] * pow(zm, (-t * s_pow) % m, p)
-                    cur = g.mult(cur, cls.rep)
-                mult = acc * minv % p
-                if mult > deg:
-                    raise CharTableError("eigenvalue multiplicity exceeds degree (bug)")
-                total += mult
-                if mult:
-                    val = val + mult * CycNum.zeta(m, t)
-            if total != deg:
+            chi_pows = [chi_mod[c] for c in seq]
+            mults = [sum(map(mul, chi_pows, row)) * minv % p for row in dft]
+            if max(mults) > deg:
+                raise CharTableError("eigenvalue multiplicity exceeds degree (bug)")
+            if sum(mults) != deg:
                 raise CharTableError("eigenvalue multiplicities do not sum to degree")
-            values.append(val.promote(g.conductor))
+            values.append(CycNum(N, {t * (N // m): k for t, k in enumerate(mults) if k}))
         rows.append(ClassFunction(g, tuple(values)))
 
     rows.sort(key=_row_sort_key)

@@ -108,18 +108,25 @@ def cmd_fake(cfg: RunConfig, csv_path: str | None) -> tuple[int, dict]:
 def _write_fake_csv(path: str, payload) -> None:
     import csv
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep_index", "degree", "coefficients", "exponents"])
-        for item in payload:
-            writer.writerow(
-                [
-                    item["rep_index"],
-                    item["degree"],
-                    " ".join(str(c) for c in item["fake_degree"]["coefficients"]),
-                    " ".join(str(e) for e in item["fake_degree"]["exponents"]),
-                ]
-            )
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["rep_index", "degree", "coefficients", "exponents"])
+            for item in payload:
+                writer.writerow(
+                    [
+                        item["rep_index"],
+                        item["degree"],
+                        " ".join(str(c) for c in item["fake_degree"]["coefficients"]),
+                        " ".join(str(e) for e in item["fake_degree"]["exponents"]),
+                    ]
+                )
+    except OSError as exc:
+        raise UsageError(_write_error(path, exc)) from None
+
+
+def _write_error(path: str, exc: OSError) -> str:
+    return f"cannot write {path}: {exc.strerror or exc}"
 
 
 VERIFY_KINDS = ("pn", "symmetry", "palindrome", "poincare")
@@ -300,8 +307,12 @@ def run(argv: list[str]) -> int:
     }
     text = canonical_json(document)
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {_write_error(cfg.output, exc)}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

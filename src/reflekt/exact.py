@@ -23,6 +23,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 RatLike = int | Fraction
@@ -384,6 +385,109 @@ ONE = CycNum.one()
 
 def as_cyc(x: CycNum | RatLike) -> CycNum:
     return x if isinstance(x, CycNum) else CycNum.rational(x)
+
+
+# ---------------------------------------------------------------------------
+# weighted sums of products in Z[zeta_N] on packed integers
+# ---------------------------------------------------------------------------
+
+def integral_coefficients(x: CycNum, N: int) -> dict[int, int]:
+    """The nonzero power-basis coefficients of x at conductor N, as ints.
+
+    N must be a multiple of x.N.  Raises ExactError when a coefficient is not
+    an integer, i.e. when x is not an algebraic integer.
+    """
+    out = {}
+    for e, c in x.promote(N).coeffs.items():
+        if c.denominator != 1:
+            raise ExactError(f"{x!r} is not an algebraic integer")
+        out[e] = c.numerator
+    return out
+
+
+def weighted_sums(
+    N: int,
+    weights: Sequence[int],
+    left: Sequence[Sequence[CycNum]],
+    right: Sequence[Sequence[Sequence[CycNum]]],
+    pairs: Iterable[tuple[int, int]],
+) -> list[list[CycNum]]:
+    """S(i, j)_t = sum_k weights[k] * left[i][k] * right[j][k][t] for each
+    (i, j) in pairs and each block t, exactly, in Q(zeta_N).
+
+    Each right[j][k] is a sequence of blocks (one CycNum, or the coefficients
+    of a polynomial in T); the result holds one CycNum per block, at label N.
+
+    Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009): every
+    value becomes its integer power-basis coefficients a_0..a_{phi-1}, and
+    those become one Python int sum_e a_e X^e at X = 2^bits.  Block t of a
+    right entry starts at slot t*(2 phi - 1), so the product of a left and a
+    right entry holds the unreduced convolution of each block in its own 2
+    phi - 1 slots, and S(i, j) is len(weights) big-integer multiply-adds.
+    Its balanced base-X digits are the coefficients of sum_k w_k a_k b_k
+    before reduction modulo Phi_N, which `_reduce` then does exactly.
+
+    Slot width.  A coefficient of the unreduced product a*b is a sum of some
+    a_e b_f, so its size is at most |a|_1 |b|_1 (l1 norms of the coefficient
+    vectors), and every digit of every S(i, j) is at most
+    bound = sum_k |w_k| max_i |left[i][k]|_1 max_{j,t} |right[j][k][t]|_1.
+    Slots are whole bytes with bound < 2^(bits-1), so balanced digits in
+    [-2^(bits-1), 2^(bits-1)) hold them and no carry crosses a slot; a carry
+    left over after the last slot raises ExactError, as does a non-integral
+    coefficient.  Nothing falls back to CycNum arithmetic.
+
+    Integrality.  The ring of integers of Q(zeta_N) is Z[zeta_N], and the
+    power basis 1, zeta, .., zeta^(phi(N)-1) is an integral basis of it, so an
+    element has integer coefficients exactly when it is an algebraic integer.
+    Character values are sums of roots of unity, and so are their complex
+    conjugates: algebraic integers.  det(1 - T c) = prod (1 - lambda T) over
+    the eigenvalues lambda of c has algebraic-integer coefficients and
+    constant term 1, so its inverse power series needs no division and has
+    algebraic-integer coefficients; so has the coinvariant graded trace
+    G_c = prod (1 - T^d_i) / det(1 - T c).  Every value the callers (the
+    character table certificate, the fake degrees, ClassFunction.inner) pass
+    here is therefore integral, and ExactError means a bug upstream.
+    """
+    phi = euler_phi(N)
+    stride = 2 * phi - 1
+    lc = [[integral_coefficients(x, N) for x in vec] for vec in left]
+    rc = [[[integral_coefficients(x, N) for x in blocks] for blocks in vec] for vec in right]
+    nblocks = max((len(blocks) for vec in rc for blocks in vec), default=0)
+    nslots = nblocks * stride
+
+    def l1(c: dict[int, int]) -> int:
+        return sum(map(abs, c.values()))
+
+    bound = sum(
+        abs(w)
+        * max((l1(vec[k]) for vec in lc), default=0)
+        * max((l1(c) for vec in rc for c in vec[k]), default=0)
+        for k, w in enumerate(weights)
+    )
+    size = (bound.bit_length() + 8) // 8  # bytes per slot, bound < 2^(8 size - 1)
+    bits = 8 * size
+    half = 1 << (bits - 1)
+    # Adding half to every slot turns balanced digits into plain bytes; a
+    # carry left over shows as a biased sum outside [0, 2^(bits nslots)).
+    offset = half * ((1 << bits * nslots) - 1) // ((1 << bits) - 1)
+
+    def pack(c: dict[int, int], base: int = 0) -> int:
+        return sum(v << bits * (base + e) for e, v in c.items())
+
+    lp = [[w * pack(c) for w, c in zip(weights, vec)] for vec in lc]
+    rp = [[sum(pack(c, t * stride) for t, c in enumerate(blocks)) for blocks in vec] for vec in rc]
+    out = []
+    for i, j in pairs:
+        biased = sum(map(mul, lp[i], rp[j])) + offset
+        if biased < 0 or biased >> bits * nslots:
+            raise ExactError("a packed sum overflowed its slots")
+        data = biased.to_bytes(nslots * size, "little")
+        coeffs = [int.from_bytes(data[s : s + size], "little") - half for s in range(0, len(data), size)]
+        out.append([
+            CycNum._make(N, _reduce(N, dict(enumerate(coeffs[t * stride : (t + 1) * stride]))))
+            for t in range(nblocks)
+        ])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ coinvariant algebra, the class-weighted sum
     G_c(T) = prod_i (1 - T^{d_i}) / det_V(1 - T c),
 
 of the coinvariant graded traces G_c, polynomials of degree <= #reflections
-that the group computes once per class (`class_coinvariant_traces`).  F_chi is
-asserted to be a polynomial with nonnegative integer coefficients summing to
-chi(1).  R_chi denotes the fake degree of the complex-conjugate character.
+that the group computes once per class (`class_coinvariant_traces`).  The class
+sums run on the packed Z[zeta_N] kernel `exact.weighted_sums`: each G_c is
+packed once per table into one Python int, a block of 2 phi(N) - 1 slots per
+power of T, so the fake degree of a row is r big-integer products, reduced
+modulo Phi_N once per power of T.  F_chi is asserted to be a polynomial with
+nonnegative integer coefficients summing to chi(1), with exponents in
+[0, #R].  R_chi denotes the fake degree of the complex-conjugate character.
 
 All verifiers return JSON-ready dicts with a top-level "passed" flag; the one
 unconditional identity (T^{#R} R_chi(1/T) = F_{chi (x) det}) raises instead of
@@ -20,8 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .exact import CycNum, ExactError, PolyT, poly_divide_exact, poly_one_minus_Tk
+from .exact import (
+    CycNum,
+    ExactError,
+    PolyT,
+    poly_divide_exact,
+    poly_one_minus_Tk,
+    weighted_sums,
+)
 from .groups import ReflectionGroup
 from .chars import (
     CharacterTable,
@@ -73,16 +85,23 @@ def coinvariant_poincare(g: ReflectionGroup) -> PolyT:
     return p
 
 
-def _fake_degree_from_values(g: ReflectionGroup, values) -> PolyT:
-    acc = PolyT([])
-    for idx, cls in enumerate(g.classes):
-        acc = acc + g.class_coinvariant_traces[idx] * (values[idx] * cls.size)
-    return acc * Fraction(1, g.order)
+def _class_sums(g: ReflectionGroup, rows) -> list[PolyT]:
+    """(1/|W|) sum_c |c| chi(c) G_c for each value vector chi in rows.
+
+    One call to the packed kernel `exact.weighted_sums`: every G_c is packed
+    once, a block of 2 phi(N) - 1 slots per power of T, so each class sum is r
+    big-integer products.  Coefficients stay at the label N of the traces
+    (the group conductor, or the lcm with the labels of the values).
+    """
+    N = lcm(g.conductor, *(v.N for vals in rows for v in vals))
+    sizes = [c.size for c in g.classes]
+    traces = [[t.coeffs for t in g.class_coinvariant_traces]]
+    scale = Fraction(1, g.order)
+    sums = weighted_sums(N, sizes, rows, traces, [(i, 0) for i in range(len(rows))])
+    return [PolyT([c * scale for c in s]) for s in sums]
 
 
-def fake_degree(g: ReflectionGroup, chi: ClassFunction) -> FakeDegree:
-    """Fake degree of a character; sums constituents when chi is reducible."""
-    poly = _fake_degree_from_values(g, chi.values)
+def _checked_fake_degree(g: ReflectionGroup, chi: ClassFunction, poly: PolyT) -> FakeDegree:
     exps = poly.exponents()
     deg = chi.degree_int()
     if poly.evaluate(1) != deg:
@@ -92,13 +111,19 @@ def fake_degree(g: ReflectionGroup, chi: ClassFunction) -> FakeDegree:
     return FakeDegree(polynomial=poly, exponents=tuple(exps))
 
 
+def fake_degree(g: ReflectionGroup, chi: ClassFunction) -> FakeDegree:
+    """Fake degree of a character; sums constituents when chi is reducible."""
+    return _checked_fake_degree(g, chi, _class_sums(g, [chi.values])[0])
+
+
 class FakeDegreeSet:
     """Fake degrees, local data and the conjugation permutation for a table."""
 
     def __init__(self, g: ReflectionGroup, table: CharacterTable):
         self.group = g
         self.table = table
-        self.fds = [fake_degree(g, row) for row in table.rows]
+        polys = _class_sums(g, [row.values for row in table.rows])
+        self.fds = [_checked_fake_degree(g, row, p) for row, p in zip(table.rows, polys)]
         self.local = [local_data(row, g) for row in table.rows]
         self.conj_perm = [table.row_index(row.conjugate()) for row in table.rows]
 

@@ -11,6 +11,8 @@ from reflekt.chars import (
     orbit_det_power,
     tensor_with_linear,
     trivial_character,
+    CharacterTable,
+    CharTableError,
     ClassFunction,
 )
 
@@ -52,6 +54,54 @@ def test_table_constructor_validates_corpus(built):
     # orthogonality is asserted inside the constructor; reaching here is the test
     for name, (g, t) in built.items():
         assert len(t.rows) == len(g.classes), name
+
+
+def _with_row(t, i, values):
+    rows = list(t.rows)
+    rows[i] = ClassFunction(t.group, tuple(values))
+    return rows
+
+
+def _unvalidated(g, rows):
+    out = object.__new__(CharacterTable)
+    out.group, out.rows = g, tuple(rows)
+    return out
+
+
+def test_table_check_rejects_an_entry_moved_by_a_root_of_unity(built):
+    g, t = built["G(3,1,2)"]
+    zeta = CycNum.zeta(g.conductor)
+    for i in range(len(t.rows)):
+        for c in range(len(g.classes)):
+            if c == g.class_of[g.identity]:
+                continue  # the degree checks catch that one first
+            values = list(t.rows[i].values)
+            values[c] = values[c] + zeta
+            with pytest.raises(CharTableError, match="row orthogonality"):
+                CharacterTable(g, _with_row(t, i, values))
+            with pytest.raises(CharTableError, match="column orthogonality"):
+                _unvalidated(g, _with_row(t, i, values))._check_columns()
+
+
+def test_column_check_rejects_two_entries_swapped_in_one_row(built):
+    """Swapping the values of two classes of equal size in one row keeps that
+    row's norm.  The column check, run on its own, still catches it."""
+    g, t = built["G(3,1,2)"]
+    i, c1, c2 = next(
+        (i, c1, c2)
+        for i, row in enumerate(t.rows)
+        for c1 in range(len(g.classes))
+        for c2 in range(c1 + 1, len(g.classes))
+        if g.classes[c1].size == g.classes[c2].size and row.values[c1] != row.values[c2]
+    )
+    values = list(t.rows[i].values)
+    values[c1], values[c2] = values[c2], values[c1]
+    rows = _with_row(t, i, values)
+    assert _unvalidated(g, rows).rows[i].norm() == 1
+    with pytest.raises(CharTableError, match="column orthogonality"):
+        _unvalidated(g, rows)._check_columns()
+    with pytest.raises(CharTableError):
+        CharacterTable(g, rows)
 
 
 def test_matches_regular_rep_oracle(built):

@@ -211,6 +211,22 @@ def test_output_file_carries_the_stdout_bytes(capsys, tmp_path):
     assert path.read_bytes() == stdout_text.encode()
 
 
+def test_unwritable_output_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "nodir" / "x.json"
+    code, out, err = run_capture(capsys, ["--output", str(path), "group", "S3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}")
+
+
+def test_unwritable_csv_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "nodir" / "x.csv"
+    code, out, err = run_capture(capsys, ["fake", "S3", "--csv", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}")
+
+
 @pytest.mark.parametrize("name, value", [("REFLEKT_SEED", "abc"), ("REFLEKT_MAX_ORDER", "x")])
 def test_non_integer_env_exits_2(capsys, monkeypatch, name, value):
     monkeypatch.setenv(name, value)

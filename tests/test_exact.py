@@ -12,10 +12,12 @@ from reflekt.exact import (
     PolyT,
     cyclotomic_polynomial,
     euler_phi,
+    integral_coefficients,
     poly_divide_exact,
     poly_from_ints,
     poly_one_minus_Tk,
     series_inverse,
+    weighted_sums,
 )
 from reflekt.groups import build_group
 
@@ -204,3 +206,72 @@ def test_multipoly_evaluate():
     y = MultiPoly.variable(2, 1)
     f = x * x + 3 * y
     assert f.evaluate([Fraction(2), Fraction(5)]) == 19
+
+
+# ---------------------------------------------------------------------------
+# the packed Z[zeta_N] kernel
+# ---------------------------------------------------------------------------
+
+PACK_CONDUCTORS = [1, 3, 4, 5, 8, 9, 12, 18, 24, 36]
+# small coefficients, and large ones of both signs near powers of two, so
+# balanced digits and slot edges are exercised
+pack_coeff = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([-(2**k) for k in (7, 8, 15, 16, 63, 64)] + [2**k - 1 for k in (7, 8, 63)]),
+)
+
+
+@st.composite
+def algebraic_integers(draw, N):
+    raw = draw(st.dictionaries(st.integers(0, N - 1), pack_coeff, max_size=4))
+    return CycNum(N, raw)
+
+
+@given(st.sampled_from(PACK_CONDUCTORS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_weighted_sums_match_plain_cycnum_sums(N, data):
+    k = data.draw(st.integers(1, 4))
+    nblocks = data.draw(st.integers(1, 3))
+    weights = data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=k, max_size=k))
+    left = [[data.draw(algebraic_integers(N)) for _ in range(k)] for _ in range(2)]
+    right = [
+        [[data.draw(algebraic_integers(N)) for _ in range(nblocks)] for _ in range(k)]
+        for _ in range(2)
+    ]
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    got = weighted_sums(N, weights, left, right, pairs)
+    for (i, j), sums in zip(pairs, got):
+        assert len(sums) == nblocks
+        for t, s in enumerate(sums):
+            want = sum(
+                (w * a * b[t] for w, a, b in zip(weights, left[i], right[j])), CycNum.zero(N)
+            )
+            assert s == want
+            assert s.N == N
+
+
+@pytest.mark.parametrize("b", [127, 128, 255, 256, 2**63 - 1, 2**63])
+def test_weighted_sums_at_the_slot_edges(b):
+    """Digits of exactly +-bound next to each other, at widths where the
+    bound sits just below or just at a power of two."""
+    N = 5
+    x = CycNum(N, {0: b, 1: -b, 2: b, 3: -b})
+    one = CycNum.one(N)
+    [[s0, s1]] = weighted_sums(N, [1], [[one]], [[[x, -x]]], [(0, 0)])
+    assert (s0, s1) == (x, -x)
+    [[s]] = weighted_sums(N, [-1, 1], [[x, x]], [[[x], [one]]], [(0, 0)])
+    assert s == x - x * x
+
+
+def test_integral_coefficients_promote_and_reject_fractions():
+    assert integral_coefficients(CycNum.zeta(4), 8) == {2: 1}
+    assert integral_coefficients(CycNum.zeta(3), 6) == {0: -1, 1: 1}
+    assert integral_coefficients(CycNum.rational(-7), 12) == {0: -7}
+    half = CycNum(3, {1: Fraction(1, 2)})
+    with pytest.raises(ExactError):
+        integral_coefficients(half, 3)
+    with pytest.raises(ExactError):
+        weighted_sums(3, [1], [[half]], [[[CycNum.one(3)]]], [(0, 0)])
+    with pytest.raises(ExactError):
+        weighted_sums(3, [1], [[CycNum.one(3)]], [[[half]]], [(0, 0)])
