@@ -20,11 +20,12 @@ references are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm, prod
 from operator import mul
 
-from .exact import CycNum, weighted_sums
+from .exact import CycNum, ExactError, integral_coefficients, weighted_sums
 from .groups import ReflectionGroup
 from .linalg import _fp_det, _fp_nullspace, _fp_rref, _is_prime, _primitive_root_power
 
@@ -33,12 +34,12 @@ class CharTableError(Exception):
     """Internal failure of the character table computation."""
 
 
-def _hermitian_products(weights, xs, ys, pairs) -> list[CycNum]:
-    """sum_k weights[k] xs[i][k] conj(ys[j][k]) for each (i, j) in pairs, on
-    the packed kernel `exact.weighted_sums`; each ys value is conjugated once."""
+def _products(weights, xs, ys, pairs) -> list[CycNum]:
+    """sum_k weights[k] xs[i][k] ys[j][k] for each (i, j) in pairs, on the
+    packed kernel `exact.weighted_sums`.  Hermitian products pass conjugates
+    as ys."""
     N = lcm(*(v.N for vec in (*xs, *ys) for v in vec))
-    conj = [[(v.conjugate(),) for v in vec] for vec in ys]
-    return [acc for (acc,) in weighted_sums(N, weights, xs, conj, pairs)]
+    return [acc for (acc,) in weighted_sums(N, weights, xs, [[(v,) for v in vec] for vec in ys], pairs)]
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ class ClassFunction:
         algebraic integers (ExactError otherwise), as character values are."""
         g = self.group
         sizes = [c.size for c in g.classes]
-        return _hermitian_products(sizes, [self.values], [other.values], [(0, 0)])[0] / g.order
+        conj = [v.conjugate() for v in other.values]
+        return _products(sizes, [self.values], [conj], [(0, 0)])[0] / g.order
 
     def norm(self) -> CycNum:
         return self.inner(self)
@@ -105,6 +107,7 @@ class CharacterTable:
         self.group = group
         self.rows = tuple(rows)
         self._validate()
+        self._row_of = {self._key(row): i for i, row in enumerate(self.rows)}
 
     def _validate(self) -> None:
         """The exact certificate: one row per class, squared degrees summing
@@ -112,7 +115,8 @@ class CharacterTable:
 
         With X the table and D = diag(|c|), X D X* = |W| I holds exactly when
         X* X = |W| D^-1 does, since X is square; so a wrong table fails both
-        relations, and each is checked in full.
+        relations, and each is checked in full.  Every value is conjugated
+        once, for both.
         """
         g = self.group
         if len(self.rows) != len(g.classes):
@@ -121,6 +125,11 @@ class CharacterTable:
             raise CharTableError("sum of squared degrees != |W|")
         self._check_rows()
         self._check_columns()
+
+    @cached_property
+    def _conjugates(self) -> list[list[CycNum]]:
+        """The complex conjugate of every value, row by row."""
+        return [[v.conjugate() for v in row.values] for row in self.rows]
 
     def _pairs(self) -> list[tuple[int, int]]:
         r = len(self.rows)
@@ -131,7 +140,7 @@ class CharacterTable:
         rows = [row.values for row in self.rows]
         sizes = [c.size for c in g.classes]
         pairs = self._pairs()
-        for (i, j), acc in zip(pairs, _hermitian_products(sizes, rows, rows, pairs)):
+        for (i, j), acc in zip(pairs, _products(sizes, rows, self._conjugates, pairs)):
             if acc != (g.order if i == j else 0):
                 raise CharTableError(f"row orthogonality fails at ({i},{j})")
 
@@ -139,16 +148,27 @@ class CharacterTable:
         g = self.group
         cols = list(zip(*(row.values for row in self.rows)))
         pairs = self._pairs()
-        for (ci, cj), acc in zip(pairs, _hermitian_products([1] * len(cols), cols, cols, pairs)):
+        conj = list(zip(*self._conjugates))
+        for (ci, cj), acc in zip(pairs, _products([1] * len(cols), cols, conj, pairs)):
             want = Fraction(g.order, g.classes[ci].size) if ci == cj else 0
             if acc != want:
                 raise CharTableError(f"column orthogonality fails at ({ci},{cj})")
 
+    def _key(self, f: ClassFunction) -> tuple:
+        """The integer power-basis coefficients of f's values at the group
+        conductor, where every row lives: equal values give equal keys
+        whatever their labels, as CycNum hashes do not."""
+        N = self.group.conductor
+        return tuple(tuple(sorted(integral_coefficients(v, N).items())) for v in f.values)
+
     def row_index(self, f: ClassFunction) -> int:
-        for i, r in enumerate(self.rows):
-            if all(a == b for a, b in zip(r.values, f.values)):
-                return i
-        raise KeyError("class function is not a row of the table")
+        """The index of the row equal to f; KeyError when f is not a row."""
+        try:
+            return self._row_of[self._key(f)]
+        except (ExactError, ValueError, KeyError):
+            # ExactError: a value is not an algebraic integer; ValueError: its
+            # label does not divide the conductor.  No row has such a value.
+            raise KeyError("class function is not a row of the table") from None
 
     def to_json(self) -> dict:
         g = self.group

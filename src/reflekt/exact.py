@@ -108,20 +108,22 @@ def _reduction_table(n: int) -> tuple[dict[int, int], ...]:
 _F0 = Fraction(0)
 
 
-def _reduce(n: int, raw: Mapping[int, Fraction]) -> dict[int, Fraction]:
+def _reduce(n: int, raw: Mapping[int, RatLike], zero: RatLike = _F0) -> dict[int, RatLike]:
+    """The nonzero power-basis coefficients at n of sum_e raw[e] zeta_n^e;
+    with zero=0, integer coefficients stay ints."""
     phi = euler_phi(n)
     table = _reduction_table(n)
-    out: dict[int, Fraction] = {}
+    out: dict[int, RatLike] = {}
     for e, c in raw.items():
         if not c:
             continue
         if e >= n or e < 0:
             e %= n
         if e < phi:
-            out[e] = out.get(e, _F0) + c
+            out[e] = out.get(e, zero) + c
         else:
             for e2, m in table[e - phi].items():
-                out[e2] = out.get(e2, _F0) + c * m
+                out[e2] = out.get(e2, zero) + c * m
     return {e: c for e, c in out.items() if c}
 
 
@@ -405,6 +407,12 @@ def integral_coefficients(x: CycNum, N: int) -> dict[int, int]:
     return out
 
 
+def slot_bits(bound: int) -> int:
+    """Width in bits of a whole-byte slot whose balanced digits, in
+    [-2^(bits-1), 2^(bits-1)), hold every integer of size at most bound."""
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
 def weighted_sums(
     N: int,
     weights: Sequence[int],
@@ -431,10 +439,10 @@ def weighted_sums(
     a_e b_f, so its size is at most |a|_1 |b|_1 (l1 norms of the coefficient
     vectors), and every digit of every S(i, j) is at most
     bound = sum_k |w_k| max_i |left[i][k]|_1 max_{j,t} |right[j][k][t]|_1.
-    Slots are whole bytes with bound < 2^(bits-1), so balanced digits in
-    [-2^(bits-1), 2^(bits-1)) hold them and no carry crosses a slot; a carry
-    left over after the last slot raises ExactError, as does a non-integral
-    coefficient.  Nothing falls back to CycNum arithmetic.
+    Slots are whole bytes with bound < 2^(bits-1) (`slot_bits`), so balanced
+    digits in [-2^(bits-1), 2^(bits-1)) hold them and no carry crosses a slot;
+    a carry left over after the last slot raises ExactError, as does a
+    non-integral coefficient.  Nothing falls back to CycNum arithmetic.
 
     Integrality.  The ring of integers of Q(zeta_N) is Z[zeta_N], and the
     power basis 1, zeta, .., zeta^(phi(N)-1) is an integral basis of it, so an
@@ -464,8 +472,8 @@ def weighted_sums(
         * max((l1(c) for vec in rc for c in vec[k]), default=0)
         for k, w in enumerate(weights)
     )
-    size = (bound.bit_length() + 8) // 8  # bytes per slot, bound < 2^(8 size - 1)
-    bits = 8 * size
+    bits = slot_bits(bound)
+    size = bits // 8
     half = 1 << (bits - 1)
     # Adding half to every slot turns balanced digits into plain bytes; a
     # carry left over shows as a biased sum outside [0, 2^(bits nslots)).

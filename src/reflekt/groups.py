@@ -18,10 +18,14 @@ so it costs |W| * #generators matrix products.  All pure group structure -
 products (w_i * w_j walks the word of w_j from i), inverses, element orders,
 conjugacy classes - is integer lookups in that graph.  Matrices are used only
 where the answer is linear algebra: traces, hyperplane forms and the action on
-them, and the substitution f(w v) of polynomials (`substitute`).  The spectrum
-of each class representative is read off the traces of its powers, once per
-class; the determinant, the reflections (eigenvalue 1 of multiplicity dim - 1)
-and det(1 - T w) all come from it.
+them, and the substitution f(w v) of polynomials (`substitute`).  Substitution
+runs on integers: with delta the lcm of the denominators of the matrix A of w
+and N the label of its entries, the images (delta A v)^e of the monomials e of
+degree q are integer power-basis coefficients at N (denominator delta^q),
+built degree by degree and reduced modulo Phi_N (`monomial_images`).  The
+spectrum of each class representative is read off the traces of its powers,
+once per class; the determinant, the reflections (eigenvalue 1 of
+multiplicity dim - 1) and det(1 - T w) all come from it.
 Everything is exact; all data is immutable after construction.
 """
 from __future__ import annotations
@@ -30,7 +34,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from operator import add, mul
 
 from .exact import (
     CycNum,
@@ -39,6 +45,8 @@ from .exact import (
     PolyT,
     ZERO,
     ONE,
+    _reduce,
+    euler_phi,
     poly_one_minus_Tk,
     poly_divide_exact,
     series_inverse,
@@ -187,6 +195,42 @@ def _file_generator_matrices(path: str) -> list[Matrix]:
 
 
 # ---------------------------------------------------------------------------
+# monomials
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def monomials(n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuples of total degree q in n variables, in descending
+    lexicographic order."""
+    if n == 1:
+        return ((q,),)
+    return tuple((a,) + rest for a in range(q, -1, -1) for rest in monomials(n - 1, q - a))
+
+
+@lru_cache(maxsize=None)
+def _monomial_index(n: int, q: int) -> dict[tuple[int, ...], int]:
+    return {e: d for d, e in enumerate(monomials(n, q))}
+
+
+@lru_cache(maxsize=None)
+def _monomial_steps(n: int, q: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """(down, up) between degrees q - 1 and q >= 1, by index in `monomials`:
+    down[d] = (k, index of x^e / x_k) with e the d-th monomial of degree q and
+    x_k its last variable; up[d][j] = index of x_j x^e, e the d-th monomial of
+    degree q - 1."""
+    lower = _monomial_index(n, q - 1)
+    index = _monomial_index(n, q)
+    down = []
+    for e in monomials(n, q):
+        k = max(j for j, a in enumerate(e) if a)
+        down.append((k, lower[e[:k] + (e[k] - 1,) + e[k + 1 :]]))
+    up = tuple(
+        tuple(index[e[:j] + (e[j] + 1,) + e[j + 1 :]] for j in range(n)) for e in monomials(n, q - 1)
+    )
+    return tuple(down), up
+
+
+# ---------------------------------------------------------------------------
 # group data
 # ---------------------------------------------------------------------------
 
@@ -249,8 +293,7 @@ class ReflectionGroup:
             if not linalg.is_unitary(mt):
                 raise GroupBuildError("non-unitary generator matrix")
         self.generator_matrices = gen_mats
-        self._monomial_images: dict[int, dict[tuple[int, ...], MultiPoly]] = {}
-        self._monomial_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._images: dict[int, tuple] = {}  # element -> monomial_images store
 
         self._enumerate(max_order)
         if expected is not None and self.order != expected:
@@ -392,40 +435,106 @@ class ReflectionGroup:
                 p = p * factor
         return p
 
-    def monomial_image(self, i: int, e: tuple[int, ...]) -> MultiPoly:
-        """(A v)^e = prod_k (row k of A . v)^{e_k}, with A the matrix of w_i.
+    def _integral_matrix(self, i: int) -> tuple[int, int, list[list[tuple[int, tuple]]]]:
+        """(N, delta, rows) for the matrix A of w_i: N the label of its nonzero
+        entries, delta the lcm of their denominators, and rows[k] one
+        (j, cols) per nonzero b = delta A[k][j], with cols[t][a] coefficient t
+        of zeta_N^a b reduced modulo Phi_N, so (c b)_t = sum_a c_a cols[t][a]."""
+        entries = [(k, j, x) for k, row in enumerate(self.elements[i])
+                   for j, x in enumerate(row) if not x.is_zero()]
+        N = lcm(*(x.N for _, _, x in entries))
+        delta = lcm(*(c.denominator for _, _, x in entries for c in x.coeffs.values()))
+        phi = euler_phi(N)
+        rows: list[list[tuple[int, tuple]]] = [[] for _ in self.elements[i]]
+        for k, j, x in entries:
+            b = {e: c.numerator * (delta // c.denominator) for e, c in x.promote(N).coeffs.items()}
+            cols = [[0] * phi for _ in range(phi)]
+            for a in range(phi):
+                for t, v in _reduce(N, {a + e: v for e, v in b.items()}, 0).items():
+                    cols[t][a] = v
+            rows[k].append((j, tuple(map(tuple, cols))))
+        return N, delta, rows
 
-        Memoized per group and element, and built degree by degree: the image
-        of e is the image of e minus its last nonzero exponent times the
-        matching coordinate form.  The memo is per group because rational
-        CycNums compare and hash equal across conductors, so a memo keyed on
-        matrix values would hand one group's conductor labels to another.
+    def monomial_images(self, i: int, q: int) -> tuple[int, int, list[dict[int, tuple[int, ...]]]]:
+        """(N, delta, images) with images[d] the degree-q polynomial
+        (delta A v)^e for e = monomials(n, q)[d] and A the matrix of w_i: a map
+        from the index of each monomial of monomials(n, q) to its nonzero
+        power-basis coefficients at conductor N, as ints.  The coefficients of
+        (A v)^e are these over delta^q.  N is the label of A's entries, and 1
+        at q = 0, where the only image is 1.
+
+        Kept per element, every degree up to the highest one asked, and built
+        degree by degree: the image of e is the image of e over its last
+        variable x_k, times row k of delta A.  Only ints are stored, so one
+        group's conductor labels cannot reach another's.
         """
-        images = self._monomial_images.get(i)
-        if images is None:
-            n = self.dimension
-            images = self._monomial_images[i] = {(0,) * n: MultiPoly.constant(n, 1)}
-            for k, row in enumerate(self.elements[i]):
-                images[tuple(int(j == k) for j in range(n))] = MultiPoly.linear_form(row)
-        got = images.get(e)
-        if got is None:
-            k = max(j for j, a in enumerate(e) if a)
-            lower = e[:k] + (e[k] - 1,) + e[k + 1 :]
-            unit = tuple(int(j == k) for j in range(self.dimension))
-            prod = self.monomial_image(i, lower) * images[unit]
-            # one exponent tuple per monomial, shared by every image holding it
-            keys = self._monomial_keys
-            terms = {keys.setdefault(m, m): c for m, c in prod.terms.items()}
-            got = images[e] = MultiPoly(self.dimension, terms)
-        return got
+        if q == 0:
+            return 1, 1, [{0: (1,)}]
+        store = self._images.get(i)
+        if store is None:
+            N, delta, rows = self._integral_matrix(i)
+            one = (1,) + (0,) * (euler_phi(N) - 1)
+            store = self._images[i] = (N, delta, rows, [[{0: one}]])
+        N, delta, rows, layers = store
+        n = self.dimension
+        while len(layers) <= q:
+            down, up = _monomial_steps(n, len(layers))
+            prev = layers[-1]
+            layer = []
+            for k, lower in down:
+                out: dict[int, tuple[int, ...]] = {}
+                for m, c in prev[lower].items():
+                    ups = up[m]
+                    for j, cols in rows[k]:
+                        t = ups[j]
+                        prod = [sum(map(mul, c, col)) for col in cols]
+                        acc = out.get(t)
+                        out[t] = tuple(prod) if acc is None else tuple(map(add, acc, prod))
+                layer.append({t: v for t, v in out.items() if any(v)})
+            layers.append(layer)
+        return N, delta, layers[q]
 
     def substitute(self, f: MultiPoly, i: int) -> MultiPoly:
-        """f(w_i v): every monomial x^e of f becomes its image (A v)^e."""
-        out: dict[tuple[int, ...], CycNum] = {}
+        """f(w_i v): every monomial x^e of f becomes its image (A v)^e.
+
+        Each degree of f is summed on integers (`monomial_images`, with f's
+        coefficients scaled to integers) in Z[x]/(x^M - 1), M the lcm of all
+        the labels involved, and each output monomial becomes one CycNum.  Its
+        label is the lcm of the image label and the labels of the coefficients
+        of f that reach it, as a CycNum sum of the products would have it.
+        """
+        n = self.dimension
+        by_degree: dict[int, list[tuple[tuple[int, ...], CycNum]]] = {}
         for e, c in f.terms.items():
-            for m, a in self.monomial_image(i, e).terms.items():
-                out[m] = out.get(m, ZERO) + a * c
-        return MultiPoly(self.dimension, out)
+            by_degree.setdefault(sum(e), []).append((e, c))
+        out: dict[tuple[int, ...], CycNum] = {}
+        for q, terms in by_degree.items():
+            N, delta, images = self.monomial_images(i, q)
+            index = _monomial_index(n, q)
+            M = lcm(N, *(c.N for _, c in terms))
+            den = lcm(*(x.denominator for _, c in terms for x in c.coeffs.values()))
+            sums: dict[int, dict[int, int]] = {}
+            labels: dict[int, int] = {}
+            step = M // N
+            for e, c in terms:
+                scaled = [(k * (M // c.N), x.numerator * (den // x.denominator))
+                          for k, x in c.coeffs.items()]
+                for t, a in images[index[e]].items():
+                    labels[t] = lcm(labels.get(t, N), c.N)
+                    acc = sums.setdefault(t, {})
+                    for k, v in enumerate(a):
+                        if v:
+                            for kc, vc in scaled:
+                                s = (k * step + kc) % M
+                                acc[s] = acc.get(s, 0) + v * vc
+            scale = delta**q * den
+            monos = monomials(n, q)
+            for t, acc in sums.items():
+                label = labels[t]
+                coeffs = _reduce(label, {s * label // M: Fraction(v, scale) for s, v in acc.items()})
+                if coeffs:
+                    out[monos[t]] = CycNum._make(label, coeffs)
+        return MultiPoly(n, out)
 
     # -- reflections and hyperplanes -----------------------------------------
 

@@ -8,11 +8,13 @@ come from its spectrum (`groups`), which the traces give.
 The F_p helpers (primes, roots of unity, elimination and determinants modulo
 a prime) serve both the Burnside-Dixon character table in `chars` and the
 exact solves here.  `nullspace` (and `rref`, `column_space_basis` through it)
-works over Q(zeta_L) multi-modularly: it eliminates the images of
-the system modulo primes p = 1 (mod L) under every embedding zeta_L -> r^j,
-recovers power-basis coefficients by inverting the Vandermonde matrix of the
-embeddings, lifts them by CRT and rational reconstruction, and accepts the
-lift only once every vector is checked exactly in CycNum.
+works over Q(zeta_L) multi-modularly on integer power-basis coefficients
+(`integral_nullspace`, which minmat feeds directly): it eliminates the images
+of the system modulo primes p = 1 (mod L) under every embedding
+zeta_L -> r^j, recovers power-basis coefficients by inverting the Vandermonde
+matrix of the embeddings, lifts them by CRT and rational reconstruction, and
+accepts the lift only once every row times every vector is checked to be 0
+exactly, in Z[zeta_L] on packed integers (`_certified`).
 """
 from __future__ import annotations
 
@@ -22,10 +24,11 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import CycNum, ExactError, ZERO, ONE, euler_phi
+from .exact import CycNum, ExactError, ZERO, ONE, _reduce, euler_phi, slot_bits
 
 Matrix = tuple[tuple[CycNum, ...], ...]
 Vector = tuple[CycNum, ...]
+Term = tuple[int, int, Sequence[int]]  # (column, conductor N, integer coefficients at N)
 
 
 def identity(n: int) -> Matrix:
@@ -117,25 +120,35 @@ def nullspace(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
     """Basis of {v : a v = 0}: the reduced-echelon basis, one vector per free
     column, with 1 there, 0 at the other free columns and after it.
 
+    Recovered entries carry the lcm of the conductor labels of `a`, zeros
+    included; the ones at free columns have conductor 1.  The rows go to
+    `integral_nullspace` scaled to integers, one `_integral_row` each.
+    """
+    if not a:
+        return []
+    label = lcm(1, *(x.N for row in a for x in row))
+    rows = [_integral_row([(c, x) for c, x in enumerate(row) if not x.is_zero()])[1] for row in a]
+    return integral_nullspace(rows, len(a[0]), label)
+
+
+def integral_nullspace(rows: Sequence[Sequence[Term]], ncols: int, label: int) -> list[Vector]:
+    """`nullspace` of the system whose row i has the entry of each of its
+    terms (column c, conductor N, integer power-basis coefficients at N, one
+    per exponent 0 .. phi(N) - 1) at column c and zeros elsewhere.  Rational
+    entries have conductor 1.  Recovered entries carry `label`.
+
     Found modulo primes and then checked exactly (see the module docstring).
     Over F_p the nullity can only grow, so a lift that passes the check spans
     the whole kernel and, having the reduced-echelon shape, is its unique
-    reduced-echelon basis.  Recovered entries carry the lcm of the conductors
-    of `a`; the ones at free columns have conductor 1.
+    reduced-echelon basis.
 
     Raises ExactError if no lift passes within _PRIME_BUDGET primes, enough
     for coefficients of up to about 990 bits (the corpus needs one prime).
     """
-    if not a:
-        return []
-    ncols = len(a[0])
-    label = lcm(1, *(x.N for row in a for x in row))
-    sparse = [[(c, x) for c, x in enumerate(row) if not x.is_zero()] for row in a]
-    # Eliminate at the conductor of the irrational entries; rationals need none.
-    conductors = {1} | {x.N for row in sparse for _, x in row if not x.is_rational()}
+    # Eliminate at the conductor of the irrational terms; rationals need none.
+    conductors = {1} | {N for row in rows for _, N, _ in row}
     L = lcm(*conductors)
     phi = euler_phi(L)
-    rows = [_integral_row(row) for row in sparse]
     best = None  # (nullity, negated free columns) of the reductions kept
     moduli: list[int] = []
     images: list[list[int]] = []  # per kept prime: coefficients of every entry
@@ -146,10 +159,12 @@ def nullspace(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
         for w in nodes:
             # zeta_N = zeta_L^(L/N) maps to w^(L/N)
             powers = {N: [pow(w, L // N * k, p) for k in range(euler_phi(N))] for N in conductors}
-            m = [[0] * ncols for _ in rows]
-            for mrow, row in zip(m, rows):
+            m = []
+            for row in rows:
+                mrow = [0] * ncols
                 for c, N, coeffs in row:
-                    mrow[c] = sum(q * powers[N][k] for k, q in coeffs.items()) % p
+                    mrow[c] = sum(map(mul, coeffs, powers[N]))
+                m.append([x % p for x in mrow])
             # Embeddings that agree on the entries' field agree on the result.
             key = tuple(map(tuple, m))
             if key not in seen:
@@ -173,34 +188,74 @@ def nullspace(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
         if lifted is None:
             continue
         it = iter(lifted)
-        basis = []
-        for fc in (-c for c in best[1]):
-            entries = [{k: q for k in range(phi) if (q := next(it))} for _ in range(ncols)]
-            basis.append(tuple(
-                ONE if c == fc else CycNum._make(L, e).promote(label) if e else ZERO
-                for c, e in enumerate(entries)
-            ))
-        if all(_annihilates(sparse, v) for v in basis):
-            return basis
+        vectors = [
+            [{k: q for k in range(phi) if (q := next(it))} for _ in range(ncols)] for _ in best[1]
+        ]
+        if _certified(rows, L, vectors):
+            return [
+                tuple(
+                    ONE if c == fc else CycNum._make(L, e).promote(label) if e else ZERO
+                    for c, e in enumerate(entries)
+                )
+                for fc, entries in zip((-c for c in best[1]), vectors)
+            ]
     raise ExactError(f"nullspace not certified within {_PRIME_BUDGET} primes")
 
 
-def _integral_row(row) -> list[tuple[int, int, dict[int, int]]]:
-    """(column, conductor, power-basis coefficients) of each entry of a row,
-    scaled by the lcm of the row's denominators to lie in Z."""
+def _integral_row(row) -> tuple[int, list[Term]]:
+    """(den, terms): den the lcm of the denominators of the row's entries,
+    given as (column, CycNum) pairs, and the `integral_nullspace` term of each
+    entry scaled by den to lie in Z."""
     den = lcm(*(q.denominator for _, x in row for q in x.coeffs.values()))
-    return [
-        (c, 1 if x.is_rational() else x.N,
-         {k: q.numerator * (den // q.denominator) for k, q in x.coeffs.items()})
-        for c, x in row
-    ]
+    terms = []
+    for c, x in row:
+        N = 1 if x.is_rational() else x.N
+        coeffs = [0] * euler_phi(N)
+        for k, q in x.coeffs.items():
+            coeffs[k] = q.numerator * (den // q.denominator)
+        terms.append((c, N, coeffs))
+    return den, terms
 
 
-def _annihilates(rows, v: Vector) -> bool:
-    """Exact check that every sparse row is orthogonal to v."""
-    return all(
-        sum((x * v[c] for c, x in row if not v[c].is_zero()), ZERO).is_zero() for row in rows
+def _certified(rows: Sequence[Sequence[Term]], L: int, vectors: list[list[dict[int, Fraction]]]) -> bool:
+    """Exact check, in Z[zeta_L], that every row annihilates every vector.
+
+    A vector lists per column its power-basis coefficients at L; each is
+    scaled to integers by the lcm of its denominators.  For each column c and
+    each power zeta_L^j a term can carry (j = k L/N), the reduced coefficients
+    of zeta_L^j v[c] for all the vectors are packed into one int, as in
+    `exact.weighted_sums`, vector b in slots b phi(L) .. b phi(L) + phi(L) - 1.
+    A row is then one big-integer multiply-add per term and power, and its
+    digits are the reduced coefficients of row . v for every v.  Each digit is
+    at most the l1 norm of the row times the largest such coefficient, which
+    sizes the slots; balanced digits that fit pack 0 only when all are 0.
+    """
+    if not rows or not vectors:
+        return True
+    phi = euler_phi(L)
+    scaled = []
+    for entries in vectors:
+        den = lcm(*(q.denominator for e in entries for q in e.values()))
+        scaled.append([{k: q.numerator * (den // q.denominator) for k, q in e.items()} for e in entries])
+    conductors = {N for row in rows for _, N, _ in row}
+    shifts = {k * (L // N) for N in conductors for k in range(euler_phi(N))}
+    # power j, column c -> the reduced coefficients of zeta_L^j v[c], vector by vector
+    images = {
+        j: [[_reduce(L, {k + j: v for k, v in entries[c].items()}, 0) for entries in scaled]
+            for c in range(len(vectors[0]))]
+        for j in shifts
+    }
+    bound = max(sum(sum(map(abs, coeffs)) for _, _, coeffs in row) for row in rows) * max(
+        (abs(v) for col in images.values() for vs in col for e in vs for v in e.values()), default=0
     )
+    bits = slot_bits(bound)
+    packed = {
+        j: [sum(v << bits * (b * phi + k) for b, e in enumerate(vs) for k, v in e.items()) for vs in col]
+        for j, col in images.items()
+    }
+    # conductor N, column c -> the packed zeta_N^k v[c], k < phi(N)
+    powers = {N: list(zip(*(packed[k * (L // N)] for k in range(euler_phi(N))))) for N in conductors}
+    return not any(sum(sum(map(mul, coeffs, powers[N][c])) for c, N, coeffs in row) for row in rows)
 
 
 def _lift(moduli: list[int], images: list[list[int]]) -> list[Fraction] | None:

@@ -5,12 +5,15 @@ minimal matrix M is an l x l polynomial matrix with nonzero determinant,
 column j homogeneous of degree p_j (the j-th fake-degree exponent), and
 M(w^{-1} v) = tau(w) M(v) for all w.  Columns come from the space of
 equivariant polynomial maps V -> C^l of each degree: the constraints of all
-generators form one linear system, solved by `linalg.nullspace` (modular,
-then certified exactly).  When the solution space is bigger than the number
-of columns needed, a deterministic pseudo-random mixing is drawn.  Its
-determinant det(M) is expanded once, by Laplace along the first row, and
-certified nonzero by its exact value at a random rational point (one nonzero
-value is a proof); both verifiers read it from the `MinimalTauMatrix`.
+generators form one linear system on integer power-basis coefficients, built
+from the integer monomial images of the group (`monomial_images`) and the
+realization matrices, and solved by `linalg.integral_nullspace` (modular, then
+certified exactly on integers) with no CycNum arithmetic before the lifted
+basis.  When the solution space is bigger than the number of columns needed,
+a deterministic pseudo-random mixing is drawn.  Its determinant det(M) is
+expanded once, by Laplace along the first row, and certified nonzero by its
+exact value at a random rational point (one nonzero value is a proof); both
+verifiers read it from the `MinimalTauMatrix`.
 
 Matrix realizations come from the defining representation (possibly twisted
 by a linear character) when the character matches, and otherwise from
@@ -24,11 +27,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
-from .exact import CycNum, ExactError, MultiPoly, series_inverse
+from .exact import CycNum, ExactError, MultiPoly, _reduce, euler_phi, series_inverse
 from . import linalg
 from .linalg import Matrix
-from .groups import ReflectionGroup
+from .groups import ReflectionGroup, monomials
 from .chars import CharacterTable, ClassFunction
 from .fake import FakeDegreeSet, degree_numerator
 
@@ -218,20 +223,6 @@ def matrix_realization(g: ReflectionGroup, table: CharacterTable, row_idx: int) 
 # equivariant maps
 # ---------------------------------------------------------------------------
 
-def _monomials(n: int, p: int) -> list[tuple[int, ...]]:
-    if n == 1:
-        return [(p,)]
-    out = []
-    def rec(prefix, rem, slots):
-        if slots == 1:
-            out.append(prefix + (rem,))
-            return
-        for a in range(rem, -1, -1):
-            rec(prefix + (a,), rem - a, slots - 1)
-    rec((), p, n)
-    return out
-
-
 def predicted_equivariant_dimension(fs: FakeDegreeSet, row_idx: int, p: int) -> int:
     """[T^p] of F_tau(T) * (Molien series), the ambient multiplicity."""
     molien = series_inverse(degree_numerator(fs.group), p)
@@ -239,40 +230,71 @@ def predicted_equivariant_dimension(fs: FakeDegreeSet, row_idx: int, p: int) -> 
     return int(sum((f[k] * molien[p - k] for k in range(p + 1)), CycNum.zero()).as_fraction())
 
 
+def _sum_term(label: int, *parts: tuple[int, Sequence[int]]) -> tuple[int, list[int]] | None:
+    """(conductor, coefficients) of the sum of the parts, each (conductor,
+    integer coefficients), as an entry of this label reads: None when it is
+    0, conductor 1 when it is rational, the label otherwise."""
+    raw: dict[int, int] = {}
+    for N, coeffs in parts:
+        for k, v in enumerate(coeffs):
+            raw[k * (label // N)] = raw.get(k * (label // N), 0) + v
+    total = _reduce(label, raw, 0)
+    if not total:
+        return None
+    if set(total) == {0}:
+        return 1, [total[0]]
+    return label, [total.get(k, 0) for k in range(euler_phi(label))]
+
+
 def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None):
     """Exact basis of degree-p polynomial maps f: V -> C^l with
     f(w^{-1} v) = tau(w) f(v); returned as tuples of component MultiPolys.
 
     The unknowns are the coefficients of f, monomial-major and component-minor.
-    The constraint rows of every generator are stacked into one system and
-    solved by a single `linalg.nullspace` call, so the basis is the unique
-    reduced-echelon basis of the solution space.  With `fs`, its dimension is
-    checked against the fake-degree prediction.
+    For each generator s, with (N, delta, images) = `monomial_images` of
+    s^{-1}, row (d', i) of the constraint f_i(s^{-1} v) - sum_t tau(s)_it f_t(v)
+    = 0 at monomial d' is, times delta^p and the lcm of the denominators of
+    row i of tau(s): the integer image coefficients of monomial d' at the
+    columns of component i, and -delta^p tau(s)_it at the columns (d', t).
+    The rows of every generator go to one `linalg.integral_nullspace` call, so
+    the basis is the unique reduced-echelon basis of the solution space.  Its
+    entries carry the lcm of N and the labels of the tau entries, the labels
+    the constraint rows have as CycNums.  With `fs`, its dimension is checked
+    against the fake-degree prediction.
     """
     g = real.group
     n, l = g.dimension, real.dim
-    monos = _monomials(n, p)
+    monos = monomials(n, p)
     D = len(monos)
-    nun = D * l
-    zero = CycNum.zero()
-    rows: list[list[CycNum]] = []
+    label = 1
+    rows: list[list[linalg.Term]] = []
     for a, gelt in enumerate(g.generator_elements):
-        # column d of the substitution: the image of monomial d under w_a^-1
-        images = [g.monomial_image(g.inverse(gelt), mo).terms for mo in monos]
-        tau = real.generator_matrices[a]
+        N, delta, images = g.monomial_images(g.inverse(gelt), p)
+        label = lcm(label, N)
+        # by_out[d'][d]: conductor and coefficients of monomial d' in image d
+        by_out: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(D)]
+        for d, image in enumerate(images):
+            for dp, c in image.items():
+                by_out[dp][d] = (N, c) if any(c[1:]) else (1, c[:1])
+        tau = []  # per component s: (den, {t: term of -delta^p den tau_st}, label of tau_ss)
+        for s, tau_row in enumerate(real.generator_matrices[a]):
+            entries = [(t, x) for t, x in enumerate(tau_row) if not x.is_zero()]
+            label = lcm(label, *(x.N for _, x in entries))
+            den, terms = linalg._integral_row(entries)
+            tau.append((den, {t: (M, [-delta**p * v for v in c]) for t, M, c in terms}, tau_row[s].N))
         for dp in range(D):
-            for s in range(l):
-                rowvec = [zero] * nun
-                for d in range(D):
-                    c = images[d].get(monos[dp])
-                    if c is not None:
-                        rowvec[d * l + s] = c
-                for t in range(l):
-                    if not tau[s][t].is_zero():
-                        rowvec[dp * l + t] = rowvec[dp * l + t] - tau[s][t]
-                rows.append(rowvec)
+            for s, (den, tau_terms, diag_label) in enumerate(tau):
+                row = {d * l + s: (M, [den * v for v in c]) for d, (M, c) in by_out[dp].items()}
+                taus = {dp * l + t: term for t, term in tau_terms.items()}
+                col = dp * l + s
+                if col in row and col in taus:
+                    # one entry, image minus tau, labelled as their CycNum difference
+                    diag = _sum_term(lcm(N, diag_label), row.pop(col), taus.pop(col))
+                    if diag:
+                        row[col] = diag
+                rows.append([(c, M, coeffs) for c, (M, coeffs) in (row | taus).items()])
     basis = []
-    for vec in linalg.nullspace(rows):
+    for vec in linalg.integral_nullspace(rows, D * l, label):
         comps = []
         for s in range(l):
             terms = {}

@@ -6,7 +6,7 @@ oracle sums over all group elements instead of conjugacy classes, and the
 equivariant-basis oracle intersects one generator's constraints at a time by
 exact CycNum elimination instead of one modular solve.  The substitution
 oracle expands each monomial image as a product of powers of the substituted
-coordinates, not degree by degree from the memoized images of
+coordinates in CycNum, not degree by degree on the integer images of
 `ReflectionGroup.substitute`.  The determinant and reflection oracles work on
 each element's matrix by exact elimination, where the group reads both off the
 spectrum of its class, and the Leibniz oracle sums over permutations where
@@ -31,7 +31,8 @@ from reflekt.exact import (
     series_inverse,
 )
 from reflekt.kz import KZError
-from reflekt.minmat import _monomials, predicted_equivariant_dimension
+from reflekt.groups import monomials
+from reflekt.minmat import predicted_equivariant_dimension
 
 
 def regular_rep_characters(g, seed: int = 20240811) -> list[np.ndarray]:
@@ -285,7 +286,7 @@ def sequential_equivariant_basis(real, p: int, fs=None):
     """
     g = real.group
     n, l = g.dimension, real.dim
-    monos = _monomials(n, p)
+    monos = monomials(n, p)
     D = len(monos)
     nun = D * l
     gen_elts = g.generator_elements

@@ -202,6 +202,25 @@ def test_pi_character_is_linear_table_row(built):
             assert t.rows[idx].degree_int() == 1, name
 
 
+def test_row_index_matches_by_value_and_rejects_non_rows(built):
+    """Rows are found whatever the labels of their values; a class function
+    that is not a row raises KeyError, non-integral values included."""
+    g, t = built["G(3,1,2)"]
+    for i, row in enumerate(t.rows):
+        relabelled = tuple(CycNum.rational(v.as_fraction()) if v.is_rational() else v for v in row.values)
+        assert t.row_index(ClassFunction(g, relabelled)) == i
+    zeta = CycNum.zeta(g.conductor)
+    moved = list(t.rows[1].values)
+    moved[-1] = moved[-1] + zeta
+    for values in (
+        tuple(a + b for a, b in zip(t.rows[0].values, t.rows[1].values)),
+        tuple(moved),
+        tuple(v / 2 for v in t.rows[0].values),
+    ):
+        with pytest.raises(KeyError):
+            t.row_index(ClassFunction(g, values))
+
+
 def test_defining_character_is_a_row_for_irreducible_groups(built):
     g, t = built["S4"]
     assert t.row_index(defining_character(g)) >= 0

@@ -1,16 +1,18 @@
 import json
+from functools import lru_cache
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 
-from reflekt.exact import CycNum, MultiPoly
+from reflekt.exact import ZERO, CycNum, MultiPoly
 from reflekt import linalg
 from reflekt.groups import (
     GroupBuildError,
     build_group,
+    monomials,
     parse_descriptor,
 )
-
-from reflekt.minmat import _monomials
 
 from corpus import CORPUS
 from oracles import elimination_det, rank_reflections, substitution_matrix
@@ -198,7 +200,7 @@ def test_substitute_matches_power_expansion_oracle(groups):
         for gelt in g.generator_elements:
             w = g.inverse(gelt)
             for p in range(5):
-                monos = _monomials(g.dimension, p)
+                monos = monomials(g.dimension, p)
                 S = substitution_matrix(g, w, monos)
                 for d, mono in enumerate(monos):
                     want = MultiPoly(
@@ -209,6 +211,45 @@ def test_substitute_matches_power_expansion_oracle(groups):
                     assert labelled_terms(got) == labelled_terms(want), (name, w, mono)
 
 
+MINMAT_SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)", "G(2,1,1)", "G(3,1,1)", "G(4,1,1)"]
+scope_group = lru_cache(maxsize=None)(build_group)
+
+
+@st.composite
+def polynomials(draw, n: int):
+    """A random polynomial in n variables of mixed degrees 0-4 whose
+    coefficients carry assorted conductor labels and denominators."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    terms = {}
+    for q in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True)):
+        for mono in draw(st.lists(st.sampled_from(monomials(n, q)), min_size=1, max_size=4, unique=True)):
+            N = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+            terms[mono] = CycNum(N, {e: draw(small) for e in range(draw(st.integers(1, 3)))})
+    return MultiPoly(n, terms)
+
+
+@pytest.mark.parametrize("name", MINMAT_SCOPE)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_substitute_matches_oracle_on_random_polynomials(name, data):
+    """f(w v) as the oracle's substitution matrices applied to the coefficients
+    of f in CycNum: out[m] = sum over the terms of f of S[m][e] * c_e, over
+    the nonzero S[m][e], so each output label is the lcm of the labels that
+    reach it."""
+    g = scope_group(name)
+    w = data.draw(st.integers(0, g.order - 1))
+    f = data.draw(polynomials(g.dimension))
+    want: dict = {}
+    for e, c in f.terms.items():
+        monos = monomials(g.dimension, sum(e))
+        S = substitution_matrix(g, w, monos)
+        d = monos.index(e)
+        for dp, m in enumerate(monos):
+            if not S[dp][d].is_zero():
+                want[m] = want.get(m, ZERO) + S[dp][d] * c
+    assert labelled_terms(g.substitute(f, w)) == labelled_terms(MultiPoly(g.dimension, want))
+
+
 def test_substitute_labels_stay_with_their_group():
     """Rational CycNums hash equal across conductors; images of one group must
     not carry another group's conductor labels."""
@@ -217,7 +258,7 @@ def test_substitute_labels_stay_with_their_group():
     for h in (other, g):
         for w in range(h.order):
             for p in range(5):
-                for mono in _monomials(h.dimension, p):
+                for mono in monomials(h.dimension, p):
                     image = h.substitute(MultiPoly(h.dimension, {mono: 1}), w)
                     if h is g:
                         assert all(4 % c.N == 0 for c in image.terms.values()), (w, mono)

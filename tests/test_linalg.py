@@ -74,18 +74,18 @@ def test_large_entry_needs_several_primes_and_a_retry(monkeypatch):
     p = linalg._embeddings(1, 0)[0]
     a = [[CycNum.rational(1), CycNum.rational(-(p + 1))]]
     primes, checks = [], []
-    embeddings, annihilates = linalg._embeddings, linalg._annihilates
+    embeddings, certified = linalg._embeddings, linalg._certified
 
     def spy_embeddings(L, i):
         primes.append(i)
         return embeddings(L, i)
 
-    def spy_annihilates(rows, v):
-        checks.append(annihilates(rows, v))
+    def spy_certified(rows, L, vectors):
+        checks.append(certified(rows, L, vectors))
         return checks[-1]
 
     monkeypatch.setattr(linalg, "_embeddings", spy_embeddings)
-    monkeypatch.setattr(linalg, "_annihilates", spy_annihilates)
+    monkeypatch.setattr(linalg, "_certified", spy_certified)
     got = linalg.nullspace(a)
     assert got == [(p + 1, 1)]
     assert basis_key(got) == basis_key(exact_nullspace(a))
@@ -102,10 +102,43 @@ def test_uncertified_nullspace_raises_after_the_prime_budget(monkeypatch):
         return embeddings(L, i)
 
     monkeypatch.setattr(linalg, "_embeddings", spy_embeddings)
-    monkeypatch.setattr(linalg, "_annihilates", lambda rows, v: False)
+    monkeypatch.setattr(linalg, "_certified", lambda rows, L, vectors: False)
     with pytest.raises(ExactError, match="certified"):
         linalg.nullspace([[CycNum.rational(1), CycNum.rational(2)]])
     assert max(primes) == linalg._PRIME_BUDGET - 1
+
+
+def test_certificate_rejects_every_perturbed_coefficient(monkeypatch):
+    """Adding 1 to any one power-basis coefficient of any lifted vector takes
+    it out of the kernel when no column of the system is zero, so the integer
+    certificate must reject every such perturbation of the lift it accepted."""
+    z, w, o = CycNum.zeta(12), CycNum.zeta(12, 5), CycNum.zero()
+    half = CycNum.rational(Fraction(-5, 2))
+    # each row has columns of its own, so each row has perturbations only it sees
+    a = [
+        [z + Fraction(1, 3), w * 7 - 2, o, o, z * w + 5, o, o],
+        [o, half, w, o, o, o, z - w],
+        [o, o, o, z * 3, w + half, half * z, o],
+    ]
+    assert all(any(not row[c].is_zero() for row in a) for c in range(len(a[0])))
+    seen = []
+    certified = linalg._certified
+
+    def spy(rows, L, vectors):
+        seen.append((rows, L, vectors))
+        return certified(rows, L, vectors)
+
+    monkeypatch.setattr(linalg, "_certified", spy)
+    basis = linalg.nullspace(a)
+    assert basis and basis == exact_nullspace(a)
+    rows, L, vectors = seen[-1]
+    assert L == 12 and certified(rows, L, vectors)
+    for b, vec in enumerate(vectors):
+        for c, entry in enumerate(vec):
+            for k in range(euler_phi(L)):
+                bumped = [[dict(e) for e in v] for v in vectors]
+                bumped[b][c][k] = bumped[b][c].get(k, 0) + 1
+                assert not certified(rows, L, bumped), (b, c, k)
 
 
 def test_is_prime_matches_trial_division():
