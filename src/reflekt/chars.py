@@ -11,7 +11,9 @@ raises - there is no approximate fallback.  The certificate runs on the packed
 Z[zeta_N] kernel `exact.weighted_sums`: character values are algebraic
 integers, so each is packed into one Python int and every Hermitian product
 sum_c |c| chi(c) conj(psi(c)) is r big-integer multiply-adds, reduced modulo
-Phi_N once.  ClassFunction.inner (and so norm()) uses the same product.
+Phi_N once.  ClassFunction.inner (and so norm()) uses the same product.  The
+table keeps every value's conjugate (`conjugates`) for the checks and `fake`,
+and finds a row by its values' integer form (`exact.integral_terms`).
 
 Row order is canonical: by degree, then lexicographically on the numerically
 embedded values (exact JSON as the final tiebreak), so cross-run row
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 from operator import mul
 
-from .exact import CycNum, ExactError, integral_coefficients, weighted_sums
+from .exact import CycNum, integral_terms, weighted_sums
 from .groups import ReflectionGroup
 from .linalg import _fp_det, _fp_nullspace, _fp_rref, _is_prime, _primitive_root_power
 
@@ -127,7 +129,7 @@ class CharacterTable:
         self._check_columns()
 
     @cached_property
-    def _conjugates(self) -> list[list[CycNum]]:
+    def conjugates(self) -> list[list[CycNum]]:
         """The complex conjugate of every value, row by row."""
         return [[v.conjugate() for v in row.values] for row in self.rows]
 
@@ -140,7 +142,7 @@ class CharacterTable:
         rows = [row.values for row in self.rows]
         sizes = [c.size for c in g.classes]
         pairs = self._pairs()
-        for (i, j), acc in zip(pairs, _products(sizes, rows, self._conjugates, pairs)):
+        for (i, j), acc in zip(pairs, _products(sizes, rows, self.conjugates, pairs)):
             if acc != (g.order if i == j else 0):
                 raise CharTableError(f"row orthogonality fails at ({i},{j})")
 
@@ -148,26 +150,27 @@ class CharacterTable:
         g = self.group
         cols = list(zip(*(row.values for row in self.rows)))
         pairs = self._pairs()
-        conj = list(zip(*self._conjugates))
+        conj = list(zip(*self.conjugates))
         for (ci, cj), acc in zip(pairs, _products([1] * len(cols), cols, conj, pairs)):
             want = Fraction(g.order, g.classes[ci].size) if ci == cj else 0
             if acc != want:
                 raise CharTableError(f"column orthogonality fails at ({ci},{cj})")
 
     def _key(self, f: ClassFunction) -> tuple:
-        """The integer power-basis coefficients of f's values at the group
-        conductor, where every row lives: equal values give equal keys
-        whatever their labels, as CycNum hashes do not."""
+        """The integral terms of f's values at the group conductor, where
+        every row lives: equal values give equal keys whatever their labels,
+        as CycNum hashes do not."""
         N = self.group.conductor
-        return tuple(tuple(sorted(integral_coefficients(v, N).items())) for v in f.values)
+        den, terms = integral_terms(v.promote(N) for v in f.values)
+        return den, tuple(tuple(coeffs) for _, coeffs in terms)
 
     def row_index(self, f: ClassFunction) -> int:
         """The index of the row equal to f; KeyError when f is not a row."""
         try:
             return self._row_of[self._key(f)]
-        except (ExactError, ValueError, KeyError):
-            # ExactError: a value is not an algebraic integer; ValueError: its
-            # label does not divide the conductor.  No row has such a value.
+        except (ValueError, KeyError):
+            # ValueError: a value's label does not divide the conductor, so
+            # no row has that value.
             raise KeyError("class function is not a row of the table") from None
 
     def to_json(self) -> dict:

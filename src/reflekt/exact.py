@@ -14,6 +14,11 @@ On top of the scalars:
             series cut at degree `order` (series_inverse) is a PolyT too
   MultiPoly sparse multivariate polynomials on the ambient vector space
 
+and the one integer form of Z[zeta_N] that every integer kernel uses:
+`integral_terms` (CycNums to integers), `kronecker_pack` (integers to one
+packed int), `from_integral` (integers back to a CycNum), and `weighted_sums`
+on them.  No other module touches `_reduce` or `CycNum._make`.
+
 All values are immutable after construction and safe to share between
 concurrent workers.
 """
@@ -108,13 +113,13 @@ def _reduction_table(n: int) -> tuple[dict[int, int], ...]:
 _F0 = Fraction(0)
 
 
-def _reduce(n: int, raw: Mapping[int, RatLike], zero: RatLike = _F0) -> dict[int, RatLike]:
-    """The nonzero power-basis coefficients at n of sum_e raw[e] zeta_n^e;
-    with zero=0, integer coefficients stay ints."""
+def _reduce(n: int, terms: Iterable[tuple[int, RatLike]], zero: RatLike = _F0) -> dict[int, RatLike]:
+    """The nonzero power-basis coefficients at n of the sum of c zeta_n^e over
+    the (e, c) terms; with zero=0, integer coefficients stay ints."""
     phi = euler_phi(n)
     table = _reduction_table(n)
     out: dict[int, RatLike] = {}
-    for e, c in raw.items():
+    for e, c in terms:
         if not c:
             continue
         if e >= n or e < 0:
@@ -145,7 +150,7 @@ class CycNum:
             raise ValueError("conductor must be >= 1")
         object.__setattr__(self, "N", N)
         object.__setattr__(
-            self, "coeffs", _reduce(N, {e: Fraction(c) for e, c in raw.items()})
+            self, "coeffs", _reduce(N, {e: Fraction(c) for e, c in raw.items()}.items())
         )
         object.__setattr__(self, "_hash", None)
 
@@ -190,13 +195,14 @@ class CycNum:
         if M % self.N:
             raise ValueError(f"cannot promote conductor {self.N} to {M}")
         k = M // self.N
-        return CycNum._make(M, _reduce(M, {e * k: c for e, c in self.coeffs.items()}))
+        return CycNum._make(M, _reduce(M, {e * k: c for e, c in self.coeffs.items()}.items()))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_rational(self) -> bool:
-        return all(e == 0 for e in self.coeffs)
+        c = self.coeffs
+        return not c or (len(c) == 1 and 0 in c)
 
     def as_fraction(self) -> Fraction:
         if not self.coeffs:
@@ -211,7 +217,7 @@ class CycNum:
     def galois(self, j: int) -> CycNum:
         """The image under the automorphism zeta_N -> zeta_N^j, j prime to N."""
         return CycNum._make(
-            self.N, _reduce(self.N, {e * j % self.N: c for e, c in self.coeffs.items()})
+            self.N, _reduce(self.N, {e * j % self.N: c for e, c in self.coeffs.items()}.items())
         )
 
     def conjugate(self) -> CycNum:
@@ -287,7 +293,7 @@ class CycNum:
             for e2, c2 in bc.items():
                 e = e1 + e2
                 out[e] = out.get(e, _F0) + c1 * c2
-        return CycNum._make(a.N, _reduce(a.N, out))
+        return CycNum._make(a.N, _reduce(a.N, out.items()))
 
     __rmul__ = __mul__
 
@@ -390,21 +396,38 @@ def as_cyc(x: CycNum | RatLike) -> CycNum:
 
 
 # ---------------------------------------------------------------------------
-# weighted sums of products in Z[zeta_N] on packed integers
+# the integer form of Z[zeta_N]: converter, Kronecker packer, way back
 # ---------------------------------------------------------------------------
 
-def integral_coefficients(x: CycNum, N: int) -> dict[int, int]:
-    """The nonzero power-basis coefficients of x at conductor N, as ints.
+def integral_terms(values: Iterable[CycNum]) -> tuple[int, list[tuple[int, list[int]]]]:
+    """(den, terms): den the lcm of the denominators of the values'
+    power-basis coefficients, and per value (N, coeffs), its coefficients
+    times den as ints, one per exponent below phi(N), N its label or 1 when
+    it is rational.  As the power basis is an integral basis of Z[zeta_N], den
+    is the least d making every d x an algebraic integer, whatever the labels,
+    and multiplying by roots of unity keeps it."""
+    values = list(values)
+    den = lcm(*{q.denominator for x in values for q in x.coeffs.values()})
+    terms = []
+    for x in values:
+        N = 1 if x.is_rational() else x.N
+        coeffs = [0] * euler_phi(N)
+        for k, q in x.coeffs.items():
+            coeffs[k] = q.numerator * (den // q.denominator) if den > 1 else q.numerator
+        terms.append((N, coeffs))
+    return den, terms
 
-    N must be a multiple of x.N.  Raises ExactError when a coefficient is not
-    an integer, i.e. when x is not an algebraic integer.
-    """
-    out = {}
-    for e, c in x.promote(N).coeffs.items():
-        if c.denominator != 1:
-            raise ExactError(f"{x!r} is not an algebraic integer")
-        out[e] = c.numerator
-    return out
+
+def kronecker_pack(blocks: Iterable[Sequence[int]], bits: int, stride: int) -> int:
+    """The int sum_b sum_e blocks[b][e] X^(b stride + e), X = 2^bits: block b's
+    integer coefficients in slots b stride, b stride + 1, ..."""
+    return sum(v << bits * (b * stride + e) for b, c in enumerate(blocks) for e, v in enumerate(c) if v)
+
+
+def from_integral(N: int, terms: Iterable[tuple[int, int]], den: int = 1) -> CycNum:
+    """The CycNum (sum of v zeta_N^e over the (e, v) terms) / den at label N,
+    for integers v at any exponents e, repeats summed, reduced modulo Phi_N."""
+    return CycNum._make(N, {e: Fraction(v, den) for e, v in _reduce(N, terms, 0).items()})
 
 
 def slot_bits(bound: int) -> int:
@@ -427,13 +450,14 @@ def weighted_sums(
     of a polynomial in T); the result holds one CycNum per block, at label N.
 
     Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009): every
-    value becomes its integer power-basis coefficients a_0..a_{phi-1}, and
-    those become one Python int sum_e a_e X^e at X = 2^bits.  Block t of a
-    right entry starts at slot t*(2 phi - 1), so the product of a left and a
-    right entry holds the unreduced convolution of each block in its own 2
-    phi - 1 slots, and S(i, j) is len(weights) big-integer multiply-adds.
+    value becomes its integer coefficients a_0..a_{phi-1} (`integral_terms`),
+    and those one Python int sum_e a_e X^e at X = 2^bits (`kronecker_pack`).
+    Block t of a right entry starts at slot t*(2 phi - 1), so the product of
+    a left and a right entry holds the unreduced convolution of each block in
+    its own 2 phi - 1 slots, and S(i, j) is len(weights) big-integer
+    multiply-adds.
     Its balanced base-X digits are the coefficients of sum_k w_k a_k b_k
-    before reduction modulo Phi_N, which `_reduce` then does exactly.
+    before reduction modulo Phi_N, which `from_integral` then does exactly.
 
     Slot width.  A coefficient of the unreduced product a*b is a sum of some
     a_e b_f, so its size is at most |a|_1 |b|_1 (l1 norms of the coefficient
@@ -458,18 +482,21 @@ def weighted_sums(
     """
     phi = euler_phi(N)
     stride = 2 * phi - 1
-    lc = [[integral_coefficients(x, N) for x in vec] for vec in left]
-    rc = [[[integral_coefficients(x, N) for x in blocks] for blocks in vec] for vec in right]
+
+    def ints(values: Iterable[CycNum]) -> list[list[int]]:
+        den, terms = integral_terms(x.promote(N) for x in values)
+        if den != 1:
+            raise ExactError("weighted_sums needs algebraic integers")
+        return [c for _, c in terms]
+
+    lc = [ints(vec) for vec in left]
+    rc = [[ints(blocks) for blocks in vec] for vec in right]
     nblocks = max((len(blocks) for vec in rc for blocks in vec), default=0)
     nslots = nblocks * stride
-
-    def l1(c: dict[int, int]) -> int:
-        return sum(map(abs, c.values()))
-
     bound = sum(
         abs(w)
-        * max((l1(vec[k]) for vec in lc), default=0)
-        * max((l1(c) for vec in rc for c in vec[k]), default=0)
+        * max((sum(map(abs, vec[k])) for vec in lc), default=0)
+        * max((sum(map(abs, c)) for vec in rc for c in vec[k]), default=0)
         for k, w in enumerate(weights)
     )
     bits = slot_bits(bound)
@@ -478,12 +505,8 @@ def weighted_sums(
     # Adding half to every slot turns balanced digits into plain bytes; a
     # carry left over shows as a biased sum outside [0, 2^(bits nslots)).
     offset = half * ((1 << bits * nslots) - 1) // ((1 << bits) - 1)
-
-    def pack(c: dict[int, int], base: int = 0) -> int:
-        return sum(v << bits * (base + e) for e, v in c.items())
-
-    lp = [[w * pack(c) for w, c in zip(weights, vec)] for vec in lc]
-    rp = [[sum(pack(c, t * stride) for t, c in enumerate(blocks)) for blocks in vec] for vec in rc]
+    lp = [[w * kronecker_pack([c], bits, 0) for w, c in zip(weights, vec)] for vec in lc]
+    rp = [[kronecker_pack(blocks, bits, stride) for blocks in vec] for vec in rc]
     out = []
     for i, j in pairs:
         biased = sum(map(mul, lp[i], rp[j])) + offset
@@ -492,7 +515,7 @@ def weighted_sums(
         data = biased.to_bytes(nslots * size, "little")
         coeffs = [int.from_bytes(data[s : s + size], "little") - half for s in range(0, len(data), size)]
         out.append([
-            CycNum._make(N, _reduce(N, dict(enumerate(coeffs[t * stride : (t + 1) * stride]))))
+            from_integral(N, enumerate(coeffs[t * stride : (t + 1) * stride]))
             for t in range(nblocks)
         ])
     return out

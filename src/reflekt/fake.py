@@ -125,7 +125,7 @@ class FakeDegreeSet:
         polys = _class_sums(g, [row.values for row in table.rows])
         self.fds = [_checked_fake_degree(g, row, p) for row, p in zip(table.rows, polys)]
         self.local = [local_data(row, g) for row in table.rows]
-        self.conj_perm = [table.row_index(row.conjugate()) for row in table.rows]
+        self.conj_perm = [table.row_index(ClassFunction(g, tuple(c))) for c in table.conjugates]
 
     def f_poly(self, i: int) -> PolyT:
         return self.fds[i].polynomial
@@ -178,19 +178,6 @@ def symmetry_shift(fs: FakeDegreeSet, i: int, b: tuple[int, ...]) -> Fraction:
     return total
 
 
-def _pi_b_character(fs: FakeDegreeSet, b: tuple[int, ...]) -> ClassFunction:
-    """Linear character of pi_b = prod_C pi_C^{e_C - b_C}, from the orbit characters."""
-    g = fs.group
-    chis = [g.orbit_character(c) for c in range(len(g.orbits))]
-    vals = []
-    for k in range(len(g.classes)):
-        acc = CycNum.one()
-        for c, orbit in enumerate(g.orbits):
-            acc = acc * chis[c][k] ** (orbit.order - b[c])
-        vals.append(acc)
-    return ClassFunction(g, tuple(vals))
-
-
 def all_b_vectors(g: ReflectionGroup):
     return product(*(range(orbit.order) for orbit in g.orbits))
 
@@ -202,11 +189,16 @@ def verify_symmetry(fs: FakeDegreeSet) -> dict:
     chi_b-twisted cyclic shift of tau's (a diagnostic, not an assertion).
     """
     g = fs.group
-    # chi_b and its det powers on the orbits depend on b only, not on the row.
-    b_shifts = []
-    for b in all_b_vectors(g):
-        chi_b = _pi_b_character(fs, b)
-        b_shifts.append((b, [orbit_det_power(g, chi_b, c) for c in range(len(g.orbits))]))
+    orders = [orbit.order for orbit in g.orbits]
+    ids = range(len(orders))
+    # chi_C = det^{-a[C][c]} on orbit c's stabilizer <s_H>, as det(s_H) = zeta_{e_c}
+    # generates its dual; so chi_b = prod_C chi_C^{e_C - b_C} is det^{-s_c} there,
+    # with s_c = sum_C (e_C - b_C) a[C][c] mod e_c, whatever the row.
+    a = [[orbit_det_power(g, ClassFunction(g, g.orbit_character(C)), c) for c in ids] for C in ids]
+    b_shifts = [
+        (b, [sum((orders[C] - b[C]) * a[C][c] for C in ids) % orders[c] for c in ids])
+        for b in all_b_vectors(g)
+    ]
     items = []
     all_passed = True
     for i, row in enumerate(fs.table.rows):

@@ -22,7 +22,8 @@ them, and the substitution f(w v) of polynomials (`substitute`).  Substitution
 runs on integers: with delta the lcm of the denominators of the matrix A of w
 and N the label of its entries, the images (delta A v)^e of the monomials e of
 degree q are integer power-basis coefficients at N (denominator delta^q),
-built degree by degree and reduced modulo Phi_N (`monomial_images`).  The
+built degree by degree and reduced modulo Phi_N (`monomial_images`), in the
+integer form of `exact` (`integral_terms` in, `from_integral` out).  The
 spectrum of each class representative is read off the traces of its powers,
 once per class; the determinant, the reflections (eigenvalue 1 of
 multiplicity dim - 1) and det(1 - T w) all come from it.
@@ -45,8 +46,9 @@ from .exact import (
     PolyT,
     ZERO,
     ONE,
-    _reduce,
     euler_phi,
+    from_integral,
+    integral_terms,
     poly_one_minus_Tk,
     poly_divide_exact,
     series_inverse,
@@ -443,16 +445,12 @@ class ReflectionGroup:
         entries = [(k, j, x) for k, row in enumerate(self.elements[i])
                    for j, x in enumerate(row) if not x.is_zero()]
         N = lcm(*(x.N for _, _, x in entries))
-        delta = lcm(*(c.denominator for _, _, x in entries for c in x.coeffs.values()))
         phi = euler_phi(N)
+        delta, terms = integral_terms(x * CycNum.zeta(N, a) for _, _, x in entries for a in range(phi))
         rows: list[list[tuple[int, tuple]]] = [[] for _ in self.elements[i]]
-        for k, j, x in entries:
-            b = {e: c.numerator * (delta // c.denominator) for e, c in x.promote(N).coeffs.items()}
-            cols = [[0] * phi for _ in range(phi)]
-            for a in range(phi):
-                for t, v in _reduce(N, {a + e: v for e, v in b.items()}, 0).items():
-                    cols[t][a] = v
-            rows[k].append((j, tuple(map(tuple, cols))))
+        for n, (k, j, _) in enumerate(entries):
+            block = [c + [0] * (phi - len(c)) for _, c in terms[n * phi : (n + 1) * phi]]
+            rows[k].append((j, tuple(zip(*block))))
         return N, delta, rows
 
     def monomial_images(self, i: int, q: int) -> tuple[int, int, list[dict[int, tuple[int, ...]]]]:
@@ -512,13 +510,12 @@ class ReflectionGroup:
             N, delta, images = self.monomial_images(i, q)
             index = _monomial_index(n, q)
             M = lcm(N, *(c.N for _, c in terms))
-            den = lcm(*(x.denominator for _, c in terms for x in c.coeffs.values()))
+            den, scaled_terms = integral_terms(c for _, c in terms)
             sums: dict[int, dict[int, int]] = {}
             labels: dict[int, int] = {}
             step = M // N
-            for e, c in terms:
-                scaled = [(k * (M // c.N), x.numerator * (den // x.denominator))
-                          for k, x in c.coeffs.items()]
+            for (e, c), (Nc, coeffs) in zip(terms, scaled_terms):
+                scaled = [(k * (M // Nc), v) for k, v in enumerate(coeffs) if v]
                 for t, a in images[index[e]].items():
                     labels[t] = lcm(labels.get(t, N), c.N)
                     acc = sums.setdefault(t, {})
@@ -531,9 +528,7 @@ class ReflectionGroup:
             monos = monomials(n, q)
             for t, acc in sums.items():
                 label = labels[t]
-                coeffs = _reduce(label, {s * label // M: Fraction(v, scale) for s, v in acc.items()})
-                if coeffs:
-                    out[monos[t]] = CycNum._make(label, coeffs)
+                out[monos[t]] = from_integral(label, ((s * label // M, v) for s, v in acc.items()), scale)
         return MultiPoly(n, out)
 
     # -- reflections and hyperplanes -----------------------------------------

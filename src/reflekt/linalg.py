@@ -7,14 +7,16 @@ come from its spectrum (`groups`), which the traces give.
 
 The F_p helpers (primes, roots of unity, elimination and determinants modulo
 a prime) serve both the Burnside-Dixon character table in `chars` and the
-exact solves here.  `nullspace` (and `rref`, `column_space_basis` through it)
-works over Q(zeta_L) multi-modularly on integer power-basis coefficients
+exact solves here.  `nullspace` (and `rref` through it) works over
+Q(zeta_L) multi-modularly on integer power-basis coefficients
 (`integral_nullspace`, which minmat feeds directly): it eliminates the images
 of the system modulo primes p = 1 (mod L) under every embedding
 zeta_L -> r^j, recovers power-basis coefficients by inverting the Vandermonde
 matrix of the embeddings, lifts them by CRT and rational reconstruction, and
 accepts the lift only once every row times every vector is checked to be 0
-exactly, in Z[zeta_L] on packed integers (`_certified`).
+exactly, in Z[zeta_L] on packed integers (`_certified`).  The integer forms
+come from `exact`: `integral_terms` for the rows and the lifted vectors,
+`kronecker_pack` for the packed certificate.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import CycNum, ExactError, ZERO, ONE, _reduce, euler_phi, slot_bits
+from .exact import CycNum, ExactError, ZERO, ONE, euler_phi, integral_terms, kronecker_pack, slot_bits
 
 Matrix = tuple[tuple[CycNum, ...], ...]
 Vector = tuple[CycNum, ...]
@@ -109,25 +111,18 @@ def rref(rows: Sequence[Sequence[CycNum]]) -> tuple[list[list[CycNum]], list[int
     return red + [[ZERO] * ncols for _ in range(len(rows) - len(red))], pivots
 
 
-def column_space_basis(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
-    """Basis of the column span: the columns at the pivots, that is the first
-    column and each one outside the span of those before it."""
-    _, pivots = rref(a)
-    return [tuple(row[c] for row in a) for c in pivots]
-
-
 def nullspace(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
     """Basis of {v : a v = 0}: the reduced-echelon basis, one vector per free
     column, with 1 there, 0 at the other free columns and after it.
 
     Recovered entries carry the lcm of the conductor labels of `a`, zeros
     included; the ones at free columns have conductor 1.  The rows go to
-    `integral_nullspace` scaled to integers, one `_integral_row` each.
+    `integral_nullspace` scaled to integers by `exact.integral_terms`.
     """
     if not a:
         return []
     label = lcm(1, *(x.N for row in a for x in row))
-    rows = [_integral_row([(c, x) for c, x in enumerate(row) if not x.is_zero()])[1] for row in a]
+    rows = [[(c, N, co) for c, (N, co) in enumerate(integral_terms(row)[1]) if any(co)] for row in a]
     return integral_nullspace(rows, len(a[0]), label)
 
 
@@ -188,71 +183,49 @@ def integral_nullspace(rows: Sequence[Sequence[Term]], ncols: int, label: int) -
         if lifted is None:
             continue
         it = iter(lifted)
-        vectors = [
-            [{k: q for k in range(phi) if (q := next(it))} for _ in range(ncols)] for _ in best[1]
-        ]
+        lifts = [[{k: q for k in range(phi) if (q := next(it))} for _ in range(ncols)] for _ in best[1]]
+        vectors = [[CycNum(L, e) if e else ZERO for e in vec] for vec in lifts]
         if _certified(rows, L, vectors):
             return [
                 tuple(
-                    ONE if c == fc else CycNum._make(L, e).promote(label) if e else ZERO
-                    for c, e in enumerate(entries)
+                    ONE if c == fc else ZERO if x.is_zero() else x.promote(label)
+                    for c, x in enumerate(vec)
                 )
-                for fc, entries in zip((-c for c in best[1]), vectors)
+                for fc, vec in zip((-c for c in best[1]), vectors)
             ]
     raise ExactError(f"nullspace not certified within {_PRIME_BUDGET} primes")
 
 
-def _integral_row(row) -> tuple[int, list[Term]]:
-    """(den, terms): den the lcm of the denominators of the row's entries,
-    given as (column, CycNum) pairs, and the `integral_nullspace` term of each
-    entry scaled by den to lie in Z."""
-    den = lcm(*(q.denominator for _, x in row for q in x.coeffs.values()))
-    terms = []
-    for c, x in row:
-        N = 1 if x.is_rational() else x.N
-        coeffs = [0] * euler_phi(N)
-        for k, q in x.coeffs.items():
-            coeffs[k] = q.numerator * (den // q.denominator)
-        terms.append((c, N, coeffs))
-    return den, terms
-
-
-def _certified(rows: Sequence[Sequence[Term]], L: int, vectors: list[list[dict[int, Fraction]]]) -> bool:
+def _certified(rows: Sequence[Sequence[Term]], L: int, vectors: list[list[CycNum]]) -> bool:
     """Exact check, in Z[zeta_L], that every row annihilates every vector.
 
-    A vector lists per column its power-basis coefficients at L; each is
-    scaled to integers by the lcm of its denominators.  For each column c and
-    each power zeta_L^j a term can carry (j = k L/N), the reduced coefficients
-    of zeta_L^j v[c] for all the vectors are packed into one int, as in
-    `exact.weighted_sums`, vector b in slots b phi(L) .. b phi(L) + phi(L) - 1.
-    A row is then one big-integer multiply-add per term and power, and its
-    digits are the reduced coefficients of row . v for every v.  Each digit is
-    at most the l1 norm of the row times the largest such coefficient, which
+    Each vector is scaled to integers by the lcm of its denominators, which
+    roots of unity keep.  For each column c and each power zeta_L^j a term
+    can carry (j = k L/N), the coefficients of zeta_L^j v[c] for all the
+    vectors are packed into one int, vector b from slot b phi(L) on.  A row
+    is then one big-integer multiply-add per term and power, and its digits
+    are the reduced coefficients of row . v for every v.  Each digit is at
+    most the l1 norm of the row times the largest such coefficient, which
     sizes the slots; balanced digits that fit pack 0 only when all are 0.
     """
     if not rows or not vectors:
         return True
     phi = euler_phi(L)
-    scaled = []
-    for entries in vectors:
-        den = lcm(*(q.denominator for e in entries for q in e.values()))
-        scaled.append([{k: q.numerator * (den // q.denominator) for k, q in e.items()} for e in entries])
     conductors = {N for row in rows for _, N, _ in row}
     shifts = {k * (L // N) for N in conductors for k in range(euler_phi(N))}
-    # power j, column c -> the reduced coefficients of zeta_L^j v[c], vector by vector
-    images = {
-        j: [[_reduce(L, {k + j: v for k, v in entries[c].items()}, 0) for entries in scaled]
-            for c in range(len(vectors[0]))]
-        for j in shifts
-    }
+    scaled = [[co if any(co) else [] for _, co in integral_terms(vec)[1]] for vec in vectors]
+    # power j -> vector -> column: the integer coefficients of zeta_L^j v[c],
+    # coefficient t being sum_s v[c]_s times coefficient t of zeta_L^(j + s)
+    images = {}
+    for j in shifts:
+        _, zetas = integral_terms(CycNum.zeta(L, j + s) for s in range(phi))
+        by_coeff = list(zip(*(co + [0] * (phi - len(co)) for _, co in zetas)))
+        images[j] = [[[sum(map(mul, co, t)) for t in by_coeff] if co else co for co in v] for v in scaled]
     bound = max(sum(sum(map(abs, coeffs)) for _, _, coeffs in row) for row in rows) * max(
-        (abs(v) for col in images.values() for vs in col for e in vs for v in e.values()), default=0
+        (max(map(abs, co)) for vecs in images.values() for vec in vecs for co in vec if co), default=0
     )
     bits = slot_bits(bound)
-    packed = {
-        j: [sum(v << bits * (b * phi + k) for b, e in enumerate(vs) for k, v in e.items()) for vs in col]
-        for j, col in images.items()
-    }
+    packed = {j: [kronecker_pack(col, bits, phi) for col in zip(*vecs)] for j, vecs in images.items()}
     # conductor N, column c -> the packed zeta_N^k v[c], k < phi(N)
     powers = {N: list(zip(*(packed[k * (L // N)] for k in range(euler_phi(N))))) for N in conductors}
     return not any(sum(sum(map(mul, coeffs, powers[N][c])) for c, N, coeffs in row) for row in rows)

@@ -7,10 +7,10 @@ M(w^{-1} v) = tau(w) M(v) for all w.  Columns come from the space of
 equivariant polynomial maps V -> C^l of each degree: the constraints of all
 generators form one linear system on integer power-basis coefficients, built
 from the integer monomial images of the group (`monomial_images`) and the
-realization matrices, and solved by `linalg.integral_nullspace` (modular, then
-certified exactly on integers) with no CycNum arithmetic before the lifted
-basis.  When the solution space is bigger than the number of columns needed,
-a deterministic pseudo-random mixing is drawn.  Its determinant det(M) is
+realization matrices in `exact`'s integer form, and solved by
+`linalg.integral_nullspace` (modular, then certified exactly on integers).
+When the solution space is bigger than the number of columns needed, a
+deterministic pseudo-random mixing is drawn.  Its determinant det(M) is
 expanded once, by Laplace along the first row, and certified nonzero by its
 exact value at a random rational point (one nonzero value is a proof); both
 verifiers read it from the `MinimalTauMatrix`.
@@ -18,9 +18,11 @@ verifiers read it from the `MinimalTauMatrix`.
 Matrix realizations come from the defining representation (possibly twisted
 by a linear character) when the character matches, and otherwise from
 projecting a multiplicity-one induced module C[W] e_lambda for a cyclic
-subgroup; those matrices are unitary for the explicit invariant Hermitian
-Gram form carried alongside (exactly certified), not for the standard form,
-which would require square-root field extensions.
+subgroup, with one exact solve: the isotypic idempotent P factors as B R (R
+the nonzero rows of rref(P), B its pivot columns), so R gives coordinates on
+B.  Those matrices are unitary for the explicit invariant Hermitian Gram form
+carried alongside (exactly certified), not for the standard form, which would
+require square-root field extensions.
 """
 from __future__ import annotations
 
@@ -28,9 +30,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
-from .exact import CycNum, ExactError, MultiPoly, _reduce, euler_phi, series_inverse
+from .exact import ZERO, CycNum, ExactError, MultiPoly, from_integral, integral_terms, series_inverse
 from . import linalg
 from .linalg import Matrix
 from .groups import ReflectionGroup, monomials
@@ -170,39 +171,25 @@ def _induced_realization(g, table, row_idx) -> Realization:
     scale = Fraction(deg, g.order)
     proj = [[x * scale for x in rw] for rw in proj]
 
-    basis = linalg.column_space_basis(proj)
-    if len(basis) != deg:
-        raise RealizationError(
-            f"isotypic projection has rank {len(basis)}, expected {deg}"
-        )
-    bmat = tuple(tuple(basis[c][r] for c in range(deg)) for r in range(nx))
+    # proj = B R, with R the nonzero rows of rref(proj) and B its columns at
+    # their pivots; proj fixes its image, so R y are the coordinates of y on B.
+    red, pivots = linalg.rref(proj)
+    if len(pivots) != deg:
+        raise RealizationError(f"isotypic projection has rank {len(pivots)}, expected {deg}")
+    rmat = tuple(map(tuple, red[:deg]))
+    bmat = tuple(tuple(proj[r][c] for c in pivots) for r in range(nx))
 
-    gen_elts = g.generator_elements
     gen_mats = []
-    for a in gen_elts:
+    for a in g.generator_elements:
         perm, scal = induced_monomial(a)
-        rhs_cols = []
-        for c in range(deg):
-            col = [CycNum.zero()] * nx
-            for r in range(nx):
-                col[perm[r]] = scal[r] * bmat[r][c]
-            rhs_cols.append(col)
-        coeffs = _solve_in_column_space(bmat, rhs_cols)
-        gen_mats.append(tuple(tuple(coeffs[t][c] for c in range(deg)) for t in range(deg)))
+        image = [()] * nx
+        for r in range(nx):
+            image[perm[r]] = tuple(scal[r] * x for x in bmat[r])
+        coords = linalg.mat_mul(rmat, tuple(image))
+        gen_mats.append(tuple(tuple(ZERO if x.is_zero() else x for x in row) for row in coords))
 
     gram = linalg.mat_mul(linalg.conj_transpose(bmat), bmat)
     return Realization(g, row_idx, row, gen_mats, gram, "induced_cyclic")
-
-
-def _solve_in_column_space(bmat: Matrix, rhs_cols) -> list[list[CycNum]]:
-    """Coordinates of each rhs column in the column space of bmat."""
-    nx, d = len(bmat), len(bmat[0])
-    k = len(rhs_cols)
-    aug = [list(bmat[r]) + [rhs_cols[c][r] for c in range(k)] for r in range(nx)]
-    red, pivots = linalg.rref(aug)
-    if pivots[: d] != list(range(d)) or len(pivots) != d:
-        raise RealizationError("rhs outside the column space (bug)")
-    return [[red[t][d + c] for c in range(k)] for t in range(d)]
 
 
 def matrix_realization(g: ReflectionGroup, table: CharacterTable, row_idx: int) -> Realization:
@@ -228,22 +215,6 @@ def predicted_equivariant_dimension(fs: FakeDegreeSet, row_idx: int, p: int) -> 
     molien = series_inverse(degree_numerator(fs.group), p)
     f = fs.f_poly(row_idx)
     return int(sum((f[k] * molien[p - k] for k in range(p + 1)), CycNum.zero()).as_fraction())
-
-
-def _sum_term(label: int, *parts: tuple[int, Sequence[int]]) -> tuple[int, list[int]] | None:
-    """(conductor, coefficients) of the sum of the parts, each (conductor,
-    integer coefficients), as an entry of this label reads: None when it is
-    0, conductor 1 when it is rational, the label otherwise."""
-    raw: dict[int, int] = {}
-    for N, coeffs in parts:
-        for k, v in enumerate(coeffs):
-            raw[k * (label // N)] = raw.get(k * (label // N), 0) + v
-    total = _reduce(label, raw, 0)
-    if not total:
-        return None
-    if set(total) == {0}:
-        return 1, [total[0]]
-    return label, [total.get(k, 0) for k in range(euler_phi(label))]
 
 
 def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None):
@@ -276,22 +247,25 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
         for d, image in enumerate(images):
             for dp, c in image.items():
                 by_out[dp][d] = (N, c) if any(c[1:]) else (1, c[:1])
-        tau = []  # per component s: (den, {t: term of -delta^p den tau_st}, label of tau_ss)
-        for s, tau_row in enumerate(real.generator_matrices[a]):
-            entries = [(t, x) for t, x in enumerate(tau_row) if not x.is_zero()]
-            label = lcm(label, *(x.N for _, x in entries))
-            den, terms = linalg._integral_row(entries)
-            tau.append((den, {t: (M, [-delta**p * v for v in c]) for t, M, c in terms}, tau_row[s].N))
+        tau = []  # per component s: (den, {t: term of -delta^p den tau_st})
+        for tau_row in real.generator_matrices[a]:
+            label = lcm(label, *(x.N for x in tau_row if not x.is_zero()))
+            den, terms = integral_terms(tau_row)
+            scaled = {t: (M, [-delta**p * v for v in c]) for t, (M, c) in enumerate(terms) if any(c)}
+            tau.append((den, scaled))
         for dp in range(D):
-            for s, (den, tau_terms, diag_label) in enumerate(tau):
+            for s, (den, tau_terms) in enumerate(tau):
                 row = {d * l + s: (M, [den * v for v in c]) for d, (M, c) in by_out[dp].items()}
                 taus = {dp * l + t: term for t, term in tau_terms.items()}
                 col = dp * l + s
                 if col in row and col in taus:
-                    # one entry, image minus tau, labelled as their CycNum difference
-                    diag = _sum_term(lcm(N, diag_label), row.pop(col), taus.pop(col))
-                    if diag:
-                        row[col] = diag
+                    # one entry, image minus tau, summed at the lcm of their conductors
+                    parts = (row.pop(col), taus.pop(col))
+                    M = lcm(*(Mi for Mi, _ in parts))
+                    diag = from_integral(M, ((k * (M // Mi), v) for Mi, c in parts for k, v in enumerate(c)))
+                    [(M, c)] = integral_terms([diag])[1]
+                    if any(c):
+                        row[col] = (M, c)
                 rows.append([(c, M, coeffs) for c, (M, coeffs) in (row | taus).items()])
     basis = []
     for vec in linalg.integral_nullspace(rows, D * l, label):

@@ -12,7 +12,7 @@ from reflekt.exact import (
     PolyT,
     cyclotomic_polynomial,
     euler_phi,
-    integral_coefficients,
+    integral_terms,
     poly_divide_exact,
     poly_from_ints,
     poly_one_minus_Tk,
@@ -264,13 +264,17 @@ def test_weighted_sums_at_the_slot_edges(b):
     assert s == x - x * x
 
 
-def test_integral_coefficients_promote_and_reject_fractions():
-    assert integral_coefficients(CycNum.zeta(4), 8) == {2: 1}
-    assert integral_coefficients(CycNum.zeta(3), 6) == {0: -1, 1: 1}
-    assert integral_coefficients(CycNum.rational(-7), 12) == {0: -7}
+def test_integral_terms_scale_by_the_common_denominator():
+    """Each value's power-basis coefficients at its label, times the lcm of
+    all the denominators; rational values, zero included, have conductor 1."""
+    assert integral_terms([CycNum.zeta(4).promote(8)]) == (1, [(8, [0, 0, 1, 0])])
+    assert integral_terms([CycNum.zeta(3).promote(6)]) == (1, [(6, [-1, 1])])
+    assert integral_terms([CycNum.rational(-7, 12)]) == (1, [(1, [-7])])
     half = CycNum(3, {1: Fraction(1, 2)})
-    with pytest.raises(ExactError):
-        integral_coefficients(half, 3)
+    assert integral_terms([half]) == (2, [(3, [0, 1])])
+    mixed = [CycNum(4, {0: Fraction(1, 3), 1: Fraction(-1, 2)}), CycNum.rational(Fraction(5, 4)), CycNum.zero(12)]
+    assert integral_terms(mixed) == (12, [(4, [4, -6]), (1, [15]), (1, [0])])
+    assert integral_terms([]) == (1, [])
     with pytest.raises(ExactError):
         weighted_sums(3, [1], [[half]], [[[CycNum.one(3)]]], [(0, 0)])
     with pytest.raises(ExactError):

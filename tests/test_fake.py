@@ -4,7 +4,7 @@ import pytest
 
 from reflekt.exact import CycNum, PolyT, poly_from_ints
 from reflekt.groups import build_group
-from reflekt.chars import character_table, det_character, trivial_character
+from reflekt.chars import ClassFunction, character_table, det_character, orbit_det_power, trivial_character
 from reflekt.fake import (
     FakeDegreeSet,
     coinvariant_poincare,
@@ -184,6 +184,31 @@ def test_verify_symmetry_corpus(built):
         assert rep["passed"], name
         for it in rep["items"]:
             assert "N" in it, name  # integrality held everywhere
+
+
+def test_symmetry_diagnostic_twists_by_the_cyclotomic_chi_b(built):
+    """The local-data diagnostic shifts by the det power of chi_b =
+    prod_C chi_C^{e_C - b_C} on each orbit's stabilizer; here chi_b is
+    multiplied out in CycNum and its det powers read off it directly."""
+    twisted = 0
+    for name, fs in built.items():
+        g, local = fs.group, fs.local
+        for it in verify_symmetry(fs)["items"]:
+            chi_b = [CycNum.one()] * len(g.classes)
+            for C, orbit in enumerate(g.orbits):
+                chars = g.orbit_character(C)
+                chi_b = [v * chars[k] ** (orbit.order - it["b"][C]) for k, v in enumerate(chi_b)]
+            chi_b = ClassFunction(g, tuple(chi_b))
+            shifts = [orbit_det_power(g, chi_b, c) for c in range(len(g.orbits))]
+            twisted += any(shifts)
+            for d in it["local_data_diagnostic"]:
+                want = all(
+                    local[d["partner"]].multiplicities[c]
+                    == tuple(local[it["row"]].multiplicities[c][(j - shifts[c]) % o.order] for j in range(o.order))
+                    for c, o in enumerate(g.orbits)
+                )
+                assert d["local_data_shift_matches"] == want, (name, it["row"], it["b"])
+    assert twisted
 
 
 def test_palindrome_examples(built):

@@ -1,6 +1,8 @@
-"""Every name a reflekt module imports is used in that module.
+"""Every name a reflekt module imports is used in that module, and only
+`exact` reaches into `exact`.
 
-`__init__.py` is skipped: its imports are the package's re-exports.
+`__init__.py` is skipped by the unused-import check: its imports are the
+package's re-exports.
 """
 import ast
 from pathlib import Path
@@ -43,3 +45,35 @@ def test_detects_an_unused_import():
         "gcd (line 2)",
         "os (line 1)",
     ]
+
+
+def private_exact_uses(source: str) -> list[str]:
+    """The `_`-prefixed names of `exact` a module imports or reads as
+    `exact._name`, and its `CycNum._make` calls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exact":
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner, name = node.value.id, node.attr
+            if (owner == "exact" and name.startswith("_")) or (owner == "CycNum" and name == "_make"):
+                found.append(f"{owner}.{name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "exact.py"), ids=lambda p: p.name
+)
+def test_only_exact_uses_its_private_names(path):
+    assert private_exact_uses(path.read_text()) == []
+
+
+def test_detects_private_exact_uses():
+    source = (
+        "from .exact import CycNum, _reduce\n"
+        "from . import exact\n"
+        "exact._F0\n"
+        "CycNum._make(1, {})\n"
+        "CycNum.zero()\n"
+    )
+    assert private_exact_uses(source) == ["_reduce (line 1)", "exact._F0 (line 3)", "CycNum._make (line 4)"]

@@ -136,8 +136,9 @@ def test_certificate_rejects_every_perturbed_coefficient(monkeypatch):
     for b, vec in enumerate(vectors):
         for c, entry in enumerate(vec):
             for k in range(euler_phi(L)):
-                bumped = [[dict(e) for e in v] for v in vectors]
-                bumped[b][c][k] = bumped[b][c].get(k, 0) + 1
+                # zeta_L^k is +1 on power-basis coefficient k at L
+                bumped = [list(v) for v in vectors]
+                bumped[b][c] = entry + CycNum.zeta(L, k)
                 assert not certified(rows, L, bumped), (b, c, k)
 
 
