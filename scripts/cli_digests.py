@@ -2,13 +2,16 @@
 """Print one SHA-256 per CLI output over a fixed check set, to compare trees.
 
 The check set is
-  - the 15 corpus groups x `group`, `chars`, `fake` and the four `verify` kinds;
+  - the 15 corpus groups and G4 (`file:tests/data/g4.json`, a group that is
+    not monomial) x `group`, `chars`, `fake` and the four `verify` kinds;
   - `minmat --rep i` for every row of criterion 8's scope;
   - `kz monodromy` for S3 rep 1, S4 rep 2 and G(3,1,2) rep 2 at a fixed label;
   - `kz gamma` for S3 and G(2,1,2) at one integral label each.
 
 Each command runs as a fresh `python -m reflekt.cli` process with every
-`REFLEKT_*` variable unset; a line is `<sha256 of stdout> <exit code> <command>`.
+`REFLEKT_*` variable unset and the repository root as working directory, so
+G4's echoed descriptor is the same for every tree; a line is
+`<sha256 of stdout> <exit code> <command>`.
 
     python3 scripts/cli_digests.py                  # this checkout's src/
     python3 scripts/cli_digests.py OTHER/src        # another tree's src/
@@ -26,6 +29,7 @@ CORPUS = (
     + [f"G({m},1,1)" for m in range(2, 7)]
     + [f"G({m},{m},2)" for m in range(2, 7) if m != 4]  # m = 4 is G(4,4,2) above
 )
+G4 = "file:tests/data/g4.json"
 MINMAT_SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)"] + [f"G({m},1,1)" for m in range(2, 5)]
 MINMAT_ROWS = {"S3": 3, "S4": 5, "G(2,1,2)": 5, "G(3,1,2)": 9, "G(2,1,1)": 2, "G(3,1,1)": 3, "G(4,1,1)": 4}
 KZ_COMMANDS = [
@@ -39,7 +43,7 @@ KZ_COMMANDS = [
 
 def commands() -> list[list[str]]:
     out = []
-    for d in CORPUS:
+    for d in CORPUS + [G4]:
         out += [["group", d], ["chars", d], ["fake", d]]
         out += [["verify", kind, d] for kind in ("pn", "symmetry", "palindrome", "poincare")]
     for d in MINMAT_SCOPE:

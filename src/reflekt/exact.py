@@ -591,29 +591,6 @@ class PolyT:
             acc = acc * x + c
         return acc
 
-    def shift(self, k: int) -> PolyT:
-        """Multiply by T^k."""
-        if self.is_zero():
-            return self
-        return PolyT([ZERO] * k + list(self.coeffs))
-
-    def reversed_shift(self, c: int) -> PolyT:
-        """T^c * p(1/T); raises if the result has a negative exponent."""
-        if self.is_zero():
-            return self
-        out: dict[int, CycNum] = {}
-        for k, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            e = c - k
-            if e < 0:
-                raise ExactError(f"T^{c} * p(1/T) is not a polynomial (term T^{e})")
-            out[e] = a
-        coeffs = [ZERO] * (max(out) + 1)
-        for e, a in out.items():
-            coeffs[e] = a
-        return PolyT(coeffs)
-
     def exponents(self) -> list[int]:
         """Degrees with multiplicity = coefficient; requires nonneg integer coeffs."""
         out: list[int] = []

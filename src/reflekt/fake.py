@@ -15,6 +15,11 @@ modulo Phi_N once per power of T.  F_chi is asserted to be a polynomial with
 nonnegative integer coefficients summing to chi(1), with exponents in
 [0, #R].  R_chi denotes the fake degree of the complex-conjugate character.
 
+Such a polynomial is fixed by its exponent tuple (each power of T repeated by
+its coefficient), so the verifiers compare fake degrees on exponents: a
+partner with F = T^N F_tau, or R = T^c R_tau(1/T), is one lookup in a dict
+from exponent tuples to rows, and T^k p(1/T) reverses and shifts the tuple.
+
 All verifiers return JSON-ready dicts with a top-level "passed" flag; the one
 unconditional identity (T^{#R} R_chi(1/T) = F_{chi (x) det}) raises instead of
 reporting, since its failure can only mean an arithmetic bug.
@@ -28,7 +33,6 @@ from math import lcm
 
 from .exact import (
     CycNum,
-    ExactError,
     PolyT,
     poly_divide_exact,
     poly_one_minus_Tk,
@@ -130,10 +134,6 @@ class FakeDegreeSet:
     def f_poly(self, i: int) -> PolyT:
         return self.fds[i].polynomial
 
-    def r_poly(self, i: int) -> PolyT:
-        """R of row i = fake degree of the conjugate row."""
-        return self.fds[self.conj_perm[i]].polynomial
-
 
 # ---------------------------------------------------------------------------
 # verifiers
@@ -199,10 +199,11 @@ def verify_symmetry(fs: FakeDegreeSet) -> dict:
         (b, [sum((orders[C] - b[C]) * a[C][c] for C in ids) % orders[c] for c in ids])
         for b in all_b_vectors(g)
     ]
+    by_exponents = _rows_by_exponents([fd.exponents for fd in fs.fds])
     items = []
     all_passed = True
-    for i, row in enumerate(fs.table.rows):
-        deg = row.degree_int()
+    for i, fd in enumerate(fs.fds):
+        exps = fd.exponents
         for b, shifts in b_shifts:
             n_shift = symmetry_shift(fs, i, b)
             entry: dict = {"row": i, "b": list(b)}
@@ -213,19 +214,13 @@ def verify_symmetry(fs: FakeDegreeSet) -> dict:
                 continue
             n_int = int(n_shift)
             entry["N"] = n_int
-            fp = fs.f_poly(i)
-            min_exp = min(fs.fds[i].exponents) if fs.fds[i].exponents else 0
+            min_exp = min(exps) if exps else 0
             if min_exp + n_int < 0:
                 entry.update(passed=False, reason="T^N F has negative exponents")
                 items.append(entry)
                 all_passed = False
                 continue
-            target = fp.shift(n_int) if n_int >= 0 else _unshift(fp, -n_int)
-            matches = [
-                j
-                for j in range(len(fs.table.rows))
-                if fs.table.rows[j].degree_int() == deg and fs.f_poly(j) == target
-            ]
+            matches = list(by_exponents.get(tuple(p + n_int for p in exps), ()))
             diag = []
             for j in matches:
                 ok = True
@@ -245,10 +240,14 @@ def verify_symmetry(fs: FakeDegreeSet) -> dict:
     return {"items": items, "passed": all_passed}
 
 
-def _unshift(p: PolyT, k: int) -> PolyT:
-    if any(not c.is_zero() for c in p.coeffs[:k]):
-        raise ExactError("negative shift would lose terms")
-    return PolyT(list(p.coeffs[k:]))
+def _rows_by_exponents(exponents) -> dict[tuple[int, ...], list[int]]:
+    """Row indices by exponent tuple.  A polynomial with nonnegative integer
+    coefficients is fixed by its exponents, and its value at T = 1, the row
+    degree, is their count, so equal tuples mean equal polynomials and degrees."""
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for j, exps in enumerate(exponents):
+        rows.setdefault(exps, []).append(j)
+    return rows
 
 
 def palindrome_check(fs: FakeDegreeSet) -> dict:
@@ -263,13 +262,15 @@ def palindrome_check(fs: FakeDegreeSet) -> dict:
     det_row = det_character(g)
     items = []
     all_passed = True
+    r_exponents = [fs.fds[j].exponents for j in fs.conj_perm]
+    by_r_exponents = _rows_by_exponents(r_exponents)
     for i, row in enumerate(fs.table.rows):
-        r_rev = fs.r_poly(i).reversed_shift(nrefl)
+        r_exps = r_exponents[i]
         try:
             twisted = fs.table.row_index(tensor_with_linear(row, det_row))
         except KeyError:
             raise VerificationError(f"row {i}: the det twist is not a row of the table") from None
-        if r_rev != fs.f_poly(twisted):
+        if tuple(nrefl - p for p in reversed(r_exps)) != fs.fds[twisted].exponents:
             raise VerificationError(
                 f"row {i}: T^#R R(1/T) != F of the det twist (arithmetic bug)"
             )
@@ -287,19 +288,12 @@ def palindrome_check(fs: FakeDegreeSet) -> dict:
             continue
         c_int = int(c_val.as_fraction())
         entry["c"] = c_int
-        try:
-            target = fs.r_poly(i).reversed_shift(c_int)
-        except ExactError:
+        if r_exps and r_exps[-1] > c_int:
             entry.update(passed=False, reason="T^c R(1/T) is not a polynomial")
             items.append(entry)
             all_passed = False
             continue
-        deg = row.degree_int()
-        partners = [
-            j
-            for j in range(len(fs.table.rows))
-            if fs.table.rows[j].degree_int() == deg and fs.r_poly(j) == target
-        ]
+        partners = list(by_r_exponents.get(tuple(c_int - p for p in reversed(r_exps)), ()))
         passed = bool(partners)
         entry.update(passed=passed, partners=partners)
         items.append(entry)

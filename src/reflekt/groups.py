@@ -16,18 +16,25 @@ records the Cayley graph of right multiplication by the generators
 (rmul[i][g] = index of w_i * s_g) and the BFS tree (w_j = w_parent(j) * s_last),
 so it costs |W| * #generators matrix products.  All pure group structure -
 products (w_i * w_j walks the word of w_j from i), inverses, element orders,
-conjugacy classes - is integer lookups in that graph.  Matrices are used only
-where the answer is linear algebra: traces, hyperplane forms and the action on
-them, and the substitution f(w v) of polynomials (`substitute`).  Substitution
-runs on integers: with delta the lcm of the denominators of the matrix A of w
-and N the label of its entries, the images (delta A v)^e of the monomials e of
-degree q are integer power-basis coefficients at N (denominator delta^q),
-built degree by degree and reduced modulo Phi_N (`monomial_images`), in the
-integer form of `exact` (`integral_terms` in, `from_integral` out).  The
-spectrum of each class representative is read off the traces of its powers,
-once per class; the determinant, the reflections (eigenvalue 1 of
-multiplicity dim - 1) and det(1 - T w) all come from it.
-Everything is exact; all data is immutable after construction.
+conjugacy classes - is integer lookups in that graph.  So are the hyperplanes
+and their orbits.  The pointwise stabilizer W_H of a hyperplane is cyclic, 1
+and the reflections of H, so taking reflections by decreasing order, each one
+not yet assigned generates its W_H and its powers are the other reflections
+of H (`hyperplane_of`).  Since w s_H w^-1 = s_{w(H)}, the orbit of H is the
+set of hyperplanes H' whose distinguished reflection s_H' lies in the class
+of s_H.  Matrices are used only where the answer is linear algebra: traces,
+one normalized form per hyperplane, the form images behind the orbit
+characters chi_C (`_form_image`), and the substitution f(w v) of polynomials
+(`substitute`).  Substitution runs on integers: with delta the lcm of the
+denominators of the matrix A of w and N the label of its entries, the images
+(delta A v)^e of the monomials e of degree q are integer power-basis
+coefficients at N (denominator delta^q), built degree by degree and reduced
+modulo Phi_N (`monomial_images`), in the integer form of `exact`
+(`integral_terms` in, `from_integral` out).  The spectrum of each class
+representative is read off the traces of its powers, once per class; the
+determinant, the reflections (eigenvalue 1 of multiplicity dim - 1) and
+det(1 - T w) all come from it.  Everything is exact; all data is immutable
+after construction.
 """
 from __future__ import annotations
 
@@ -344,7 +351,6 @@ class ReflectionGroup:
             head += 1
         self.elements = elements
         self.words = words
-        self.index = index
         self.order = len(elements)
         self.identity = 0
         self._rmul = rmul
@@ -541,45 +547,52 @@ class ReflectionGroup:
                 refl.extend(cls.members)
         self.reflections = tuple(sorted(refl))
 
-    def _normalized_form(self, row: Vector) -> Vector:
-        piv = next(x for x in row if not x.is_zero())
-        inv = piv.inverse()
-        return tuple(x * inv for x in row)
-
     def _reflection_form(self, i: int) -> Vector:
+        """The first moving row of w_i - 1, scaled to first nonzero coefficient 1."""
         diff = linalg.mat_sub(self.elements[i], linalg.identity(self.dimension))
         for row in diff:
-            if any(not x.is_zero() for x in row):
-                return self._normalized_form(row)
+            piv = next((x for x in row if not x.is_zero()), None)
+            if piv is not None:
+                inv = piv.inverse()
+                return tuple(x * inv for x in row)
         raise ExactError("reflection without a moving row (bug)")
 
     def _find_hyperplanes(self) -> None:
-        forms: dict[Vector, list[int]] = {}
-        for i in self.reflections:
-            forms.setdefault(self._reflection_form(i), []).append(i)
+        # W_H is cyclic: 1 and the reflections with hyperplane H.  Taken by
+        # decreasing order, each unassigned reflection generates its W_H, and
+        # its powers are the other reflections of H.
+        orders = self.element_orders
+        assigned: set[int] = set()
+        stabilizers = []
+        for r in sorted(self.reflections, key=lambda i: -orders[i]):
+            if r in assigned:
+                continue
+            members, cur = [], r
+            while cur != 0:
+                members.append(cur)
+                cur = self.mult(cur, r)
+            if not assigned.isdisjoint(members):
+                raise ExactError("hyperplane stabilizers overlap (bug)")
+            assigned.update(members)
+            stabilizers.append(tuple([0] + sorted(members)))
+        self.hyperplane_of: dict[int, int] = {}
         hyperplanes = []
-        self.hyperplane_index: dict[Vector, int] = {}
-        for form, members in forms.items():
-            alpha = MultiPoly.linear_form(form)
-            # The pointwise stabilizer of H is 1 plus the reflections with hyperplane H.
-            stab = [0] + members
+        for stab in sorted(stabilizers, key=lambda st: st[1]):
             e = len(stab)
-            if e < 2:
-                raise ExactError("hyperplane stabilizer not a reflection group (bug)")
             target = CycNum.zeta(e)
             gen = next((i for i in stab if self.det(i) == target), None)
             if gen is None:
                 raise ExactError("no distinguished generator with det = zeta_e (bug)")
-            if self.element_orders[gen] != e:
-                raise ExactError("hyperplane stabilizer is not cyclic (bug)")
-            self.hyperplane_index[form] = len(hyperplanes)
+            for i in stab[1:]:
+                self.hyperplane_of[i] = len(hyperplanes)
+            form = self._reflection_form(stab[1])
             hyperplanes.append(
                 Hyperplane(
                     form=form,
-                    alpha=alpha,
+                    alpha=MultiPoly.linear_form(form),
                     order=e,
                     generator=gen,
-                    stabilizer=tuple(stab),
+                    stabilizer=stab,
                 )
             )
         self.hyperplanes = tuple(hyperplanes)
@@ -610,10 +623,6 @@ class ReflectionGroup:
             for j in range(self.dimension)
         )
 
-    def hyperplane_image(self, h_idx: int, w: int) -> int:
-        """Index of w(H): the form transforms as alpha o w^{-1}."""
-        return self.hyperplane_index[self._normalized_form(self._form_image(h_idx, w))]
-
     def orbit_character(self, c: int) -> tuple[CycNum, ...]:
         """Class values of chi_C, the linear character with pi_C o w^{-1} = chi_C(w) pi_C.
 
@@ -636,32 +645,20 @@ class ReflectionGroup:
         return chars[c]
 
     def _find_orbits(self) -> None:
-        unassigned = set(range(len(self.hyperplanes)))
+        # w s_H w^-1 = s_{w(H)}: the orbit of H is the hyperplanes whose
+        # distinguished reflection is conjugate to s_H.
+        by_class: dict[int, list[int]] = {}
+        for h, hp in enumerate(self.hyperplanes):
+            by_class.setdefault(self.class_of[hp.generator], []).append(h)
         orbits = []
         self.orbit_of_hyperplane = [0] * len(self.hyperplanes)
-        gen_elts = self.generator_elements
-        while unassigned:
-            start = min(unassigned)
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                cur = frontier.pop()
-                for g in gen_elts:
-                    img = self.hyperplane_image(cur, g)
-                    if img not in seen:
-                        seen.add(img)
-                        frontier.append(img)
-            members = tuple(sorted(seen))
-            orders = {self.hyperplanes[h].order for h in members}
-            if len(orders) != 1:
-                raise ExactError("orbit with mixed stabilizer orders (bug)")
+        for members in by_class.values():
             pi = MultiPoly.constant(self.dimension, 1)
             for h in members:
                 pi = pi * self.hyperplanes[h].alpha
-            for h in members:
                 self.orbit_of_hyperplane[h] = len(orbits)
-            orbits.append(HyperplaneOrbit(members=members, order=orders.pop(), pi=pi))
-            unassigned -= seen
+            order = self.hyperplanes[members[0]].order
+            orbits.append(HyperplaneOrbit(members=tuple(members), order=order, pi=pi))
         self.orbits = tuple(orbits)
 
     # -- conjugacy classes ----------------------------------------------------

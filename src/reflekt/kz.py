@@ -101,6 +101,9 @@ class LabelVector:
     def from_json(obj, g: ReflectionGroup) -> LabelVector:
         if not isinstance(obj, dict):
             raise KZError("label vector must be a JSON object")
+        stray = sorted(set(obj) - {str(c) for c in range(len(g.orbits))})
+        if stray:
+            raise KZError(f"label vector key '{stray[0]}' names no orbit")
         vals = []
         for c, orbit in enumerate(g.orbits):
             row = obj.get(str(c))
@@ -742,10 +745,9 @@ def _generator_hyperplanes(g: ReflectionGroup) -> list[int]:
     be the distinguished reflection of its hyperplane."""
     out = []
     for gelt in g.generator_elements:
-        if gelt not in g.reflections:
+        h = g.hyperplane_of.get(gelt)
+        if h is None:
             raise KZError("a group generator is not a reflection")
-        form = g._reflection_form(gelt)
-        h = g.hyperplane_index[form]
         if g.hyperplanes[h].generator != gelt:
             raise KZError("a group generator is not the distinguished s_H")
         out.append(h)

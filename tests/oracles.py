@@ -14,7 +14,12 @@ minmat expands det(M) by Laplace.  The transport oracle
 is the RK kernel kz used before its batch moved to the last axis: it
 evaluates omega at every stage of every step and keeps the batch first.  The
 log-integral oracle unwraps the argument of each alpha_H over finely sampled
-points of every leg, where kz takes one principal Log per leg end.
+points of every leg, where kz takes one principal Log per leg end.  The
+hyperplane and orbit oracles key every reflection's normalized form into a
+dict and walk the orbits by form images under the generators, where the group
+reads W_H off the powers of a reflection and the orbits off the classes of the
+s_H.  The partner oracles compare fake degrees as `PolyT`s, shifted and
+reversed coefficient by coefficient, where `fake` compares exponent tuples.
 """
 from __future__ import annotations
 
@@ -30,8 +35,9 @@ from reflekt.exact import (
     poly_one_minus_Tk,
     series_inverse,
 )
+from reflekt import linalg
 from reflekt.kz import KZError
-from reflekt.groups import monomials
+from reflekt.groups import Hyperplane, HyperplaneOrbit, monomials
 from reflekt.minmat import predicted_equivariant_dimension
 
 
@@ -421,3 +427,156 @@ def sampled_log_integrals(path, alpha, samples: int = 2048) -> np.ndarray:
         turn = np.unwrap(np.angle(vals), axis=0)
         total += np.log(np.abs(vals[-1]) / np.abs(vals[0])) + 1j * (turn[-1] - turn[0])
     return total
+
+
+def _normalized_form(row):
+    piv = next(x for x in row if not x.is_zero())
+    inv = piv.inverse()
+    return tuple(x * inv for x in row)
+
+
+def _reflection_form(g, i: int):
+    diff = linalg.mat_sub(g.elements[i], linalg.identity(g.dimension))
+    for row in diff:
+        if any(not x.is_zero() for x in row):
+            return _normalized_form(row)
+    raise ExactError("reflection without a moving row (bug)")
+
+
+def _form_image(g, form, w: int):
+    """alpha_H o w^{-1}, a nonzero multiple of the form of w(H)."""
+    m = g.elements[g.inverse(w)]
+    return tuple(
+        sum((form[i] * m[i][j] for i in range(g.dimension)), ZERO)
+        for j in range(g.dimension)
+    )
+
+
+def forms_hyperplanes(g):
+    """(hyperplanes, hyperplane_index): the reflections grouped by normalized
+    form, with hyperplane_index the dict from forms to hyperplane indices."""
+    forms = {}
+    for i in g.reflections:
+        forms.setdefault(_reflection_form(g, i), []).append(i)
+    hyperplanes = []
+    hyperplane_index = {}
+    for form, members in forms.items():
+        alpha = MultiPoly.linear_form(form)
+        # The pointwise stabilizer of H is 1 plus the reflections with hyperplane H.
+        stab = [0] + members
+        e = len(stab)
+        if e < 2:
+            raise ExactError("hyperplane stabilizer not a reflection group (bug)")
+        target = CycNum.zeta(e)
+        gen = next((i for i in stab if g.det(i) == target), None)
+        if gen is None:
+            raise ExactError("no distinguished generator with det = zeta_e (bug)")
+        if g.element_orders[gen] != e:
+            raise ExactError("hyperplane stabilizer is not cyclic (bug)")
+        hyperplane_index[form] = len(hyperplanes)
+        hyperplanes.append(
+            Hyperplane(
+                form=form,
+                alpha=alpha,
+                order=e,
+                generator=gen,
+                stabilizer=tuple(stab),
+            )
+        )
+    return tuple(hyperplanes), hyperplane_index
+
+
+def forms_orbits(g, hyperplanes, hyperplane_index):
+    """(orbits, orbit_of_hyperplane) by breadth-first search over the images
+    of the hyperplanes of `forms_hyperplanes` under the generators."""
+
+    def hyperplane_image(h_idx: int, w: int) -> int:
+        """Index of w(H): the form transforms as alpha o w^{-1}."""
+        return hyperplane_index[_normalized_form(_form_image(g, hyperplanes[h_idx].form, w))]
+
+    unassigned = set(range(len(hyperplanes)))
+    orbits = []
+    orbit_of_hyperplane = [0] * len(hyperplanes)
+    gen_elts = g.generator_elements
+    while unassigned:
+        start = min(unassigned)
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            cur = frontier.pop()
+            for w in gen_elts:
+                img = hyperplane_image(cur, w)
+                if img not in seen:
+                    seen.add(img)
+                    frontier.append(img)
+        members = tuple(sorted(seen))
+        orders = {hyperplanes[h].order for h in members}
+        if len(orders) != 1:
+            raise ExactError("orbit with mixed stabilizer orders (bug)")
+        pi = MultiPoly.constant(g.dimension, 1)
+        for h in members:
+            pi = pi * hyperplanes[h].alpha
+        for h in members:
+            orbit_of_hyperplane[h] = len(orbits)
+        orbits.append(HyperplaneOrbit(members=members, order=orders.pop(), pi=pi))
+        unassigned -= seen
+    return tuple(orbits), orbit_of_hyperplane
+
+
+def shift(p: PolyT, k: int) -> PolyT:
+    """Multiply by T^k."""
+    if p.is_zero():
+        return p
+    return PolyT([ZERO] * k + list(p.coeffs))
+
+
+def unshift(p: PolyT, k: int) -> PolyT:
+    if any(not c.is_zero() for c in p.coeffs[:k]):
+        raise ExactError("negative shift would lose terms")
+    return PolyT(list(p.coeffs[k:]))
+
+
+def reversed_shift(p: PolyT, c: int) -> PolyT:
+    """T^c * p(1/T); raises if the result has a negative exponent."""
+    if p.is_zero():
+        return p
+    out: dict[int, CycNum] = {}
+    for k, a in enumerate(p.coeffs):
+        if a.is_zero():
+            continue
+        e = c - k
+        if e < 0:
+            raise ExactError(f"T^{c} * p(1/T) is not a polynomial (term T^{e})")
+        out[e] = a
+    coeffs = [ZERO] * (max(out) + 1)
+    for e, a in out.items():
+        coeffs[e] = a
+    return PolyT(coeffs)
+
+
+def polyt_symmetry_matches(fs, i: int, n_int: int) -> list[int]:
+    """Rows of tau's degree with F = T^N F_tau, comparing PolyTs."""
+    deg = fs.table.rows[i].degree_int()
+    fp = fs.f_poly(i)
+    target = shift(fp, n_int) if n_int >= 0 else unshift(fp, -n_int)
+    return [
+        j
+        for j in range(len(fs.table.rows))
+        if fs.table.rows[j].degree_int() == deg and fs.f_poly(j) == target
+    ]
+
+
+def polyt_palindrome_partners(fs, i: int, c_int: int) -> list[int] | None:
+    """Rows of tau's degree whose R is T^c R_tau(1/T), comparing PolyTs; None
+    when T^c R_tau(1/T) is not a polynomial."""
+    r_poly = [fs.f_poly(fs.conj_perm[j]) for j in range(len(fs.table.rows))]
+    try:
+        target = reversed_shift(r_poly[i], c_int)
+    except ExactError:
+        return None
+    deg = fs.table.rows[i].degree_int()
+    return [
+        j
+        for j in range(len(fs.table.rows))
+        if fs.table.rows[j].degree_int() == deg and r_poly[j] == target
+    ]

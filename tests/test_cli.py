@@ -110,6 +110,7 @@ def test_kz_bad_labels_exit_2(capsys):
     bad = ['{"0":[0]}', "[0,1]", '"s"', '{"0":["abc",0]}', '{"0":[[1,"x"],0]}', '{"0":5}']
     bad += ['{"0":[NaN,0]}', '{"0":[Infinity,0]}', '{"0":[true,0]}', '{"0":[[0,true],0]}']
     bad += ['{"0":[[0,"nan"],0]}', '{"0":["1e400",0]}']
+    bad += ['{"0":[1,0],"7":[9,9]}', '{"0":[1,0],"1":[0,0]}', '{"0":[1,0],"x":0}']
     for sub in (["gamma", "S3"], ["monodromy", "S3", "--rep", "1"]):
         for labels in bad:
             code, out, err = run_capture(capsys, ["kz", *sub, "--k", labels])

@@ -161,14 +161,6 @@ def test_poly_degree_sentinel():
     assert poly_from_ints(0, 1).degree == 1
 
 
-def test_reversed_shift():
-    p = poly_from_ints(0, 1, 1)  # T + T^2
-    assert p.reversed_shift(3) == poly_from_ints(0, 1, 1)
-    assert p.reversed_shift(2) == poly_from_ints(1, 1)
-    with pytest.raises(ExactError):
-        p.reversed_shift(1)
-
-
 # -- MultiPoly ---------------------------------------------------------------
 
 def test_multipoly_basics():

@@ -4,7 +4,14 @@ import pytest
 
 from reflekt.exact import CycNum, PolyT, poly_from_ints
 from reflekt.groups import build_group
-from reflekt.chars import ClassFunction, character_table, det_character, orbit_det_power, trivial_character
+from reflekt.chars import (
+    ClassFunction,
+    character_table,
+    det_character,
+    orbit_det_power,
+    tensor_with_linear,
+    trivial_character,
+)
 from reflekt.fake import (
     FakeDegreeSet,
     coinvariant_poincare,
@@ -17,8 +24,13 @@ from reflekt.fake import (
     verify_symmetry,
 )
 
-from corpus import CORPUS
-from oracles import brute_force_fake_degree
+from corpus import CORPUS, G4
+from oracles import (
+    brute_force_fake_degree,
+    polyt_palindrome_partners,
+    polyt_symmetry_matches,
+    reversed_shift,
+)
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +250,40 @@ def test_palindrome_cyclic_example(built):
 def test_palindrome_corpus(built):
     for name, fs in built.items():
         assert palindrome_check(fs)["passed"], name
+
+
+@pytest.fixture(scope="module")
+def g4():
+    g = build_group(G4)
+    return FakeDegreeSet(g, character_table(g))
+
+
+def test_g4_fake_degrees_and_verifiers(g4):
+    """The seven fake degrees of G4, which sum with the row degrees to the
+    coinvariant Poincare polynomial (1 + ... + T^3)(1 + ... + T^5); every
+    verifier passes."""
+    assert sorted(fd.exponents for fd in g4.fds) == sorted(
+        [(0,), (4,), (8,), (1, 3), (3, 5), (5, 7), (2, 4, 6)]
+    )
+    assert coinvariant_poincare(g4.group) == poly_from_ints(1, 1, 1, 1) * poly_from_ints(1, 1, 1, 1, 1, 1)
+    assert verify_all_pn(g4)["passed"]
+    assert poincare_identity(g4)["passed"]
+    assert verify_symmetry(g4)["passed"]
+    assert palindrome_check(g4)["passed"]
+
+
+def test_partners_match_polyt_oracle(built, g4):
+    """verify_symmetry and palindrome_check find partners by exponent tuple;
+    here the fake degrees are shifted and reversed as PolyTs and compared
+    against every row of equal degree, and T^#R R(1/T) = F of the det twist
+    is checked on PolyTs."""
+    for name, fs in [*built.items(), ("G4", g4)]:
+        nrefl = len(fs.group.reflections)
+        det_row = det_character(fs.group)
+        for it in verify_symmetry(fs)["items"]:
+            assert polyt_symmetry_matches(fs, it["row"], it["N"]) == it["matches"], (name, it)
+        for it in palindrome_check(fs)["items"]:
+            i = it["row"]
+            twisted = fs.table.row_index(tensor_with_linear(fs.table.rows[i], det_row))
+            assert reversed_shift(fs.f_poly(fs.conj_perm[i]), nrefl) == fs.f_poly(twisted), (name, i)
+            assert polyt_palindrome_partners(fs, i, it["c"]) == it["partners"], (name, it)

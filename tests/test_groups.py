@@ -14,8 +14,14 @@ from reflekt.groups import (
     parse_descriptor,
 )
 
-from corpus import CORPUS
-from oracles import elimination_det, rank_reflections, substitution_matrix
+from corpus import CORPUS, G4
+from oracles import (
+    elimination_det,
+    forms_hyperplanes,
+    forms_orbits,
+    rank_reflections,
+    substitution_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,22 +158,24 @@ def test_reflections_from_spectrum_match_rank_test(groups):
 @pytest.mark.parametrize("name", ["S4", "G(3,1,2)", "G(4,4,2)"])
 def test_word_walk_products_match_table(name):
     g = build_group(name)
+    index = {m: i for i, m in enumerate(g.elements)}
     for i in range(g.order):
         for j in range(g.order):
             product = linalg.mat_mul(g.elements[i], g.elements[j])
-            assert g.mult(i, j) == g.index[product]
+            assert g.mult(i, j) == index[product]
         assert g.mult(i, g.inverse(i)) == 0
 
 
 def test_corpus_orbit_semi_invariance(groups):
     for name, g in groups.items():
-        gen_elts = [g.index[m] for m in g.generator_matrices]
+        gen_elts = [g.elements.index(m) for m in g.generator_matrices]
+        by_form = {h.form: k for k, h in enumerate(g.hyperplanes)}
         for orbit in g.orbits:
             count = len(orbit.members) * (orbit.order - 1)
             in_orbit = sum(
                 1
                 for r in g.reflections
-                if g.orbit_of_hyperplane[g.hyperplane_index[g._reflection_form(r)]]
+                if g.orbit_of_hyperplane[by_form[g._reflection_form(r)]]
                 == g.orbit_of_hyperplane[orbit.members[0]]
             )
             assert count == in_orbit, name
@@ -177,6 +185,47 @@ def test_corpus_orbit_semi_invariance(groups):
                 assert ratio.homogeneous_degree() == 0
                 c = ratio.terms[(0,) * g.dimension]
                 assert (c * c.conjugate()) == 1, name  # root of unity
+
+
+# The corpus (with G(4,1,1) and G(6,1,1), whose one W_H holds reflections of
+# orders 4, 2 and 6, 3, 2), the benchmark's scale groups, G(4,1,2) (a W_H of
+# order 4 next to ones of order 2), G(6,2,2) and G(12,4,2) (W_H of orders 3
+# and 2), and G4.
+ORACLE_GROUPS = CORPUS + ["G(3,1,3)", "G(4,2,3)", "G(6,6,3)"] + [
+    "G(4,1,2)", "G(6,2,2)", "G(12,4,2)", G4,
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS, ids=lambda name: "G4" if name == G4 else name)
+def test_hyperplanes_and_orbits_match_forms_oracle(name):
+    """W_H from the powers of a reflection and orbits from the classes of the
+    s_H, against grouping every reflection by its normalized form and walking
+    the orbits by form images."""
+    g = build_group(name)
+    hyperplanes, index = forms_hyperplanes(g)
+    orbits, orbit_of_hyperplane = forms_orbits(g, hyperplanes, index)
+    assert len(g.hyperplanes) == len(hyperplanes)
+    for got, want in zip(g.hyperplanes, hyperplanes):
+        assert (got.form, got.order, got.generator, got.stabilizer) == (
+            want.form, want.order, want.generator, want.stabilizer,
+        )
+        assert [x.N for x in got.form] == [x.N for x in want.form]
+        assert got.alpha == want.alpha
+    assert [(o.members, o.order) for o in g.orbits] == [(o.members, o.order) for o in orbits]
+    assert [o.pi for o in g.orbits] == [o.pi for o in orbits]
+    assert g.orbit_of_hyperplane == orbit_of_hyperplane
+    assert g.hyperplane_of == {r: h for h, hp in enumerate(hyperplanes) for r in hp.stabilizer[1:]}
+
+
+def test_g4_file_group_structure():
+    """G4 = <s, t> with s = diag(1, w), t = 1 + (w - 1)/3 [[2, r2], [r2, 1]]:
+    order 24 and degrees 4, 6 (Shephard-Todd), 8 reflections of order 3 on 4
+    hyperplanes in one orbit."""
+    g = build_group(G4)
+    assert (g.order, g.degrees, g.conductor) == (24, (4, 6), 24)
+    assert len(g.reflections) == 8
+    assert [hp.order for hp in g.hyperplanes] == [3] * 4
+    assert [(o.members, o.order) for o in g.orbits] == [((0, 1, 2, 3), 3)]
 
 
 def test_orbit_character_matches_polynomial_ratio(groups):
