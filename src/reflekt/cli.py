@@ -34,10 +34,7 @@ class UsageError(Exception):
     """Bad input, or a failed computation: 'error: ...' on stderr, exit 2."""
 
 
-# KZ tolerances of every kz subcommand, echoed in each document's config.  The
-# rtol is the stated ceiling of the transport error; the series kernel sums to
-# double precision and does not read it.
-KZ_RTOL = 1e-10
+# KZ tolerances of every kz subcommand, echoed in each document's config.
 KZ_HECKE_TOL = 1e-6
 KZ_MATCH_TOL = 1e-6
 
@@ -56,7 +53,6 @@ class RunConfig:
             "subcommand": self.subcommand,
             "max_order": self.max_order,
             "seed": self.seed,
-            "kz_rtol": KZ_RTOL,
             "kz_hecke_tol": KZ_HECKE_TOL,
             "kz_match_tol": KZ_MATCH_TOL,
         }
@@ -169,7 +165,7 @@ def cmd_minmat(cfg: RunConfig, rep: int) -> tuple[int, dict]:
 def _kz_settings(cfg: RunConfig):
     from .kz import KZSettings  # kz, and numpy with it, loads only for kz commands
 
-    return KZSettings(rtol=KZ_RTOL, hecke_tol=KZ_HECKE_TOL, match_tol=KZ_MATCH_TOL, seed=cfg.seed)
+    return KZSettings(hecke_tol=KZ_HECKE_TOL, match_tol=KZ_MATCH_TOL, seed=cfg.seed)
 
 
 def cmd_kz_monodromy(cfg: RunConfig, rep: int, k_json: str) -> tuple[int, dict]:

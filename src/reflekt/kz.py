@@ -60,7 +60,6 @@ class KZError(Exception):
 
 @dataclass(frozen=True)
 class KZSettings:
-    rtol: float = 1e-11  # stated error ceiling, echoed in output; _transport does not read it
     hecke_tol: float = 1e-6
     match_tol: float = 1e-6
     seed: int = 0
@@ -554,14 +553,13 @@ def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dic
     min_H |d_H|, GROWTH / sum_H ||A_H||/|d_H|), ||A_H|| the largest row-sum
     norm over the batch, so no step is ever rejected.  A step sums until, on
     3 consecutive terms, every batch entry's term is at most TINY = 2^-52 of
-    its partial sum: the kernel sums to double precision and does not read
-    settings.rtol.  Arcs of radius r are stepped along chords: the own pole
-    0 is r away, so |x| <= r/2, the chord subtends less than pi, and the arc
-    from u0 to u0 + x stays within |x| of u0.  The region between chord and
-    arc thus lies in the disc |u - u0| <= |x| < min_H |d_H|, free of poles,
-    so the continuation stays on the braid generator's branch.  More than
-    TERM_BUDGET terms on one path, or a result that is not finite, raise
-    KZError.
+    its partial sum: the kernel sums to double precision.  Arcs of radius r
+    are stepped along chords: the own pole 0 is r away, so |x| <= r/2, the
+    chord subtends less than pi, and the arc from u0 to u0 + x stays within
+    |x| of u0.  The region between chord and arc thus lies in the disc
+    |u - u0| <= |x| < min_H |d_H|, free of poles, so the continuation stays
+    on the braid generator's branch.  More than TERM_BUDGET terms on one
+    path, or a result that is not finite, raise KZError.
     """
     a = block.residues  # (B, H, l, l)
     bsz, _, l, _ = a.shape
@@ -704,7 +702,6 @@ class MonodromyRep:
             "base_point": [[z.real, z.imag] for z in self.base_point],
             "base_point_attempt": self.seed_used,
             "deck_convention": "tau(s_H)^{-1} compose transport",
-            "rtol": self.settings.rtol,
             "transport": {str(h): self.transport[h] for h in self.hyperplanes},
         }
 

@@ -372,7 +372,7 @@ def sequential_equivariant_basis(real, p: int, fs=None):
 MIN_STEP = 1e-10  # reference_transport's own step-size floor
 
 
-def reference_transport(block, path) -> np.ndarray:
+def reference_transport(block, path, rtol: float = 1e-11) -> np.ndarray:
     """Transport matrices of Phi' = -omega(v'(t)) Phi, batched over labels.
 
     Classical fourth-order stepping with step doubling; the local relative
@@ -382,7 +382,6 @@ def reference_transport(block, path) -> np.ndarray:
     a = block.residues  # (B, H, l, l)
     alpha = block.alpha_rows
     bsz, nh, l, _ = a.shape
-    rtol = block.settings.rtol
     y = np.broadcast_to(np.eye(l, dtype=complex), (bsz, l, l)).copy()
 
     for seg_point, seg_vel in path.segments():

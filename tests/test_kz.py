@@ -435,10 +435,10 @@ def test_series_transport_matches_reference_kernel(built):
         fs = built[name]
         rows = [r for r in range(len(fs.table.rows)) if fs.table.rows[r].degree_int() == 2]
         ks = random_labels(fs.group, rng, 2, bound=2)
-        block = assemble_connection(fs, rows, ks, KZSettings(rtol=1e-13))
+        block = assemble_connection(fs, rows, ks)
         for path in block.paths:
             got, _steps = kz._transport(block, path)
-            want = reference_transport(block, path)
+            want = reference_transport(block, path, rtol=1e-13)
             for b in range(len(got)):
                 err = np.max(np.abs(got[b] - want[b]))
                 assert err <= 1e-10 * np.max(np.abs(want[b])), (name, b, path.hyperplane)
