@@ -214,8 +214,7 @@ def verify_symmetry(fs: FakeDegreeSet) -> dict:
                 continue
             n_int = int(n_shift)
             entry["N"] = n_int
-            min_exp = min(exps) if exps else 0
-            if min_exp + n_int < 0:
+            if exps and exps[0] + n_int < 0:
                 entry.update(passed=False, reason="T^N F has negative exponents")
                 items.append(entry)
                 all_passed = False

@@ -681,7 +681,6 @@ class MonodromyRep:
     hyperplanes: list[int]
     matrices: dict[int, np.ndarray]  # h_idx -> (batch, l, l)
     residuals: dict[int, list[float]]
-    settings: KZSettings
     base_point: np.ndarray
     seed_used: int
     transport: dict[int, dict]  # h_idx -> series statistics of its path
@@ -730,7 +729,6 @@ def monodromy_rep(
         hyperplanes=hyperplanes,
         matrices=mats,
         residuals=residuals,
-        settings=settings,
         base_point=block.base_point,
         seed_used=block.seed_used,
         transport=block.steps,
