@@ -75,9 +75,6 @@ class ClassFunction:
     def norm(self) -> CycNum:
         return self.inner(self)
 
-    def is_linear(self) -> bool:
-        return self.degree == 1
-
     def conjugate(self) -> ClassFunction:
         return ClassFunction(self.group, tuple(v.conjugate() for v in self.values))
 
@@ -366,24 +363,3 @@ def local_data(tau: ClassFunction, g: ReflectionGroup) -> LocalData:
             raise CharTableError("local multiplicities do not sum to the degree")
         out.append(row)
     return LocalData(tuple(out))
-
-
-def tensor_with_linear(tau: ClassFunction, lam: ClassFunction) -> ClassFunction:
-    if not lam.is_linear():
-        raise ValueError("second factor must be a linear character")
-    out = tau.tensor(lam)
-    if tau.norm() == 1 and out.norm() != 1:
-        raise CharTableError("tensor with a linear character lost irreducibility")
-    return out
-
-
-def orbit_det_power(g: ReflectionGroup, lam: ClassFunction, orbit_idx: int) -> int:
-    """The a with lam|_{W_H} = det^{-a} on the stabilizer of orbit orbit_idx."""
-    hp = g.hyperplanes[g.orbits[orbit_idx].members[0]]
-    s = hp.generator
-    val = lam.value_on_element(s)
-    d = g.det(s)
-    for a in range(hp.order):
-        if d ** ((-a) % hp.order) == val:
-            return a
-    raise CharTableError("linear character is not a det power on the stabilizer")

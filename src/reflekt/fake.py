@@ -20,9 +20,17 @@ its coefficient), so the verifiers compare fake degrees on exponents: a
 partner with F = T^N F_tau, or R = T^c R_tau(1/T), is one lookup in a dict
 from exponent tuples to rows, and T^k p(1/T) reverses and shifts the tuple.
 
+The symmetry verifier's local-data diagnostic twists by
+chi_b = prod_C chi_C^{e_C - b_C}, chi_C the character of the orbit product
+pi_C.  By Stanley's lemma chi_C is det^-1 on the reflections of C and 1 on
+every other reflection, so on orbit c's stabilizer chi_b is det^{b_c}, a
+cyclic shift by -b_c mod e_c, with no character values computed.
+
 All verifiers return JSON-ready dicts with a top-level "passed" flag; the one
 unconditional identity (T^{#R} R_chi(1/T) = F_{chi (x) det}) raises instead of
-reporting, since its failure can only mean an arithmetic bug.
+reporting, since its failure can only mean an arithmetic bug.  The det twist
+chi (x) det is looked up in the certified table, so a twist that is not
+irreducible raises there.
 """
 from __future__ import annotations
 
@@ -38,14 +46,12 @@ from .exact import (
     poly_one_minus_Tk,
     weighted_sums,
 )
-from .groups import ReflectionGroup
+from .groups import ReflectionGroup, degree_numerator
 from .chars import (
     CharacterTable,
     ClassFunction,
     det_character,
     local_data,
-    orbit_det_power,
-    tensor_with_linear,
 )
 
 
@@ -66,14 +72,6 @@ class FakeDegree:
             "exponents": list(self.exponents),
             "convention": "chi",
         }
-
-
-def degree_numerator(g: ReflectionGroup) -> PolyT:
-    """prod_i (1 - T^{d_i})."""
-    p = PolyT([CycNum.one()])
-    for d in g.degrees:
-        p = p * poly_one_minus_Tk(d)
-    return p
 
 
 def graded_character(g: ReflectionGroup, w: int) -> PolyT:
@@ -189,14 +187,16 @@ def verify_symmetry(fs: FakeDegreeSet) -> dict:
     chi_b-twisted cyclic shift of tau's (a diagnostic, not an assertion).
     """
     g = fs.group
-    orders = [orbit.order for orbit in g.orbits]
-    ids = range(len(orders))
-    # chi_C = det^{-a[C][c]} on orbit c's stabilizer <s_H>, as det(s_H) = zeta_{e_c}
-    # generates its dual; so chi_b = prod_C chi_C^{e_C - b_C} is det^{-s_c} there,
-    # with s_c = sum_C (e_C - b_C) a[C][c] mod e_c, whatever the row.
-    a = [[orbit_det_power(g, ClassFunction(g, g.orbit_character(C)), c) for c in ids] for C in ids]
+    # Stanley's lemma: chi_C(s) = det(s)^-1 for a reflection s whose hyperplane
+    # H_s lies in C, and 1 otherwise.  Proof: s^-1 fixes H_s pointwise, so
+    # alpha o s^-1 = alpha mod alpha_{H_s} for every form alpha, hence
+    # pi_C o s^-1 = chi_C(s) pi_C = pi_C mod alpha_{H_s}; if H_s is not in C,
+    # alpha_{H_s} does not divide pi_C and chi_C(s) = 1, and if it is, the
+    # factor alpha_{H_s} o s^-1 = det(s)^-1 alpha_{H_s} leaves det(s)^-1.  So
+    # chi_b = prod_C chi_C^{e_C - b_C} is det^{b_c - e_c} = det^{-s_c} on the
+    # stabilizer <s_H> of orbit c, with s_c = -b_c mod e_c, whatever the row.
     b_shifts = [
-        (b, [sum((orders[C] - b[C]) * a[C][c] for C in ids) % orders[c] for c in ids])
+        (b, [-bc % orbit.order for bc, orbit in zip(b, g.orbits)])
         for b in all_b_vectors(g)
     ]
     by_exponents = _rows_by_exponents([fd.exponents for fd in fs.fds])
@@ -266,7 +266,7 @@ def palindrome_check(fs: FakeDegreeSet) -> dict:
     for i, row in enumerate(fs.table.rows):
         r_exps = r_exponents[i]
         try:
-            twisted = fs.table.row_index(tensor_with_linear(row, det_row))
+            twisted = fs.table.row_index(row.tensor(det_row))
         except KeyError:
             raise VerificationError(f"row {i}: the det twist is not a row of the table") from None
         if tuple(nrefl - p for p in reversed(r_exps)) != fs.fds[twisted].exponents:

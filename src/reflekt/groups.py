@@ -23,18 +23,21 @@ not yet assigned generates its W_H and its powers are the other reflections
 of H (`hyperplane_of`).  Since w s_H w^-1 = s_{w(H)}, the orbit of H is the
 set of hyperplanes H' whose distinguished reflection s_H' lies in the class
 of s_H.  Matrices are used only where the answer is linear algebra: traces,
-one normalized form per hyperplane, the form images behind the orbit
-characters chi_C (`_form_image`), and the substitution f(w v) of polynomials
-(`substitute`).  Substitution runs on integers: with delta the lcm of the
-denominators of the matrix A of w and N the label of its entries, the images
-(delta A v)^e of the monomials e of degree q are integer power-basis
-coefficients at N (denominator delta^q), built degree by degree and reduced
-modulo Phi_N (`monomial_images`), in the integer form of `exact`
+one normalized form per hyperplane, and the substitution f(w v) of
+polynomials (`substitute`).  Substitution runs on integers: with delta the
+lcm of the denominators of the matrix A of w and N the label of its entries,
+the images (delta A v)^e of the monomials e of degree q are integer
+power-basis coefficients at N (denominator delta^q), built degree by degree
+and reduced modulo Phi_N (`monomial_images`), in the integer form of `exact`
 (`integral_terms` in, `from_integral` out).  The spectrum of each class
 representative is read off the traces of its powers, once per class; the
 determinant, the reflections (eigenvalue 1 of multiplicity dim - 1) and
-det(1 - T w) all come from it.  Everything is exact; all data is immutable
-after construction.
+det(1 - T w) all come from it, and so do the degrees d_i: by Shephard-Todd,
+sum_w T^{dim V^w} = prod_i (T + d_i - 1), an integer polynomial whose roots
+are peeled off exactly.  The coinvariant graded trace of a class,
+G_c = prod_i (1 - T^{d_i}) / det(1 - T c), is an exact polynomial division,
+which raises on a nonzero remainder.  Everything is exact; all data is
+immutable after construction.
 """
 from __future__ import annotations
 
@@ -58,7 +61,6 @@ from .exact import (
     integral_terms,
     poly_one_minus_Tk,
     poly_divide_exact,
-    series_inverse,
 )
 from . import linalg
 from .linalg import Matrix, Vector
@@ -318,7 +320,7 @@ class ReflectionGroup:
         if descriptor.kind == "file":
             self._check_reflections_generate()
         self._find_orbits()
-        self._molien_degrees()
+        self._find_degrees()
 
     # -- enumeration --------------------------------------------------------
 
@@ -539,11 +541,15 @@ class ReflectionGroup:
 
     # -- reflections and hyperplanes -----------------------------------------
 
+    def _fixed_dimension(self, k: int) -> int:
+        """dim V^w for w in class k: the multiplicity of eigenvalue 1 (t = 0)."""
+        return sum(m for _, t, m in self.class_spectra[k] if t == 0)
+
     def _find_reflections(self) -> None:
-        # w is a reflection when eigenvalue 1 (t = 0) has multiplicity dim - 1.
+        # w is a reflection when its fixed space has dimension dim - 1.
         refl = []
-        for cls, spectrum in zip(self.classes, self.class_spectra):
-            if sum(m for _, t, m in spectrum if t == 0) == self.dimension - 1:
+        for k, cls in enumerate(self.classes):
+            if self._fixed_dimension(k) == self.dimension - 1:
                 refl.extend(cls.members)
         self.reflections = tuple(sorted(refl))
 
@@ -614,36 +620,6 @@ class ReflectionGroup:
                 f"reflections generate only {len(seen)} of {self.order} elements"
             )
 
-    def _form_image(self, h_idx: int, w: int) -> Vector:
-        """alpha_H o w^{-1}, a nonzero multiple of the form of w(H)."""
-        form = self.hyperplanes[h_idx].form
-        m = self.elements[self.inverse(w)]
-        return tuple(
-            sum((form[i] * m[i][j] for i in range(self.dimension)), ZERO)
-            for j in range(self.dimension)
-        )
-
-    def orbit_character(self, c: int) -> tuple[CycNum, ...]:
-        """Class values of chi_C, the linear character with pi_C o w^{-1} = chi_C(w) pi_C.
-
-        alpha_H o w^{-1} is lambda_H times the normalized form of w(H), with
-        lambda_H its first nonzero coefficient, and w permutes the orbit, so
-        chi_C(w) is the product of the lambda_H over H in C.  Memoized per orbit.
-        """
-        try:
-            chars = self._orbit_chars
-        except AttributeError:
-            chars = self._orbit_chars = {}
-        if c not in chars:
-            vals = []
-            for cls in self.classes:
-                acc = ONE
-                for h in self.orbits[c].members:
-                    acc = acc * next(x for x in self._form_image(h, cls.rep) if not x.is_zero())
-                vals.append(acc)
-            chars[c] = tuple(vals)
-        return chars[c]
-
     def _find_orbits(self) -> None:
         # w s_H w^-1 = s_{w(H)}: the orbit of H is the hyperplanes whose
         # distinguished reflection is conjugate to s_H.
@@ -692,57 +668,37 @@ class ReflectionGroup:
         if sum(c.size for c in classes) != self.order:
             raise ExactError("class sizes do not sum to |W| (bug)")
 
-    # -- primitive degrees ----------------------------------------------------
+    # -- degrees ----------------------------------------------------------------
 
-    def _molien_degrees(self) -> None:
-        n = self.dimension
+    def _find_degrees(self) -> None:
+        # Shephard-Todd: sum_w T^{dim V^w} = prod_i (T + d_i - 1).  The count
+        # is monic of degree dim (only 1 fixes V) with integer roots
+        # -(d_i - 1) in [-#R, 0], peeled by synthetic division.
         nrefl = len(self.reflections)
-        order = nrefl + n
-        # 1/det(1 - T c) to `order` per class representative c, promoted to
-        # the conductor, where the character values live.
-        inverses = []
-        for cls in self.classes:
-            inv = series_inverse(self.char_poly_one_minus_Tw(cls.rep), order)
-            inverses.append(PolyT([inv[k].promote(self.conductor) for k in range(order + 1)]))
-        total = PolyT([])
-        for cls, inv in zip(self.classes, inverses):
-            total = total + inv * cls.size
-        numer = series_inverse(total * Fraction(1, self.order), order)
-        if numer.degree != order:
-            raise ExactError("Molien numerator has unexpected degree (bug)")
-        poly = numer
+        count = [0] * (self.dimension + 1)
+        for k, cls in enumerate(self.classes):
+            count[self._fixed_dimension(k)] += cls.size
         degrees = []
-        for _ in range(n):
-            d = next(
-                (k for k in range(1, poly.degree + 1) if not poly[k].is_zero()),
-                None,
-            )
-            if d is None:
-                raise ExactError("degree peeling failed (bug)")
-            poly = poly_divide_exact(poly, poly_one_minus_Tk(d))
-            degrees.append(d)
-        if poly != PolyT([ONE]):
-            raise ExactError("degree peeling left a nontrivial factor (bug)")
-        self.degrees = tuple(sorted(degrees))
-        prod = 1
-        for d in self.degrees:
-            prod *= d
-        if prod != self.order:
+        for m in range(nrefl + 1):
+            while len(count) > 1:
+                quotient, remainder = _divide_by_linear(count, -m)
+                if remainder:
+                    break
+                count = quotient
+                degrees.append(m + 1)
+        if count != [1]:
+            raise ExactError("the fixed-space count is not a product of T + d - 1 (bug)")
+        self.degrees = tuple(degrees)
+        if math.prod(self.degrees) != self.order:
             raise ExactError("product of degrees != |W| (bug)")
         if sum(d - 1 for d in self.degrees) != nrefl:
             raise ExactError("sum of (d_i - 1) != number of reflections (bug)")
-        # The coinvariant graded trace G_c = numer / det(1 - T c) is a polynomial
-        # of degree <= #R: the product with 1/det(1 - T c) cut at #R, taken over
-        # the nonzero terms of numer = prod (1 - T^{d_i}) only.
-        terms = [(m, a) for m, a in enumerate(numer.coeffs) if not a.is_zero()]
-        traces = []
-        for inv in inverses:
-            out = [ZERO] * (nrefl + 1)
-            for m, a in terms:
-                for k in range(m, nrefl + 1):
-                    out[k] = out[k] + inv[k - m] * a
-            traces.append(PolyT(out))
-        self.class_coinvariant_traces = tuple(traces)
+        # G_c = prod (1 - T^{d_i}) / det(1 - T c) is a polynomial of degree #R;
+        # the exact division raises on a nonzero remainder.
+        numer = degree_numerator(self)
+        self.class_coinvariant_traces = tuple(
+            poly_divide_exact(numer, self.char_poly_one_minus_Tw(cls.rep)) for cls in self.classes
+        )
 
     # -- reporting -------------------------------------------------------------
 
@@ -769,6 +725,25 @@ class ReflectionGroup:
             ],
             "alpha_normalization": "first nonzero coordinate coefficient = 1",
         }
+
+
+def _divide_by_linear(coeffs: list[int], r: int) -> tuple[list[int], int]:
+    """(quotient, remainder) of the integer polynomial sum_k coeffs[k] T^k by
+    T - r, by Horner's rule; the remainder is the value at r."""
+    acc, high_first = 0, []
+    for c in reversed(coeffs):
+        acc = acc * r + c
+        high_first.append(acc)
+    remainder = high_first.pop()
+    return high_first[::-1], remainder
+
+
+def degree_numerator(g: ReflectionGroup) -> PolyT:
+    """prod_i (1 - T^{d_i})."""
+    p = PolyT([ONE])
+    for d in g.degrees:
+        p = p * poly_one_minus_Tk(d)
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ from math import lcm
 from .exact import ZERO, CycNum, ExactError, MultiPoly, from_integral, integral_terms, series_inverse
 from . import linalg
 from .linalg import Matrix
-from .groups import ReflectionGroup, monomials
+from .groups import ReflectionGroup, degree_numerator, monomials
 from .chars import CharacterTable, ClassFunction
-from .fake import FakeDegreeSet, degree_numerator
+from .fake import FakeDegreeSet
 
 # Pseudo-random column mixings tried before a zero determinant is reported.
 MIXING_ATTEMPTS = 32
@@ -194,8 +194,6 @@ def _induced_realization(g, table, row_idx) -> Realization:
 
 def matrix_realization(g: ReflectionGroup, table: CharacterTable, row_idx: int) -> Realization:
     row = table.rows[row_idx]
-    if row.norm() != 1:
-        raise RealizationError("matrix_realization needs an irreducible character")
     if row.degree_int() == 1:
         real = _linear_realization(g, table, row_idx)
     else:

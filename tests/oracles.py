@@ -20,8 +20,15 @@ dict and walk the orbits by form images under the generators, where the group
 reads W_H off the powers of a reflection and the orbits off the classes of the
 s_H.  The partner oracles compare fake degrees as `PolyT`s, shifted and
 reversed coefficient by coefficient, where `fake` compares exponent tuples.
+The orbit-character oracle substitutes each orbit product and divides, where
+`fake` reads chi_C off Stanley's lemma, and the Molien oracle peels the
+degrees off the CycNum Molien series and cuts the G_c from its truncated
+products, where the group factors the integer fixed-space count and divides
+exactly.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,10 +39,12 @@ from reflekt.exact import (
     ExactError,
     MultiPoly,
     PolyT,
+    poly_divide_exact,
     poly_one_minus_Tk,
     series_inverse,
 )
 from reflekt import linalg
+from reflekt.chars import CharTableError
 from reflekt.kz import KZError
 from reflekt.groups import Hyperplane, HyperplaneOrbit, monomials
 from reflekt.minmat import predicted_equivariant_dimension
@@ -579,3 +588,70 @@ def polyt_palindrome_partners(fs, i: int, c_int: int) -> list[int] | None:
         for j in range(len(fs.table.rows))
         if fs.table.rows[j].degree_int() == deg and r_poly[j] == target
     ]
+
+
+def orbit_character(g, c: int) -> tuple[CycNum, ...]:
+    """Class values of chi_C, the linear character with
+    pi_C o w^{-1} = chi_C(w) pi_C, as that ratio at each class representative."""
+    pi = g.orbits[c].pi
+    zero = (0,) * g.dimension
+    return tuple(g.substitute(pi, g.inverse(cls.rep)).divide_exact(pi).terms[zero] for cls in g.classes)
+
+
+def orbit_det_power(g, lam, orbit_idx: int) -> int:
+    """The a with lam|_{W_H} = det^{-a} on the stabilizer of orbit orbit_idx."""
+    hp = g.hyperplanes[g.orbits[orbit_idx].members[0]]
+    s = hp.generator
+    val = lam.value_on_element(s)
+    d = g.det(s)
+    for a in range(hp.order):
+        if d ** ((-a) % hp.order) == val:
+            return a
+    raise CharTableError("linear character is not a det power on the stabilizer")
+
+
+def molien_degrees(g) -> tuple[tuple[int, ...], tuple[PolyT, ...]]:
+    """(degrees, G_c per class) from the Molien series: its numerator
+    prod (1 - T^{d_i}) is the inverse of the class-averaged 1/det(1 - T c),
+    the degrees are peeled off it one factor at a time, and each G_c is the
+    numerator times 1/det(1 - T c), cut at #R."""
+    n = g.dimension
+    nrefl = len(g.reflections)
+    order = nrefl + n
+    # 1/det(1 - T c) to `order` per class representative c, promoted to
+    # the conductor, where the character values live.
+    inverses = []
+    for cls in g.classes:
+        inv = series_inverse(g.char_poly_one_minus_Tw(cls.rep), order)
+        inverses.append(PolyT([inv[k].promote(g.conductor) for k in range(order + 1)]))
+    total = PolyT([])
+    for cls, inv in zip(g.classes, inverses):
+        total = total + inv * cls.size
+    numer = series_inverse(total * Fraction(1, g.order), order)
+    if numer.degree != order:
+        raise ExactError("Molien numerator has unexpected degree (bug)")
+    poly = numer
+    degrees = []
+    for _ in range(n):
+        d = next(
+            (k for k in range(1, poly.degree + 1) if not poly[k].is_zero()),
+            None,
+        )
+        if d is None:
+            raise ExactError("degree peeling failed (bug)")
+        poly = poly_divide_exact(poly, poly_one_minus_Tk(d))
+        degrees.append(d)
+    if poly != PolyT([ONE]):
+        raise ExactError("degree peeling left a nontrivial factor (bug)")
+    # The coinvariant graded trace G_c = numer / det(1 - T c) is a polynomial
+    # of degree <= #R: the product with 1/det(1 - T c) cut at #R, taken over
+    # the nonzero terms of numer = prod (1 - T^{d_i}) only.
+    terms = [(m, a) for m, a in enumerate(numer.coeffs) if not a.is_zero()]
+    traces = []
+    for inv in inverses:
+        out = [ZERO] * (nrefl + 1)
+        for m, a in terms:
+            for k in range(m, nrefl + 1):
+                out[k] = out[k] + inv[k - m] * a
+        traces.append(PolyT(out))
+    return tuple(sorted(degrees)), tuple(traces)

@@ -8,16 +8,14 @@ from reflekt.chars import (
     det_character,
     defining_character,
     local_data,
-    orbit_det_power,
-    tensor_with_linear,
     trivial_character,
     CharacterTable,
     CharTableError,
     ClassFunction,
 )
 
-from corpus import CORPUS
-from oracles import regular_rep_characters
+from corpus import CORPUS, G4
+from oracles import orbit_det_power, regular_rep_characters
 
 
 @pytest.fixture(scope="module")
@@ -160,16 +158,15 @@ def test_local_data_sums_to_degree(built):
                 assert sum(ld.multiplicities[c]) == row.degree_int(), name
 
 
-def test_tensor_with_linear(built):
-    g, t = built["S3"]
-    std = next(r for r in t.rows if r.degree_int() == 2)
-    triv = trivial_character(g)
-    sign = det_character(g)
-    assert tensor_with_linear(std, triv).values == std.values
-    assert t.row_index(tensor_with_linear(std, sign)) == t.row_index(std)
-    assert tensor_with_linear(sign, sign).values == triv.values
-    with pytest.raises(ValueError):
-        tensor_with_linear(std, std)
+def test_det_twist_of_every_row_is_a_row(built):
+    """tau (x) det is irreducible, so `fake.palindrome_check` finds it by
+    `row_index` alone: every row's det twist is a row of the same degree."""
+    g4 = build_group(G4)
+    for name, (g, t) in [*built.items(), ("G4", (g4, character_table(g4)))]:
+        det_row = det_character(g)
+        for row in t.rows:
+            twisted = t.rows[t.row_index(row.tensor(det_row))]
+            assert twisted.degree_int() == row.degree_int(), name
 
 
 def test_local_data_twist_is_cyclic_shift(built):
@@ -179,7 +176,7 @@ def test_local_data_twist_is_cyclic_shift(built):
         for tau in t.rows:
             base = local_data(tau, g)
             for lam in linear_rows:
-                twisted = local_data(tensor_with_linear(tau, lam), g)
+                twisted = local_data(tau.tensor(lam), g)
                 for c, orbit in enumerate(g.orbits):
                     a = orbit_det_power(g, lam, c)
                     e = orbit.order

@@ -8,8 +8,6 @@ from reflekt.chars import (
     ClassFunction,
     character_table,
     det_character,
-    orbit_det_power,
-    tensor_with_linear,
     trivial_character,
 )
 from reflekt.fake import (
@@ -27,6 +25,8 @@ from reflekt.fake import (
 from corpus import CORPUS, G4
 from oracles import (
     brute_force_fake_degree,
+    orbit_character,
+    orbit_det_power,
     polyt_palindrome_partners,
     polyt_symmetry_matches,
     reversed_shift,
@@ -200,15 +200,17 @@ def test_verify_symmetry_corpus(built):
 
 def test_symmetry_diagnostic_twists_by_the_cyclotomic_chi_b(built):
     """The local-data diagnostic shifts by the det power of chi_b =
-    prod_C chi_C^{e_C - b_C} on each orbit's stabilizer; here chi_b is
-    multiplied out in CycNum and its det powers read off it directly."""
+    prod_C chi_C^{e_C - b_C} on each orbit's stabilizer; here chi_C comes
+    from substituting pi_C, chi_b is multiplied out in CycNum and its det
+    powers are read off it directly."""
     twisted = 0
     for name, fs in built.items():
         g, local = fs.group, fs.local
+        orbit_chars = [orbit_character(g, C) for C in range(len(g.orbits))]
         for it in verify_symmetry(fs)["items"]:
             chi_b = [CycNum.one()] * len(g.classes)
             for C, orbit in enumerate(g.orbits):
-                chars = g.orbit_character(C)
+                chars = orbit_chars[C]
                 chi_b = [v * chars[k] ** (orbit.order - it["b"][C]) for k, v in enumerate(chi_b)]
             chi_b = ClassFunction(g, tuple(chi_b))
             shifts = [orbit_det_power(g, chi_b, c) for c in range(len(g.orbits))]
@@ -284,6 +286,6 @@ def test_partners_match_polyt_oracle(built, g4):
             assert polyt_symmetry_matches(fs, it["row"], it["N"]) == it["matches"], (name, it)
         for it in palindrome_check(fs)["items"]:
             i = it["row"]
-            twisted = fs.table.row_index(tensor_with_linear(fs.table.rows[i], det_row))
+            twisted = fs.table.row_index(fs.table.rows[i].tensor(det_row))
             assert reversed_shift(fs.f_poly(fs.conj_perm[i]), nrefl) == fs.f_poly(twisted), (name, i)
             assert polyt_palindrome_partners(fs, i, it["c"]) == it["partners"], (name, it)

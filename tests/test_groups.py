@@ -19,6 +19,7 @@ from oracles import (
     elimination_det,
     forms_hyperplanes,
     forms_orbits,
+    molien_degrees,
     rank_reflections,
     substitution_matrix,
 )
@@ -228,13 +229,38 @@ def test_g4_file_group_structure():
     assert [(o.members, o.order) for o in g.orbits] == [((0, 1, 2, 3), 3)]
 
 
-def test_orbit_character_matches_polynomial_ratio(groups):
-    for name, g in groups.items():
+MULTI_ORBIT = ["G(6,3,2)", "G(4,2,2)", "G(6,2,2)", "G(12,4,2)", "G(4,1,2)"]
+
+
+def test_stanley_orbit_character_on_reflections(groups):
+    """Stanley's lemma, which `fake.verify_symmetry` relies on: for every
+    reflection s, pi_C o s^-1 = chi_C(s) pi_C with chi_C(s) = det(s)^-1 when
+    the hyperplane of s lies in C, and 1 otherwise."""
+    extra = {d: build_group(d) for d in MULTI_ORBIT + [G4]}
+    for name, g in {**groups, **extra}.items():
+        zero = (0,) * g.dimension
         for c, orbit in enumerate(g.orbits):
-            for k, cls in enumerate(g.classes):
-                composed = g.substitute(orbit.pi, g.inverse(cls.rep))
-                ratio = composed.divide_exact(orbit.pi)
-                assert g.orbit_character(c)[k] == ratio.terms[(0,) * g.dimension], name
+            for s in g.reflections:
+                ratio = g.substitute(orbit.pi, g.inverse(s)).divide_exact(orbit.pi)
+                in_orbit = g.orbit_of_hyperplane[g.hyperplane_of[s]] == c
+                want = g.det(s).inverse() if in_orbit else CycNum.one()
+                assert ratio.terms == {zero: want}, (name, c, s)
+
+
+@pytest.mark.parametrize(
+    "name",
+    CORPUS + ["G(3,1,3)", "G(4,2,3)", "G(6,6,3)", "G(2,1,4)", "G(6,2,2)", "G(12,4,2)", G4],
+    ids=lambda name: "G4" if name == G4 else name,
+)
+def test_degrees_and_traces_match_molien_oracle(name):
+    """Degrees from the factored fixed-space count and G_c by exact division,
+    against peeling the Molien series and cutting its products at #R."""
+    g = build_group(name)
+    degrees, traces = molien_degrees(g)
+    assert g.degrees == degrees
+    assert len(g.class_coinvariant_traces) == len(traces)
+    for got, want in zip(g.class_coinvariant_traces, traces):
+        assert got == want, name
 
 
 def labelled_terms(f: MultiPoly):
