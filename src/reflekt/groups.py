@@ -668,7 +668,7 @@ class ReflectionGroup:
         if sum(c.size for c in classes) != self.order:
             raise ExactError("class sizes do not sum to |W| (bug)")
 
-    # -- degrees ----------------------------------------------------------------
+    # -- degrees ---------------------------------------------------------------
 
     def _find_degrees(self) -> None:
         # Shephard-Todd: sum_w T^{dim V^w} = prod_i (T + d_i - 1).  The count
