@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per CLI output over a fixed check set, to compare trees.
 
-The check set is 163 commands:
-  - the 15 corpus groups and G4 (`file:tests/data/g4.json`, a group that is
-    not monomial) x `group`, `chars`, `fake` and the four `verify` kinds;
+The check set is 170 commands:
+  - the 15 corpus groups, G4 (`file:tests/data/g4.json`, a group that is
+    not monomial) and S5 (dense Fourier-basis generators) x `group`, `chars`,
+    `fake` and the four `verify` kinds;
   - G(6,3,2), G(4,2,2), G(6,2,2), G(12,4,2) and G(3,1,3), groups with
     several hyperplane orbits, x `group`, `verify symmetry` and
     `verify palindrome`;
@@ -33,6 +34,7 @@ CORPUS = (
     + [f"G({m},{m},2)" for m in range(2, 7) if m != 4]  # m = 4 is G(4,4,2) above
 )
 G4 = "file:tests/data/g4.json"
+DENSE = ["S5"]
 MULTI_ORBIT = ["G(6,3,2)", "G(4,2,2)", "G(6,2,2)", "G(12,4,2)", "G(3,1,3)"]
 MINMAT_SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)"] + [f"G({m},1,1)" for m in range(2, 5)]
 MINMAT_ROWS = {"S3": 3, "S4": 5, "G(2,1,2)": 5, "G(3,1,2)": 9, "G(2,1,1)": 2, "G(3,1,1)": 3, "G(4,1,1)": 4}
@@ -47,7 +49,7 @@ KZ_COMMANDS = [
 
 def commands() -> list[list[str]]:
     out = []
-    for d in CORPUS + [G4]:
+    for d in CORPUS + [G4] + DENSE:
         out += [["group", d], ["chars", d], ["fake", d]]
         out += [["verify", kind, d] for kind in ("pn", "symmetry", "palindrome", "poincare")]
     for d in MULTI_ORBIT:
