@@ -753,9 +753,6 @@ class MultiPoly:
             k >>= 1
         return out
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def homogeneous_degree(self) -> int | None:
         """Common total degree, None for the zero polynomial; raises if mixed."""
         degs = {sum(e) for e in self.terms}

@@ -1,4 +1,4 @@
-"""Finite complex reflection groups as enumerated matrix groups.
+"""Finite complex reflection groups as permutation groups on their roots.
 
 A group is built from a descriptor:
 
@@ -10,34 +10,40 @@ The symmetric group is realized in the discrete-Fourier basis of the zero-sum
 subspace of C^n, which keeps the permutation matrices exactly unitary with
 entries in Q(zeta_n) (the 1/sqrt(n) normalizations cancel in conjugation).
 
-Enumeration is breadth-first over generator words; the first word reaching an
-element (shortest, then lexicographically smallest) is stored.  The search
-records the Cayley graph of right multiplication by the generators
+A group is a permutation group on X, the W-orbit of a basis B of V drawn
+from the columns of the s - 1 and a basis of V^W (V = V^W + sum_s im(s - 1)
+for unitary s), so it acts faithfully.  X is kept in B-coordinates, where the
+generators act by B^-1 s B, every coordinate at the generators' label N0, so
+equal vectors are equal dict keys.  Enumeration is breadth-first over
+generator words on the permutations; the first word reaching an element
+(shortest, then lexicographically smallest) is stored.  The search records
+the Cayley graph of right multiplication by the generators
 (rmul[i][g] = index of w_i * s_g) and the BFS tree (w_j = w_parent(j) * s_last),
-so it costs |W| * #generators matrix products.  All pure group structure -
-products (w_i * w_j walks the word of w_j from i), inverses, element orders,
-conjugacy classes - is integer lookups in that graph.  So are the hyperplanes
-and their orbits.  The pointwise stabilizer W_H of a hyperplane is cyclic, 1
-and the reflections of H, so taking reflections by decreasing order, each one
-not yet assigned generates its W_H and its powers are the other reflections
-of H (`hyperplane_of`).  Since w s_H w^-1 = s_{w(H)}, the orbit of H is the
-set of hyperplanes H' whose distinguished reflection s_H' lies in the class
-of s_H.  Matrices are used only where the answer is linear algebra: traces,
-one normalized form per hyperplane, and the substitution f(w v) of
-polynomials (`substitute`).  Substitution runs on integers: with delta the
-lcm of the denominators of the matrix A of w and N the label of its entries,
-the images (delta A v)^e of the monomials e of degree q are integer
+one tuple composition per edge.  All pure group structure - products (w_i * w_j
+walks the word of w_j from i), inverses, element orders, conjugacy classes - is
+integer lookups in that graph.  So are the hyperplanes: W_H is cyclic, 1 and
+the reflections of H, so taking reflections by decreasing order, each one not
+yet assigned generates its W_H (`hyperplane_of`).  Since w s_H w^-1 = s_{w(H)},
+the orbit of H is the hyperplanes whose s_H' is conjugate to s_H; its product
+pi_C of forms is built when read.  The matrix M of w in B-coordinates has the
+coordinates of the w(b_j) for columns: the trace of w is a sum of n of them,
+and a moving row of M - 1 times B^-1 is the form of a reflection.  The matrix
+B M B^-1 is built when asked for (`matrix`), by the substitution f(w v)
+(`substitute`) and numerical transport.  Substitution runs on integers: with
+delta the lcm of the denominators of the matrix A of w and N the label of its
+entries, the images (delta A v)^e of the monomials e of degree q are integer
 power-basis coefficients at N (denominator delta^q), built degree by degree
 and reduced modulo Phi_N (`monomial_images`), in the integer form of `exact`
 (`integral_terms` in, `from_integral` out).  The spectrum of each class
-representative is read off the traces of its powers, once per class; the
-determinant, the reflections (eigenvalue 1 of multiplicity dim - 1) and
-det(1 - T w) all come from it, and so do the degrees d_i: by Shephard-Todd,
-sum_w T^{dim V^w} = prod_i (T + d_i - 1), an integer polynomial whose roots
-are peeled off exactly.  The coinvariant graded trace of a class,
-G_c = prod_i (1 - T^{d_i}) / det(1 - T c), is an exact polynomial division,
-which raises on a nonzero remainder.  Everything is exact; all data is
-immutable after construction.
+representative is the discrete Fourier transform of the traces of its powers,
+exponent shifts on integers; the determinant, the reflections (eigenvalue 1
+of multiplicity dim - 1) and det(1 - T w) come from it, and so do the degrees:
+by Shephard-Todd, sum_w T^{dim V^w} = prod_i (T + d_i - 1), an integer
+polynomial whose roots are peeled off exactly.  The coinvariant graded trace
+G_c = prod_i (1 - T^{d_i}) / det(1 - T c) divides the integer numerator by
+1 - lambda T per eigenvalue lambda in Z[x]/(x^o - 1), and each remainder must
+reduce to 0 in Z[zeta_o].  Everything is exact; all data is immutable after
+construction.
 """
 from __future__ import annotations
 
@@ -45,7 +51,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import lcm
 from operator import add, mul
 
@@ -60,7 +66,6 @@ from .exact import (
     from_integral,
     integral_terms,
     poly_one_minus_Tk,
-    poly_divide_exact,
 )
 from . import linalg
 from .linalg import Matrix, Vector
@@ -260,7 +265,12 @@ class Hyperplane:
 class HyperplaneOrbit:
     members: tuple[int, ...]
     order: int              # common e_C
-    pi: MultiPoly           # product of member forms
+    alphas: tuple[MultiPoly, ...]  # the member forms
+
+    @cached_property
+    def pi(self) -> MultiPoly:
+        """The product of the member forms, built when first read."""
+        return reduce(mul, self.alphas, MultiPoly.constant(self.alphas[0].nvars, 1))
 
 
 @dataclass(frozen=True)
@@ -304,6 +314,7 @@ class ReflectionGroup:
             if not linalg.is_unitary(mt):
                 raise GroupBuildError("non-unitary generator matrix")
         self.generator_matrices = gen_mats
+        self._n0 = n0
         self._images: dict[int, tuple] = {}  # element -> monomial_images store
 
         self._enumerate(max_order)
@@ -325,35 +336,36 @@ class ReflectionGroup:
     # -- enumeration --------------------------------------------------------
 
     def _enumerate(self, max_order: int) -> None:
-        ident = linalg.identity(self.dimension)
-        ident = tuple(tuple(x.promote(self.generator_matrices[0][0][0].N) for x in row) for row in ident)
-        elements: list[Matrix] = [ident]
+        gens = self._act_on_roots()
+        ident = tuple(range(len(self._roots)))
+        perms: list[tuple[int, ...]] = [ident]
         words: list[tuple[int, ...]] = [()]
         parent = [0]
-        index: dict[Matrix, int] = {ident: 0}
+        index: dict[tuple[int, ...], int] = {ident: 0}
         rmul: list[tuple[int, ...]] = []
         head = 0
-        while head < len(elements):
-            cur = elements[head]
+        while head < len(perms):
+            cur = perms[head]
             row = []
-            for g, gm in enumerate(self.generator_matrices):
-                new = linalg.mat_mul(cur, gm)
+            for g, s in enumerate(gens):
+                # (w s)(x) = w(s(x))
+                new = tuple(map(cur.__getitem__, s))
                 j = index.get(new)
                 if j is None:
-                    if len(elements) >= max_order:
+                    if len(perms) >= max_order:
                         raise GroupBuildError(
                             f"group order exceeds the cap {max_order}"
                         )
-                    j = index[new] = len(elements)
-                    elements.append(new)
+                    j = index[new] = len(perms)
+                    perms.append(new)
                     words.append(words[head] + (g,))
                     parent.append(head)
                 row.append(j)
             rmul.append(tuple(row))
             head += 1
-        self.elements = elements
+        self._perms = perms
         self.words = words
-        self.order = len(elements)
+        self.order = len(perms)
         self.identity = 0
         self._rmul = rmul
         self.generator_elements = rmul[0]
@@ -368,6 +380,47 @@ class ReflectionGroup:
         for j in range(1, self.order):
             inv[j] = self.mult(gen_inv[words[j][-1]], inv[parent[j]])
         self.inverse_table = inv
+        self._matrices: dict[int, Matrix] = {}
+
+    def _act_on_roots(self) -> list[tuple[int, ...]]:
+        """The generators as permutations of X, the W-orbit of a basis B of V
+        drawn from the columns of the s - 1 and a basis of V^W: perms[a][x]
+        is the index in X of s_a(x).  X is kept in B-coordinates at label N0,
+        with b_j = X[j]."""
+        n, n0 = self.dimension, self._n0
+        ident = linalg.identity(n)
+        diffs = [linalg.mat_sub(s, ident) for s in self.generator_matrices]
+        columns = [c for d in diffs for c in zip(*d)] + linalg.nullspace([r for d in diffs for r in d])
+        # [columns | 1] reduces to [B^-1 columns | B^-1], B its pivot columns.
+        red, pivots = linalg.rref([[c[r] for c in columns] + list(ident[r]) for r in range(n)])
+
+        def promoted(rows) -> Matrix:
+            return tuple(tuple(x.promote(n0) for x in row) for row in rows)
+
+        self._basis = promoted(zip(*(columns[p] for p in pivots)))
+        self._basis_inverse = promoted(row[len(columns):] for row in red)
+        gens = [promoted(linalg.mat_mul(self._basis_inverse, linalg.mat_mul(s, self._basis)))
+                for s in self.generator_matrices]
+        zero = CycNum.zero(n0)
+        roots: list[Vector] = list(promoted(ident))
+        index = {v: j for j, v in enumerate(roots)}
+        perms: list[list[int]] = [[] for _ in gens]
+        head = 0
+        while head < len(roots):
+            v = roots[head]
+            for perm, s in zip(perms, gens):
+                u = tuple(
+                    sum((a * b for a, b in zip(row, v) if not a.is_zero() and not b.is_zero()), zero)
+                    for row in s
+                )
+                j = index.get(u)
+                if j is None:
+                    j = index[u] = len(roots)
+                    roots.append(u)
+                perm.append(j)
+            head += 1
+        self._roots = roots
+        return [tuple(p) for p in perms]
 
     def mult(self, i: int, j: int) -> int:
         """w_i * w_j: walk the word of w_j from i through the Cayley graph."""
@@ -389,11 +442,24 @@ class ReflectionGroup:
             orders[i] = k
         self.element_orders = orders
 
+    def _coordinate_matrix(self, i: int) -> Matrix:
+        """M, the matrix of w_i in B-coordinates: column j is w_i(b_j)."""
+        perm, roots = self._perms[i], self._roots
+        return tuple(zip(*(roots[perm[j]] for j in range(self.dimension))))
+
     def matrix(self, i: int) -> Matrix:
-        return self.elements[i]
+        """The matrix of w_i, B M B^-1, every entry at N0; built once, when asked."""
+        m = self._matrices.get(i)
+        if m is None:
+            m = linalg.mat_mul(self._coordinate_matrix(i), self._basis_inverse)
+            m = tuple(tuple(x.promote(self._n0) for x in row) for row in linalg.mat_mul(self._basis, m))
+            self._matrices[i] = m
+        return m
 
     def trace(self, i: int) -> CycNum:
-        return linalg.trace(self.elements[i])
+        """tr w_i: the sum of the B-coordinates b_j^*(w_i(b_j))."""
+        perm, roots = self._perms[i], self._roots
+        return sum((roots[perm[j]][j] for j in range(self.dimension)), ZERO)
 
     def det(self, i: int) -> CycNum:
         """det(w_i) = zeta_o^{sum t m} over the spectrum of its class."""
@@ -405,19 +471,22 @@ class ReflectionGroup:
 
         o is the order of w and value maps an element to its character value
         (a trace, or ClassFunction.value_on_element); the multiplicities are
-        the exact discrete Fourier transform (1/o) sum_s value(w^s) zeta_o^{-ts}.
+        the exact discrete Fourier transform (1/o) sum_s value(w^s) zeta_o^{-ts},
+        summed on integers at M = lcm(o, labels), where multiplying by
+        zeta_o^{-ts} shifts exponents by -ts M/o.
         """
         o = self.element_orders[w]
         values, cur = [], self.identity
         for _ in range(o):
             values.append(value(cur))
             cur = self.mult(cur, w)
+        den, terms = integral_terms(values)
+        M = lcm(o, *(N for N, _ in terms))
         out = []
         for t in range(o):
-            acc = CycNum.zero()
-            for s, v in enumerate(values):
-                acc = acc + v * CycNum.zeta(o, (-t * s) % o)
-            mult = acc / o
+            shifted = (((e * (M // N) - t * s * (M // o)) % M, c)
+                       for s, (N, coeffs) in enumerate(terms) for e, c in enumerate(coeffs) if c)
+            mult = from_integral(M, shifted, den * o)
             if not mult.is_integer() or mult.as_fraction() < 0:
                 raise ExactError("restriction multiplicity is not a nonnegative integer")
             out.append(int(mult.as_fraction()))
@@ -436,26 +505,17 @@ class ReflectionGroup:
             spectra.append(tuple((o, t, m) for t, m in enumerate(mults) if m))
         self.class_spectra = tuple(spectra)
 
-    def char_poly_one_minus_Tw(self, i: int) -> PolyT:
-        """det_V(1 - T w_i) as an exact polynomial in T."""
-        p = PolyT([ONE])
-        for o, t, mult in self.class_spectra[self.class_of[i]]:
-            factor = PolyT([ONE, -CycNum.zeta(o, t)])
-            for _ in range(mult):
-                p = p * factor
-        return p
-
     def _integral_matrix(self, i: int) -> tuple[int, int, list[list[tuple[int, tuple]]]]:
         """(N, delta, rows) for the matrix A of w_i: N the label of its nonzero
         entries, delta the lcm of their denominators, and rows[k] one
         (j, cols) per nonzero b = delta A[k][j], with cols[t][a] coefficient t
         of zeta_N^a b reduced modulo Phi_N, so (c b)_t = sum_a c_a cols[t][a]."""
-        entries = [(k, j, x) for k, row in enumerate(self.elements[i])
+        entries = [(k, j, x) for k, row in enumerate(self.matrix(i))
                    for j, x in enumerate(row) if not x.is_zero()]
         N = lcm(*(x.N for _, _, x in entries))
         phi = euler_phi(N)
         delta, terms = integral_terms(x * CycNum.zeta(N, a) for _, _, x in entries for a in range(phi))
-        rows: list[list[tuple[int, tuple]]] = [[] for _ in self.elements[i]]
+        rows: list[list[tuple[int, tuple]]] = [[] for _ in range(self.dimension)]
         for n, (k, j, _) in enumerate(entries):
             block = [c + [0] * (phi - len(c)) for _, c in terms[n * phi : (n + 1) * phi]]
             rows[k].append((j, tuple(zip(*block))))
@@ -554,14 +614,16 @@ class ReflectionGroup:
         self.reflections = tuple(sorted(refl))
 
     def _reflection_form(self, i: int) -> Vector:
-        """The first moving row of w_i - 1, scaled to first nonzero coefficient 1."""
-        diff = linalg.mat_sub(self.elements[i], linalg.identity(self.dimension))
-        for row in diff:
-            piv = next((x for x in row if not x.is_zero()), None)
-            if piv is not None:
-                inv = piv.inverse()
-                return tuple(x * inv for x in row)
-        raise ExactError("reflection without a moving row (bug)")
+        """The moving rows of the reflection w_i - 1 = B (M - 1) B^-1 are
+        multiples of one form, and so are those of (M - 1) B^-1: the first of
+        them, scaled to first nonzero coefficient 1."""
+        diff = linalg.mat_sub(self._coordinate_matrix(i), linalg.identity(self.dimension))
+        row = next((r for r in diff if any(not x.is_zero() for x in r)), None)
+        if row is None:
+            raise ExactError("reflection without a moving row (bug)")
+        form = linalg.mat_mul((row,), self._basis_inverse)[0]
+        inv = next(x for x in form if not x.is_zero()).inverse()
+        return tuple(x * inv for x in form)
 
     def _find_hyperplanes(self) -> None:
         # W_H is cyclic: 1 and the reflections with hyperplane H.  Taken by
@@ -629,12 +691,11 @@ class ReflectionGroup:
         orbits = []
         self.orbit_of_hyperplane = [0] * len(self.hyperplanes)
         for members in by_class.values():
-            pi = MultiPoly.constant(self.dimension, 1)
             for h in members:
-                pi = pi * self.hyperplanes[h].alpha
                 self.orbit_of_hyperplane[h] = len(orbits)
             order = self.hyperplanes[members[0]].order
-            orbits.append(HyperplaneOrbit(members=tuple(members), order=order, pi=pi))
+            alphas = tuple(self.hyperplanes[h].alpha for h in members)
+            orbits.append(HyperplaneOrbit(members=tuple(members), order=order, alphas=alphas))
         self.orbits = tuple(orbits)
 
     # -- conjugacy classes ----------------------------------------------------
@@ -693,12 +754,27 @@ class ReflectionGroup:
             raise ExactError("product of degrees != |W| (bug)")
         if sum(d - 1 for d in self.degrees) != nrefl:
             raise ExactError("sum of (d_i - 1) != number of reflections (bug)")
-        # G_c = prod (1 - T^{d_i}) / det(1 - T c) is a polynomial of degree #R;
-        # the exact division raises on a nonzero remainder.
-        numer = degree_numerator(self)
-        self.class_coinvariant_traces = tuple(
-            poly_divide_exact(numer, self.char_poly_one_minus_Tw(cls.rep)) for cls in self.classes
-        )
+        # G_c = prod (1 - T^{d_i}) / det(1 - T c), a polynomial of degree #R:
+        # divide the integer numerator by 1 - zeta_o^t T once per eigenvalue,
+        # q_k = a_k + zeta_o^t q_{k-1}, in Z[x]/(x^o - 1), where multiplying
+        # by zeta_o^t rotates by t.  The remainder a_top + zeta_o^t q_last
+        # must reduce to 0 in Z[zeta_o].
+        numer = [int(c.as_fraction()) for c in degree_numerator(self).coeffs]
+        traces = []
+        for spectrum in self.class_spectra:
+            o = spectrum[0][0]
+            coeffs = [[a] + [0] * (o - 1) for a in numer]
+            for _, t, mult in spectrum:
+                for _ in range(mult):
+                    quotient, q = [], [0] * o
+                    for a in coeffs:
+                        q = [a[k] + q[k - t] for k in range(o)]
+                        quotient.append(q)
+                    if not from_integral(o, enumerate(quotient.pop())).is_zero():
+                        raise ExactError("det(1 - T c) does not divide prod (1 - T^d_i) (bug)")
+                    coeffs = quotient
+            traces.append(PolyT([from_integral(o, enumerate(c)) for c in coeffs]))
+        self.class_coinvariant_traces = tuple(traces)
 
     # -- reporting -------------------------------------------------------------
 
@@ -715,7 +791,7 @@ class ReflectionGroup:
                 {
                     "size": len(c.members),
                     "order": c.order,
-                    "pi_degree": c.pi.total_degree(),
+                    "pi_degree": len(c.members),
                 }
                 for c in self.orbits
             ],

@@ -333,7 +333,7 @@ def _build_path(g, h_idx, v0, alpha, delta):
         log_integrals=_read_only(_log_integrals(segments, alpha, h_idx, e)),
     )
     end = path.endpoint()
-    s_mat = linalg.mat_to_complex(g.elements[hp.generator])
+    s_mat = linalg.mat_to_complex(g.matrix(hp.generator))
     if np.max(np.abs(s_mat @ v0 - end)) > 1e-12 * max(1.0, float(np.max(np.abs(end)))):
         raise KZError("path endpoint is not s_H v0 (bug)")
     return path

@@ -1,7 +1,6 @@
 """Small dense linear algebra over CycNum, and the one F_p toolkit.
 
-Matrices are immutable tuples of tuples of CycNum (row major), so they can be
-hashed and used as dictionary keys during group enumeration.  There is no exact
+Matrices are immutable tuples of tuples of CycNum (row major).  There is no exact
 determinant or rank here: a group element's determinant and its fixed space
 come from its spectrum (`groups`), which the traces give.
 

@@ -24,7 +24,10 @@ The orbit-character oracle substitutes each orbit product and divides, where
 `fake` reads chi_C off Stanley's lemma, and the Molien oracle peels the
 degrees off the CycNum Molien series and cuts the G_c from its truncated
 products, where the group factors the integer fixed-space count and divides
-exactly.
+exactly.  The matrix-group oracles enumerate the group by CycNum matrix
+products keyed in a dict, take restriction multiplicities by the CycNum
+discrete Fourier transform and divide each G_c as CycNum polynomials, where
+the group composes permutations of its roots and works on integers.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ from reflekt.exact import (
 from reflekt import linalg
 from reflekt.chars import CharTableError
 from reflekt.kz import KZError
-from reflekt.groups import Hyperplane, HyperplaneOrbit, monomials
+from reflekt.groups import Hyperplane, HyperplaneOrbit, degree_numerator, monomials
 from reflekt.minmat import predicted_equivariant_dimension
 
 
@@ -124,7 +127,7 @@ def _det_one_minus_T_times(g, w: int) -> PolyT:
     """det(1 - T w) from the explicit matrix, expanded by Leibniz."""
     import itertools
 
-    m = g.elements[w]
+    m = g.matrix(w)
     n = g.dimension
     one = PolyT([CycNum.one()])
     acc = PolyT([])
@@ -186,7 +189,7 @@ def substitution_matrix(g, elt: int, monos) -> list[list[CycNum]]:
     got = cache.get((elt, p))
     if got is not None:
         return got
-    mats = g.elements[elt]
+    mats = g.matrix(elt)
     n = g.dimension
     rows = [MultiPoly.linear_form([mats[i][jj] for jj in range(n)]) for i in range(n)]
     pow_cache: list[dict[int, MultiPoly]] = [dict() for _ in range(n)]
@@ -268,7 +271,7 @@ def rank_reflections(g) -> tuple[int, ...]:
     """The elements w with rank(w - 1) = 1, by exact elimination of each matrix."""
     return tuple(
         i
-        for i, m in enumerate(g.elements)
+        for i, m in enumerate(map(g.matrix, range(g.order)))
         if len(exact_rref([[x - int(r == c) for c, x in enumerate(row)]
                            for r, row in enumerate(m)])[1]) == 1
     )
@@ -444,7 +447,7 @@ def _normalized_form(row):
 
 
 def _reflection_form(g, i: int):
-    diff = linalg.mat_sub(g.elements[i], linalg.identity(g.dimension))
+    diff = linalg.mat_sub(g.matrix(i), linalg.identity(g.dimension))
     for row in diff:
         if any(not x.is_zero() for x in row):
             return _normalized_form(row)
@@ -453,7 +456,7 @@ def _reflection_form(g, i: int):
 
 def _form_image(g, form, w: int):
     """alpha_H o w^{-1}, a nonzero multiple of the form of w(H)."""
-    m = g.elements[g.inverse(w)]
+    m = g.matrix(g.inverse(w))
     return tuple(
         sum((form[i] * m[i][j] for i in range(g.dimension)), ZERO)
         for j in range(g.dimension)
@@ -521,12 +524,10 @@ def forms_orbits(g, hyperplanes, hyperplane_index):
         orders = {hyperplanes[h].order for h in members}
         if len(orders) != 1:
             raise ExactError("orbit with mixed stabilizer orders (bug)")
-        pi = MultiPoly.constant(g.dimension, 1)
-        for h in members:
-            pi = pi * hyperplanes[h].alpha
         for h in members:
             orbit_of_hyperplane[h] = len(orbits)
-        orbits.append(HyperplaneOrbit(members=members, order=orders.pop(), pi=pi))
+        alphas = tuple(hyperplanes[h].alpha for h in members)
+        orbits.append(HyperplaneOrbit(members=members, order=orders.pop(), alphas=alphas))
         unassigned -= seen
     return tuple(orbits), orbit_of_hyperplane
 
@@ -622,7 +623,7 @@ def molien_degrees(g) -> tuple[tuple[int, ...], tuple[PolyT, ...]]:
     # the conductor, where the character values live.
     inverses = []
     for cls in g.classes:
-        inv = series_inverse(g.char_poly_one_minus_Tw(cls.rep), order)
+        inv = series_inverse(char_poly_one_minus_Tw(g, cls.rep), order)
         inverses.append(PolyT([inv[k].promote(g.conductor) for k in range(order + 1)]))
     total = PolyT([])
     for cls, inv in zip(g.classes, inverses):
@@ -655,3 +656,90 @@ def molien_degrees(g) -> tuple[tuple[int, ...], tuple[PolyT, ...]]:
                 out[k] = out[k] + inv[k - m] * a
         traces.append(PolyT(out))
     return tuple(sorted(degrees)), tuple(traces)
+
+
+# ---------------------------------------------------------------------------
+# matrix groups: the reference for the permutation core of ReflectionGroup
+# ---------------------------------------------------------------------------
+
+def matrix_enumeration(g, max_order: int = 50_000):
+    """(elements, words, rmul, inverse_table) by breadth-first search over
+    generator words on the CycNum matrices themselves, each product looked up
+    in a dict on matrices."""
+    ident = linalg.identity(g.dimension)
+    ident = tuple(tuple(x.promote(g.generator_matrices[0][0][0].N) for x in row) for row in ident)
+    elements = [ident]
+    words = [()]
+    parent = [0]
+    index = {ident: 0}
+    rmul = []
+    head = 0
+    while head < len(elements):
+        cur = elements[head]
+        row = []
+        for a, gm in enumerate(g.generator_matrices):
+            new = linalg.mat_mul(cur, gm)
+            j = index.get(new)
+            if j is None:
+                if len(elements) >= max_order:
+                    raise ExactError(f"group order exceeds the cap {max_order}")
+                j = index[new] = len(elements)
+                elements.append(new)
+                words.append(words[head] + (a,))
+                parent.append(head)
+            row.append(j)
+        rmul.append(tuple(row))
+        head += 1
+
+    def mult(i, j):
+        for a in words[j]:
+            i = rmul[i][a]
+        return i
+
+    gen_inv = []
+    for a in range(len(g.generator_matrices)):
+        prev, cur = 0, rmul[0][a]
+        while cur != 0:
+            prev, cur = cur, rmul[cur][a]
+        gen_inv.append(prev)
+    inv = [0] * len(elements)
+    for j in range(1, len(elements)):
+        inv[j] = mult(gen_inv[words[j][-1]], inv[parent[j]])
+    return elements, words, rmul, inv
+
+
+def dft_multiplicities(g, w: int, value) -> list[int]:
+    """Multiplicity of zeta_o^t in the restriction of value to <w>, as the
+    CycNum sum (1/o) sum_s value(w^s) zeta_o^{-ts}."""
+    o = g.element_orders[w]
+    values, cur = [], g.identity
+    for _ in range(o):
+        values.append(value(cur))
+        cur = g.mult(cur, w)
+    out = []
+    for t in range(o):
+        acc = CycNum.zero()
+        for s, v in enumerate(values):
+            acc = acc + v * CycNum.zeta(o, (-t * s) % o)
+        mult = acc / o
+        if not mult.is_integer() or mult.as_fraction() < 0:
+            raise ExactError("restriction multiplicity is not a nonnegative integer")
+        out.append(int(mult.as_fraction()))
+    return out
+
+
+def char_poly_one_minus_Tw(g, i: int) -> PolyT:
+    """det_V(1 - T w_i) as an exact polynomial in T."""
+    p = PolyT([ONE])
+    for o, t, mult in g.class_spectra[g.class_of[i]]:
+        factor = PolyT([ONE, -CycNum.zeta(o, t)])
+        for _ in range(mult):
+            p = p * factor
+    return p
+
+
+def divided_coinvariant_traces(g) -> tuple[PolyT, ...]:
+    """G_c = prod (1 - T^{d_i}) / det(1 - T c) per class by exact CycNum
+    polynomial division, which raises on a nonzero remainder."""
+    numer = degree_numerator(g)
+    return tuple(poly_divide_exact(numer, char_poly_one_minus_Tw(g, cls.rep)) for cls in g.classes)

@@ -7,6 +7,7 @@ import pytest
 
 from reflekt.exact import ZERO, CycNum, MultiPoly
 from reflekt import linalg
+from reflekt.chars import character_table
 from reflekt.groups import (
     GroupBuildError,
     build_group,
@@ -16,9 +17,12 @@ from reflekt.groups import (
 
 from corpus import CORPUS, G4
 from oracles import (
+    dft_multiplicities,
+    divided_coinvariant_traces,
     elimination_det,
     forms_hyperplanes,
     forms_orbits,
+    matrix_enumeration,
     molien_degrees,
     rank_reflections,
     substitution_matrix,
@@ -117,7 +121,7 @@ def test_corpus_structure_identities(groups):
 def test_corpus_unitarity_and_words(groups):
     for name, g in groups.items():
         for i in range(g.order):
-            assert linalg.is_unitary(g.elements[i]), name
+            assert linalg.is_unitary(g.matrix(i)), name
             assert g.mult(0, i) == i, name
 
 
@@ -132,7 +136,7 @@ def test_corpus_stabilizers(groups):
             assert g.element_orders[hp.generator] == hp.order
             assert g.det(hp.generator) == CycNum.zeta(hp.order)
             for v in linalg.nullspace([list(hp.form)]):
-                assert fixes(g.elements[hp.generator], v)
+                assert fixes(g.matrix(hp.generator), v)
 
 
 def test_corpus_stabilizers_match_fixed_point_scan(groups):
@@ -140,7 +144,7 @@ def test_corpus_stabilizers_match_fixed_point_scan(groups):
         for hp in g.hyperplanes:
             fixed = linalg.nullspace([list(hp.form)])
             scan = tuple(
-                i for i in range(g.order) if all(fixes(g.elements[i], v) for v in fixed)
+                i for i in range(g.order) if all(fixes(g.matrix(i), v) for v in fixed)
             )
             assert hp.stabilizer == scan, name
 
@@ -148,7 +152,7 @@ def test_corpus_stabilizers_match_fixed_point_scan(groups):
 def test_det_from_spectrum_matches_elimination(groups):
     for name, g in groups.items():
         for i in range(g.order):
-            assert g.det(i) == elimination_det(g.elements[i]), (name, i)
+            assert g.det(i) == elimination_det(g.matrix(i)), (name, i)
 
 
 def test_reflections_from_spectrum_match_rank_test(groups):
@@ -159,17 +163,19 @@ def test_reflections_from_spectrum_match_rank_test(groups):
 @pytest.mark.parametrize("name", ["S4", "G(3,1,2)", "G(4,4,2)"])
 def test_word_walk_products_match_table(name):
     g = build_group(name)
-    index = {m: i for i, m in enumerate(g.elements)}
+    elements = [g.matrix(i) for i in range(g.order)]
+    index = {m: i for i, m in enumerate(elements)}
     for i in range(g.order):
         for j in range(g.order):
-            product = linalg.mat_mul(g.elements[i], g.elements[j])
+            product = linalg.mat_mul(elements[i], elements[j])
             assert g.mult(i, j) == index[product]
         assert g.mult(i, g.inverse(i)) == 0
 
 
 def test_corpus_orbit_semi_invariance(groups):
     for name, g in groups.items():
-        gen_elts = [g.elements.index(m) for m in g.generator_matrices]
+        elements = [g.matrix(i) for i in range(g.order)]
+        gen_elts = [elements.index(m) for m in g.generator_matrices]
         by_form = {h.form: k for k, h in enumerate(g.hyperplanes)}
         for orbit in g.orbits:
             count = len(orbit.members) * (orbit.order - 1)
@@ -372,3 +378,56 @@ def test_file_group_rejects_non_reflection_group(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(GroupBuildError, match="reflection"):
         build_group(f"file:{path}")
+
+
+def check_against_matrix_oracle(g) -> None:
+    """The permutation core against the matrix BFS: words, right
+    multiplication by the generators, inverses, every matrix with its labels
+    and every trace; the class spectra, and the restriction of every table
+    row to the class representatives, against the CycNum DFT; the G_c, with
+    their labels, against exact CycNum division."""
+    elements, words, rmul, inverse = matrix_enumeration(g)
+    assert g.order == len(elements)
+    assert g.words == words
+    assert [[g.mult(i, s) for s in g.generator_elements] for i in range(g.order)] == [list(r) for r in rmul]
+    assert [g.inverse(i) for i in range(g.order)] == inverse
+    n0 = g.generator_matrices[0][0][0].N
+    for i, want in enumerate(elements):
+        got = g.matrix(i)
+        assert got == want, i
+        assert all(x.N == n0 for row in got for x in row), i
+        assert all(x.N == y.N for r, s in zip(got, want) for x, y in zip(r, s) if not y.is_zero()), i
+        assert g.trace(i) == linalg.trace(want), i
+    for cls, spectrum in zip(g.classes, g.class_spectra):
+        mults = dft_multiplicities(g, cls.rep, lambda j: linalg.trace(elements[j]))
+        assert spectrum == tuple((g.element_orders[cls.rep], t, m) for t, m in enumerate(mults) if m)
+    for row in character_table(g).rows:
+        for cls in g.classes:
+            want = dft_multiplicities(g, cls.rep, row.value_on_element)
+            assert g.cyclic_multiplicities(cls.rep, row.value_on_element) == want
+    traces = divided_coinvariant_traces(g)
+    assert g.class_coinvariant_traces == traces
+    for got, want in zip(g.class_coinvariant_traces, traces):
+        assert [c.N for c in got.coeffs] == [c.N for c in want.coeffs]
+
+
+@pytest.mark.parametrize(
+    "name",
+    CORPUS + [G4, "S5", "G(3,1,3)", "G(4,2,3)", "G(6,6,3)"] + MULTI_ORBIT,
+    ids=lambda name: "G4" if name == G4 else name,
+)
+def test_permutation_core_matches_matrix_oracle(name):
+    check_against_matrix_oracle(build_group(name))
+
+
+def test_file_group_with_a_fixed_vector(tmp_path):
+    """diag(1, -1) on C^2 fixes e_1, so the columns of s - 1 do not span V
+    and the root set needs the fixed vector to act faithfully."""
+    one, zero = CycNum.one(), CycNum.zero()
+    data = [[[one.to_json(), zero.to_json()], [zero.to_json(), (-one).to_json()]]]
+    path = tmp_path / "fixes.json"
+    path.write_text(json.dumps(data))
+    g = build_group(f"file:{path}")
+    assert (g.order, g.degrees) == (len(matrix_enumeration(g)[0]), molien_degrees(g)[0])
+    assert (g.order, g.degrees) == (2, (1, 2))
+    check_against_matrix_oracle(g)

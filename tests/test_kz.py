@@ -80,7 +80,7 @@ def test_braid_path_endpoint(built):
     for h, hp in enumerate(g.hyperplanes):
         path = block.paths[h]
         assert path.order == hp.order
-        s_mat = linalg.mat_to_complex(g.elements[hp.generator])
+        s_mat = linalg.mat_to_complex(g.matrix(hp.generator))
         assert np.max(np.abs(s_mat @ block.base_point - path.endpoint())) < 1e-12
 
 
