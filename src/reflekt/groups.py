@@ -10,40 +10,37 @@ The symmetric group is realized in the discrete-Fourier basis of the zero-sum
 subspace of C^n, which keeps the permutation matrices exactly unitary with
 entries in Q(zeta_n) (the 1/sqrt(n) normalizations cancel in conjugation).
 
-A group is a permutation group on X, the W-orbit of a basis B of V drawn
-from the columns of the s - 1 and a basis of V^W (V = V^W + sum_s im(s - 1)
-for unitary s), so it acts faithfully.  X is kept in B-coordinates, where the
-generators act by B^-1 s B, every coordinate at the generators' label N0, so
-equal vectors are equal dict keys.  Enumeration is breadth-first over
-generator words on the permutations; the first word reaching an element
-(shortest, then lexicographically smallest) is stored.  The search records
-the Cayley graph of right multiplication by the generators
-(rmul[i][g] = index of w_i * s_g) and the BFS tree (w_j = w_parent(j) * s_last),
-one tuple composition per edge.  All pure group structure - products (w_i * w_j
-walks the word of w_j from i), inverses, element orders, conjugacy classes - is
-integer lookups in that graph.  So are the hyperplanes: W_H is cyclic, 1 and
-the reflections of H, so taking reflections by decreasing order, each one not
-yet assigned generates its W_H (`hyperplane_of`).  Since w s_H w^-1 = s_{w(H)},
-the orbit of H is the hyperplanes whose s_H' is conjugate to s_H; its product
-pi_C of forms is built when read.  The matrix M of w in B-coordinates has the
-coordinates of the w(b_j) for columns: the trace of w is a sum of n of them,
-and a moving row of M - 1 times B^-1 is the form of a reflection.  The matrix
-B M B^-1 is built when asked for (`matrix`), by the substitution f(w v)
-(`substitute`) and numerical transport.  Substitution runs on integers: with
-delta the lcm of the denominators of the matrix A of w and N the label of its
-entries, the images (delta A v)^e of the monomials e of degree q are integer
-power-basis coefficients at N (denominator delta^q), built degree by degree
-and reduced modulo Phi_N (`monomial_images`), in the integer form of `exact`
+The group acts faithfully on X, the W-orbit of a basis B of V drawn from the
+columns of the s - 1 and a basis of V^W (V = V^W + sum_s im(s - 1) for
+unitary s).  X is kept in B-coordinates at the generators' label N0, so equal
+vectors are equal dict keys.  Enumeration is breadth-first over generator
+words on permutations of X, one tuple composition per edge; it stores the
+first word reaching each element (shortest, then lexicographically smallest),
+the Cayley graph of right multiplication (rmul[i][g] = index of w_i * s_g)
+and the BFS tree (w_j = w_parent(j) * s_last).  Products (the word of w_j
+walked from i), inverses, element orders and conjugacy classes are integer
+lookups in that graph, and so are the hyperplanes: W_H is cyclic, 1 and the
+reflections of H, so taken by decreasing order each unassigned reflection
+generates its W_H (`hyperplane_of`); since w s_H w^-1 = s_{w(H)}, the orbit
+of H is the hyperplanes whose s_H' is conjugate to s_H, and its product pi_C
+of forms is built when read.  The matrix M of w in B-coordinates has the
+w(b_j) for columns: the trace of w is a sum of n coordinates, a moving row of
+M - 1 times B^-1 is the form of a reflection, and B M B^-1 is built on each
+call of `matrix`, for the substitution f(w v) (`substitute`) and numerical
+transport.  Substitution runs on integers: with delta the lcm of the
+denominators of the matrix A of w and N the label of its entries, the images
+(delta A v)^e of the monomials e of degree q are integer power-basis
+coefficients at N (denominator delta^q), built degree by degree and reduced
+modulo Phi_N (`monomial_images`), in the integer form of `exact`
 (`integral_terms` in, `from_integral` out).  The spectrum of each class
 representative is the discrete Fourier transform of the traces of its powers,
-exponent shifts on integers; the determinant, the reflections (eigenvalue 1
-of multiplicity dim - 1) and det(1 - T w) come from it, and so do the degrees:
-by Shephard-Todd, sum_w T^{dim V^w} = prod_i (T + d_i - 1), an integer
+on integers; the determinant, the reflections (eigenvalue 1 of multiplicity
+dim - 1) and det(1 - T w) come from it, and so do the degrees: by
+Shephard-Todd, sum_w T^{dim V^w} = prod_i (T + d_i - 1), an integer
 polynomial whose roots are peeled off exactly.  The coinvariant graded trace
 G_c = prod_i (1 - T^{d_i}) / det(1 - T c) divides the integer numerator by
 1 - lambda T per eigenvalue lambda in Z[x]/(x^o - 1), and each remainder must
-reduce to 0 in Z[zeta_o].  Everything is exact; all data is immutable after
-construction.
+reduce to 0.  Everything is exact; all data is immutable after construction.
 """
 from __future__ import annotations
 
@@ -301,11 +298,7 @@ class ReflectionGroup:
             )
 
         # Uniform conductor across generator entries.
-        n0 = 1
-        for mt in gen_mats:
-            for row in mt:
-                for x in row:
-                    n0 = lcm(n0, x.N)
+        n0 = lcm(*(x.N for mt in gen_mats for row in mt for x in row))
         gen_mats = [
             tuple(tuple(x.promote(n0) for x in row) for row in mt) for mt in gen_mats
         ]
@@ -336,7 +329,7 @@ class ReflectionGroup:
     # -- enumeration --------------------------------------------------------
 
     def _enumerate(self, max_order: int) -> None:
-        gens = self._act_on_roots()
+        gens = self._act_on_roots(max_order)
         ident = tuple(range(len(self._roots)))
         perms: list[tuple[int, ...]] = [ident]
         words: list[tuple[int, ...]] = [()]
@@ -380,13 +373,13 @@ class ReflectionGroup:
         for j in range(1, self.order):
             inv[j] = self.mult(gen_inv[words[j][-1]], inv[parent[j]])
         self.inverse_table = inv
-        self._matrices: dict[int, Matrix] = {}
 
-    def _act_on_roots(self) -> list[tuple[int, ...]]:
+    def _act_on_roots(self, max_order: int) -> list[tuple[int, ...]]:
         """The generators as permutations of X, the W-orbit of a basis B of V
         drawn from the columns of the s - 1 and a basis of V^W: perms[a][x]
         is the index in X of s_a(x).  X is kept in B-coordinates at label N0,
-        with b_j = X[j]."""
+        with b_j = X[j].  X is the union of the W-orbits of the n vectors b_j,
+        so |X| <= n |W|, and a larger X means |W| is over the cap."""
         n, n0 = self.dimension, self._n0
         ident = linalg.identity(n)
         diffs = [linalg.mat_sub(s, ident) for s in self.generator_matrices]
@@ -415,6 +408,8 @@ class ReflectionGroup:
                 )
                 j = index.get(u)
                 if j is None:
+                    if len(roots) >= n * max_order:
+                        raise GroupBuildError(f"group order exceeds the cap {max_order}")
                     j = index[u] = len(roots)
                     roots.append(u)
                 perm.append(j)
@@ -448,13 +443,9 @@ class ReflectionGroup:
         return tuple(zip(*(roots[perm[j]] for j in range(self.dimension))))
 
     def matrix(self, i: int) -> Matrix:
-        """The matrix of w_i, B M B^-1, every entry at N0; built once, when asked."""
-        m = self._matrices.get(i)
-        if m is None:
-            m = linalg.mat_mul(self._coordinate_matrix(i), self._basis_inverse)
-            m = tuple(tuple(x.promote(self._n0) for x in row) for row in linalg.mat_mul(self._basis, m))
-            self._matrices[i] = m
-        return m
+        """The matrix of w_i, B M B^-1, every entry at N0, built on each call."""
+        m = linalg.mat_mul(self._basis, linalg.mat_mul(self._coordinate_matrix(i), self._basis_inverse))
+        return tuple(tuple(x.promote(self._n0) for x in row) for row in m)
 
     def trace(self, i: int) -> CycNum:
         """tr w_i: the sum of the B-coordinates b_j^*(w_i(b_j))."""
@@ -666,16 +657,12 @@ class ReflectionGroup:
         self.hyperplanes = tuple(hyperplanes)
 
     def _check_reflections_generate(self) -> None:
-        seen = {0}
-        frontier = [0]
-        gens = list(self.reflections)
+        seen, frontier = {0}, [0]
         while frontier:
             cur = frontier.pop()
-            for g in gens:
-                nxt = self.mult(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+            new = {self.mult(cur, r) for r in self.reflections} - seen
+            seen |= new
+            frontier.extend(new)
         if len(seen) != self.order:
             raise GroupBuildError(
                 "generator file does not define a reflection group: "
@@ -816,10 +803,7 @@ def _divide_by_linear(coeffs: list[int], r: int) -> tuple[list[int], int]:
 
 def degree_numerator(g: ReflectionGroup) -> PolyT:
     """prod_i (1 - T^{d_i})."""
-    p = PolyT([ONE])
-    for d in g.degrees:
-        p = p * poly_one_minus_Tk(d)
-    return p
+    return reduce(mul, map(poly_one_minus_Tk, g.degrees), PolyT([ONE]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings
@@ -58,6 +59,17 @@ def test_orders():
 def test_order_cap():
     with pytest.raises(GroupBuildError, match="cap"):
         build_group("S4", max_order=20)
+
+
+@pytest.mark.parametrize("name", CORPUS + [G4, "G(4,2,3)"], ids=lambda name: "G4" if name == G4 else name)
+def test_groups_build_at_a_cap_equal_to_their_order(name):
+    """The root orbit X has at most dim |W| vectors, so its bound in the
+    build never stops a group that fits under the cap."""
+    order = build_group(name).order
+    assert build_group(name, max_order=order).order == order
+    if name == G4:  # file groups are the ones the root-orbit bound guards
+        with pytest.raises(GroupBuildError, match="cap"):
+            build_group(name, max_order=order - 1)
 
 
 def test_reflection_counts():
@@ -141,10 +153,11 @@ def test_corpus_stabilizers(groups):
 
 def test_corpus_stabilizers_match_fixed_point_scan(groups):
     for name, g in groups.items():
+        elements = [g.matrix(i) for i in range(g.order)]
         for hp in g.hyperplanes:
             fixed = linalg.nullspace([list(hp.form)])
             scan = tuple(
-                i for i in range(g.order) if all(fixes(g.matrix(i), v) for v in fixed)
+                i for i, m in enumerate(elements) if all(fixes(m, v) for v in fixed)
             )
             assert hp.stabilizer == scan, name
 
@@ -378,6 +391,24 @@ def test_file_group_rejects_non_reflection_group(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(GroupBuildError, match="reflection"):
         build_group(f"file:{path}")
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [[["3/5", "-4/5"], ["4/5", "3/5"]]],
+        [[["1", "0"], ["0", "-1"]], [["3/5", "4/5"], ["4/5", "-3/5"]]],
+    ],
+    ids=["rational-rotation", "reflections-at-an-irrational-angle"],
+)
+def test_infinite_file_group_stops_at_the_cap(tmp_path, gens):
+    """Unitary generators of infinite order have an infinite root orbit;
+    the build stops at the order cap instead of running out of memory."""
+    data = [[[CycNum.rational(Fraction(x)).to_json() for x in row] for row in m] for m in gens]
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(GroupBuildError, match="cap 30"):
+        build_group(f"file:{path}", max_order=30)
 
 
 def check_against_matrix_oracle(g) -> None:
