@@ -97,6 +97,10 @@ class LocalData:
 
     multiplicities: tuple[tuple[int, ...], ...]
 
+    def exponent_sums(self) -> list[int]:
+        """sum_j j n_{C,j} for each orbit C."""
+        return [sum(j * n for j, n in enumerate(row)) for row in self.multiplicities]
+
     def to_json(self) -> list:
         return [list(row) for row in self.multiplicities]
 

@@ -125,21 +125,19 @@ def _write_error(path: str, exc: OSError) -> str:
     return f"cannot write {path}: {exc.strerror or exc}"
 
 
-VERIFY_KINDS = ("pn", "symmetry", "palindrome", "poincare")
+VERIFIERS = {
+    "pn": verify_all_pn,
+    "symmetry": verify_symmetry,
+    "palindrome": palindrome_check,
+    "poincare": poincare_identity,
+}
+VERIFY_KINDS = tuple(VERIFIERS)
 
 
 def cmd_verify(cfg: RunConfig, kind: str) -> tuple[int, dict]:
     if kind not in VERIFY_KINDS:
         raise UsageError(f"unknown verification {kind!r}; pick from {VERIFY_KINDS}")
-    fs = _fake_set(cfg)
-    if kind == "pn":
-        report = verify_all_pn(fs)
-    elif kind == "symmetry":
-        report = verify_symmetry(fs)
-    elif kind == "palindrome":
-        report = palindrome_check(fs)
-    else:
-        report = poincare_identity(fs)
+    report = VERIFIERS[kind](_fake_set(cfg))
     return (0 if report["passed"] else 1), {"verification": kind, "report": report}
 
 

@@ -42,19 +42,28 @@ class ExactError(Exception):
 # cyclotomic polynomials and reduction tables
 # ---------------------------------------------------------------------------
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    result = n
+    for p in prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -617,28 +626,6 @@ def poly_from_ints(*cs: int) -> PolyT:
 
 def poly_one_minus_Tk(k: int) -> PolyT:
     return PolyT([ONE] + [ZERO] * (k - 1) + [CycNum.rational(-1)])
-
-
-def poly_divide_exact(num: PolyT, den: PolyT) -> PolyT:
-    """Exact quotient num/den; raises ExactError when not divisible."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero():
-        return num
-    if num.degree < den.degree:
-        raise ExactError("not divisible: degree too small")
-    rem = list(num.coeffs)
-    lead_inv = den.coeffs[-1].inverse()
-    q = [ZERO] * (num.degree - den.degree + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = rem[i + den.degree] * lead_inv
-        q[i] = c
-        if not c.is_zero():
-            for j, d in enumerate(den.coeffs):
-                rem[i + j] = rem[i + j] - c * d
-    if any(not r.is_zero() for r in rem[: den.degree]):
-        raise ExactError("not divisible: nonzero remainder")
-    return PolyT(q)
 
 
 def series_inverse(p: PolyT, order: int) -> PolyT:

@@ -39,14 +39,8 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .exact import (
-    CycNum,
-    PolyT,
-    poly_divide_exact,
-    poly_one_minus_Tk,
-    weighted_sums,
-)
-from .groups import ReflectionGroup, degree_numerator
+from .exact import CycNum, PolyT, weighted_sums
+from .groups import ReflectionGroup
 from .chars import (
     CharacterTable,
     ClassFunction,
@@ -80,10 +74,11 @@ def graded_character(g: ReflectionGroup, w: int) -> PolyT:
 
 
 def coinvariant_poincare(g: ReflectionGroup) -> PolyT:
-    """Poincare polynomial of the coinvariant algebra: prod (1-T^d)/(1-T)^n."""
-    p = degree_numerator(g)
-    for _ in range(g.dimension):
-        p = poly_divide_exact(p, poly_one_minus_Tk(1))
+    """Poincare polynomial of the coinvariant algebra:
+    prod (1 - T^d) / (1 - T)^n = prod (1 + T + ... + T^(d-1))."""
+    p = PolyT([1])
+    for d in g.degrees:
+        p = p * PolyT([1] * d)
     return p
 
 
@@ -139,13 +134,8 @@ class FakeDegreeSet:
 
 def verify_pn_identity(fs: FakeDegreeSet, i: int) -> dict:
     """Exponent-sum identity: sum_j p_j = sum_C |C| sum_j j n_{C,j}."""
-    g = fs.group
     lhs = sum(fs.fds[i].exponents)
-    rhs = 0
-    for c, orbit in enumerate(g.orbits):
-        rhs += len(orbit.members) * sum(
-            j * n for j, n in enumerate(fs.local[i].multiplicities[c])
-        )
+    rhs = sum(len(o.members) * s for o, s in zip(fs.group.orbits, fs.local[i].exponent_sums()))
     return {"row": i, "lhs": lhs, "rhs": rhs, "passed": lhs == rhs}
 
 
@@ -176,10 +166,6 @@ def symmetry_shift(fs: FakeDegreeSet, i: int, b: tuple[int, ...]) -> Fraction:
     return total
 
 
-def all_b_vectors(g: ReflectionGroup):
-    return product(*(range(orbit.order) for orbit in g.orbits))
-
-
 def verify_symmetry(fs: FakeDegreeSet) -> dict:
     """Fake-degree symmetry: every (tau, b) has a partner with F = T^N F_tau.
 
@@ -197,7 +183,7 @@ def verify_symmetry(fs: FakeDegreeSet) -> dict:
     # stabilizer <s_H> of orbit c, with s_c = -b_c mod e_c, whatever the row.
     b_shifts = [
         (b, [-bc % orbit.order for bc, orbit in zip(b, g.orbits)])
-        for b in all_b_vectors(g)
+        for b in product(*(range(orbit.order) for orbit in g.orbits))
     ]
     by_exponents = _rows_by_exponents([fd.exponents for fd in fs.fds])
     items = []

@@ -44,6 +44,7 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -206,18 +207,13 @@ def stabilizer_projectors(real: Realization, h_idx: int) -> list[linalg.Matrix]:
     g = real.group
     hp = g.hyperplanes[h_idx]
     e = hp.order
-    projs = []
-    for j in range(e):
-        acc = None
-        for w in hp.stabilizer:
-            m = linalg.mat_scale(real.element_matrix(w), g.det(w) ** j)
-            acc = m if acc is None else linalg.mat_add(acc, m)
-        acc = linalg.mat_scale(acc, CycNum.rational(Fraction(1, e)))
-        projs.append(acc)
-    total = projs[0]
-    for pj in projs[1:]:
-        total = linalg.mat_add(total, pj)
-    if not linalg.is_identity(total):
+
+    def projector(j: int) -> linalg.Matrix:
+        terms = (linalg.mat_scale(real.element_matrix(w), g.det(w) ** j) for w in hp.stabilizer)
+        return linalg.mat_scale(reduce(linalg.mat_add, terms), CycNum.rational(Fraction(1, e)))
+
+    projs = [projector(j) for j in range(e)]
+    if not linalg.is_identity(reduce(linalg.mat_add, projs)):
         raise KZError("stabilizer projectors do not sum to the identity (bug)")
     for pj in projs:
         if linalg.mat_mul(pj, pj) != pj:

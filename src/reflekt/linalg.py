@@ -25,7 +25,9 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import CycNum, ExactError, ZERO, ONE, euler_phi, integral_terms, kronecker_pack, slot_bits
+from .exact import (
+    CycNum, ExactError, ZERO, ONE, euler_phi, integral_terms, kronecker_pack, prime_factors, slot_bits,
+)
 
 Matrix = tuple[tuple[CycNum, ...], ...]
 Vector = tuple[CycNum, ...]
@@ -74,11 +76,7 @@ def conj_transpose(a: Matrix) -> Matrix:
 
 
 def is_identity(a: Matrix) -> bool:
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x != (1 if i == j else 0):
-                return False
-    return True
+    return all(x == (1 if i == j else 0) for i, row in enumerate(a) for j, x in enumerate(row))
 
 
 def is_unitary(a: Matrix) -> bool:
@@ -86,10 +84,7 @@ def is_unitary(a: Matrix) -> bool:
 
 
 def trace(a: Matrix) -> CycNum:
-    s = ZERO
-    for i in range(len(a)):
-        s = s + a[i][i]
-    return s
+    return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
 def rref(rows: Sequence[Sequence[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
@@ -286,25 +281,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _primitive_root_power(p: int, e: int) -> int:
     """An element of multiplicative order exactly e in F_p (requires e | p-1)."""
     if e == 1:
         return 1
-    qs = _prime_factors(e)
+    qs = prime_factors(e)
     for g in range(2, p):
         x = pow(g, (p - 1) // e, p)
         if x != 1 and all(pow(x, e // q, p) != 1 for q in qs):

@@ -80,7 +80,7 @@ class Realization:
                 raise RealizationError(
                     f"realization character mismatch on class {idx}"
                 )
-        for a, m in enumerate(self.generator_matrices):
+        for m in self.generator_matrices:
             lhs = linalg.mat_mul(linalg.mat_mul(linalg.conj_transpose(m), self.gram), m)
             if lhs != self.gram:
                 raise RealizationError("realization is not unitary for its Gram form")
@@ -88,9 +88,8 @@ class Realization:
 
 def _linear_realization(g, table, row_idx) -> Realization:
     row = table.rows[row_idx]
-    gen_elts = g.generator_elements
-    mats = [((row.value_on_element(e),),) for e in gen_elts]
-    return Realization(g, row_idx, row, [tuple(m) for m in mats], ((CycNum.one(),),), "linear")
+    mats = [((row.value_on_element(e),),) for e in g.generator_elements]
+    return Realization(g, row_idx, row, mats, ((CycNum.one(),),), "linear")
 
 
 def _defining_twist_realization(g, table, row_idx) -> Realization | None:
@@ -392,13 +391,8 @@ def _assert_minimal_properties(fs: FakeDegreeSet, mm: MinimalTauMatrix) -> None:
             if mm.matrix[i][jj].homogeneous_degree() not in (mm.column_degrees[jj], None):
                 raise ExactError("Euler property failed (bug)")
     # Trace condition.
-    lhs = sum(mm.column_degrees)
-    rhs = 0
-    for c, orbit in enumerate(g.orbits):
-        rhs += len(orbit.members) * sum(
-            j * n for j, n in enumerate(fs.local[mm.row].multiplicities[c])
-        )
-    if lhs != rhs:
+    rhs = sum(len(o.members) * s for o, s in zip(g.orbits, fs.local[mm.row].exponent_sums()))
+    if sum(mm.column_degrees) != rhs:
         raise ExactError("trace of the Euler matrix mismatches the local data")
 
 
@@ -406,10 +400,8 @@ def verify_det_factorization(fs: FakeDegreeSet, mm: MinimalTauMatrix) -> dict:
     """det(M) = const * prod_C pi_C^{sum_j j n_{C,j}} by exact division."""
     g = mm.group
     expected = MultiPoly.constant(g.dimension, 1)
-    exps = []
-    for c, orbit in enumerate(g.orbits):
-        e = sum(j * n for j, n in enumerate(fs.local[mm.row].multiplicities[c]))
-        exps.append(e)
+    exps = fs.local[mm.row].exponent_sums()
+    for orbit, e in zip(g.orbits, exps):
         if e:
             expected = expected * orbit.pi ** e
     try:

@@ -42,7 +42,6 @@ from reflekt.exact import (
     ExactError,
     MultiPoly,
     PolyT,
-    poly_divide_exact,
     poly_one_minus_Tk,
     series_inverse,
 )
@@ -51,6 +50,29 @@ from reflekt.chars import CharTableError
 from reflekt.kz import KZError
 from reflekt.groups import Hyperplane, HyperplaneOrbit, degree_numerator, monomials
 from reflekt.minmat import predicted_equivariant_dimension
+
+
+def poly_divide_exact(num: PolyT, den: PolyT) -> PolyT:
+    """Exact quotient num/den by CycNum long division; raises ExactError when
+    not divisible."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if num.is_zero():
+        return num
+    if num.degree < den.degree:
+        raise ExactError("not divisible: degree too small")
+    rem = list(num.coeffs)
+    lead_inv = den.coeffs[-1].inverse()
+    q = [ZERO] * (num.degree - den.degree + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + den.degree] * lead_inv
+        q[i] = c
+        if not c.is_zero():
+            for j, d in enumerate(den.coeffs):
+                rem[i + j] = rem[i + j] - c * d
+    if any(not r.is_zero() for r in rem[: den.degree]):
+        raise ExactError("not divisible: nonzero remainder")
+    return PolyT(q)
 
 
 def regular_rep_characters(g, seed: int = 20240811) -> list[np.ndarray]:

@@ -13,13 +13,14 @@ from reflekt.exact import (
     cyclotomic_polynomial,
     euler_phi,
     integral_terms,
-    poly_divide_exact,
     poly_from_ints,
     poly_one_minus_Tk,
     series_inverse,
     weighted_sums,
 )
 from reflekt.groups import build_group
+
+from oracles import poly_divide_exact
 
 
 def test_cyclotomic_polynomials():
