@@ -18,6 +18,12 @@ Blocks of degree >= 2 are transported by power series in the coordinate u of
 v = center + u nu, disc by disc (see _transport); more than TERM_BUDGET
 series terms on one path raise KZError.
 
+The label axis is a numpy axis: the residue-spectrum and Euler-scalar checks
+build each (row, hyperplane) target for all labels at once, and gamma_scan
+matches a degree sweep's characters in one distance array.  A row's matrix
+realization and stabilizer projectors do not depend on the labels; they are
+built once per (fake-degree set, row) and kept, read-only, while the set lives.
+
 Frozen monodromy convention
 ---------------------------
 The braid generator matrix is  m(l_H) = tau(s_H)^{-1} @ P  with P the
@@ -115,11 +121,9 @@ class LabelVector:
         return LabelVector(tuple(vals))
 
     def is_integral(self) -> bool:
-        for row in self.values:
-            for v in row:
-                if abs(v.imag) > 1e-12 or abs(v.real - round(v.real)) > 1e-12:
-                    return False
-        return True
+        return not any(
+            abs(v.imag) > 1e-12 or abs(v.real - round(v.real)) > 1e-12 for row in self.values for v in row
+        )
 
     def is_zero(self) -> bool:
         return all(abs(v) < 1e-15 for row in self.values for v in row)
@@ -134,10 +138,7 @@ class LabelVector:
             raise KZError(f"q_{{{c},{j}}} = exp(-2 pi i k_{{{c},{j}}}) overflows") from None
 
     def to_json(self) -> dict:
-        return {
-            str(c): [[v.real, v.imag] for v in row]
-            for c, row in enumerate(self.values)
-        }
+        return {str(c): [[v.real, v.imag] for v in row] for c, row in enumerate(self.values)}
 
 
 def _parse_label(x) -> complex:
@@ -160,16 +161,22 @@ def _parse_label(x) -> complex:
     return z
 
 
+def _label_arrays(g: ReflectionGroup, labels: list[LabelVector]) -> list[np.ndarray]:
+    """k_{C,j} of every label, one (labels, e_C) array per orbit C."""
+    return [np.array([k.values[c] for k in labels], dtype=complex) for c in range(len(g.orbits))]
+
+
 def euler_scalar(fs: FakeDegreeSet, row: int, k: LabelVector) -> complex:
     """(1/deg) sum_C e_C |C| sum_j k_{C,j} n_{C,j}: the Euler-field scalar."""
-    g = fs.group
-    deg = fs.table.rows[row].degree_int()
-    total = 0j
-    for c, orbit in enumerate(g.orbits):
-        e, size = orbit.order, len(orbit.members)
-        for j in range(e):
-            total += e * size * k.values[c][j] * fs.local[row].multiplicities[c][j]
-    return total / deg
+    return complex(_euler_scalars(fs, row, _label_arrays(fs.group, [k]))[0])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _euler_scalars(fs: FakeDegreeSet, row: int, kc: list[np.ndarray]) -> np.ndarray:
+    """The Euler scalar of the row at each label of the orbit arrays kc."""
+    mults = fs.local[row].multiplicities
+    total = sum(kc[c] @ np.array(mults[c]) * (o.order * len(o.members)) for c, o in enumerate(fs.group.orbits))
+    return total / fs.table.rows[row].degree_int()
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +209,9 @@ class ConnectionBlock:
         return self.fs.group
 
 
-def stabilizer_projectors(real: Realization, h_idx: int) -> list[linalg.Matrix]:
-    """Exact isotypic projectors (1/e) sum_w det^j(w) tau(w), j = 0..e-1."""
+def stabilizer_projectors(real: Realization, h_idx: int) -> np.ndarray:
+    """Isotypic projectors (1/e) sum_w det^j(w) tau(w), j = 0..e-1, built and
+    checked exactly, as one read-only (e, l, l) array."""
     g = real.group
     hp = g.hyperplanes[h_idx]
     e = hp.order
@@ -218,7 +226,7 @@ def stabilizer_projectors(real: Realization, h_idx: int) -> list[linalg.Matrix]:
     for pj in projs:
         if linalg.mat_mul(pj, pj) != pj:
             raise KZError("stabilizer projector is not idempotent (bug)")
-    return projs
+    return _read_only(np.array([linalg.mat_to_complex(p) for p in projs]))
 
 
 # group -> {seed: _choose_base_point(group, seed)}; nothing in an arrangement
@@ -233,6 +241,20 @@ def _arrangement(g: ReflectionGroup, seed: int):
     if seed not in per_seed:
         per_seed[seed] = _choose_base_point(g, seed)
     return per_seed[seed]
+
+
+# fake-degree set -> {row: _row_data(fs, row)}; nothing in it is derived from
+# fs.local or refers back to fs, so the memo does not keep sets alive.
+_ROW_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _row_data(fs: FakeDegreeSet, row: int):
+    """(realization, stabilizer projectors per hyperplane) of a row, built once per (fs, row)."""
+    per_row = _ROW_DATA.setdefault(fs, {})
+    if row not in per_row:
+        real = matrix_realization(fs.group, fs.table, row)
+        per_row[row] = real, tuple(stabilizer_projectors(real, h) for h in range(len(fs.group.hyperplanes)))
+    return per_row[row]
 
 
 def _choose_base_point(g: ReflectionGroup, seed: int):
@@ -250,12 +272,7 @@ def _choose_base_point(g: ReflectionGroup, seed: int):
     nh, n = alpha.shape
     for attempt in range(RETRY_BUDGET):
         rng = random.Random((seed, attempt, g.descriptor.canonical(), "v0").__repr__())
-        v0 = np.array(
-            [
-                complex(rng.randint(-19, 19) / 20 + rng.randint(-19, 19) / 20 * 1j)
-                for _ in range(n)
-            ]
-        )
+        v0 = np.array([complex(rng.randint(-19, 19) / 20 + rng.randint(-19, 19) / 20 * 1j) for _ in range(n)])
         scale = float(np.sqrt(np.mean(np.abs(v0) ** 2))) if n else 1.0
         if scale < 1e-3:
             continue
@@ -305,9 +322,7 @@ def _build_path(g, h_idx, v0, alpha, delta):
     if not others:
         eps = 1.0
     else:
-        ratio = min(
-            a_center[hh] / a_nu[hh] if a_nu[hh] > 1e-14 else np.inf for hh in others
-        )
+        ratio = min(a_center[hh] / a_nu[hh] if a_nu[hh] > 1e-14 else np.inf for hh in others)
         eps = 1.0 if ratio > 1.3 else min(0.8 * ratio, 0.5)
         if eps < 1e-4:
             return None
@@ -410,18 +425,17 @@ def assemble_connection(
     if len(degrees) != 1:
         raise KZError("the rows of one block must share their degree")
     batch = [labels] if isinstance(labels, LabelVector) else list(labels)
-    reals = {r: matrix_realization(g, fs.table, r) for r in rows}
+    data = {r: _row_data(fs, r) for r in rows}
+    kc = _label_arrays(g, batch)
     l = degrees.pop()
     nh, nk = len(g.hyperplanes), len(batch)
     residues = np.zeros((len(rows) * nk, nh, l, l), dtype=complex)
     for i, r in enumerate(rows):
         for h in range(nh):
-            c = g.orbit_of_hyperplane[h]
             e = g.hyperplanes[h].order
-            projs = [linalg.mat_to_complex(p) for p in stabilizer_projectors(reals[r], h)]
-            kh = np.array([k.values[c] for k in batch])
+            kh = kc[g.orbit_of_hyperplane[h]]
             with np.errstate(over="ignore", invalid="ignore"):
-                residues[i * nk : (i + 1) * nk, h] = np.einsum("bj,jxy->bxy", e * kh, projs)
+                residues[i * nk : (i + 1) * nk, h] = np.einsum("bj,jxy->bxy", e * kh, data[r][1][h])
     if not np.all(np.isfinite(residues)):
         raise KZError("the label vector gives residues that are not finite")
     alpha, v0, attempt, paths = _arrangement(g, settings.seed)
@@ -429,7 +443,7 @@ def assemble_connection(
         fs=fs,
         rows=[r for r in rows for _ in batch],
         labels=batch * len(rows),
-        realizations=reals,
+        realizations={r: data[r][0] for r in rows},
         residues=residues,
         base_point=v0,
         alpha_rows=alpha,
@@ -437,21 +451,22 @@ def assemble_connection(
         settings=settings,
         seed_used=attempt,
     )
-    _check_residue_spectra(block)
-    _check_central_scalar(block)
+    _check_residue_spectra(block, rows, kc)
+    _check_central_scalar(block, rows, kc)
     _check_curvature(block)
     return block
 
 
-def _check_residue_spectra(block: ConnectionBlock) -> None:
+def _check_residue_spectra(block: ConnectionBlock, rows: list[int], kc: list[np.ndarray]) -> None:
+    """Residue spectra against local data; entries are `rows` outermost, kc's labels inner."""
     g = block.group
-    local = block.fs.local
+    nk = len(kc[0])
     target = np.zeros(block.residues.shape[:-1], dtype=complex)
-    for b, (row, k) in enumerate(zip(block.rows, block.labels)):
-        for h in range(len(g.hyperplanes)):
+    for i, row in enumerate(rows):
+        mults = block.fs.local[row].multiplicities
+        for h, hp in enumerate(g.hyperplanes):
             c = g.orbit_of_hyperplane[h]
-            e = g.hyperplanes[h].order
-            target[b, h] = np.repeat([e * v for v in k.values[c]], local[row].multiplicities[c])
+            target[i * nk : (i + 1) * nk, h] = np.repeat(hp.order * kc[c], mults[c], axis=1)
     # Compare as multisets: the best matching over all orderings of the
     # computed eigenvalues.  Sorting both would not do, since numpy sorts
     # complex values by (real, imag) and rounding in equal real parts reorders them.
@@ -461,8 +476,8 @@ def _check_residue_spectra(block: ConnectionBlock) -> None:
         raise KZError("residue spectrum mismatches the local data")
 
 
-def _check_central_scalar(block: ConnectionBlock) -> None:
-    s = np.array([euler_scalar(block.fs, r, k) for r, k in zip(block.rows, block.labels)])
+def _check_central_scalar(block: ConnectionBlock, rows: list[int], kc: list[np.ndarray]) -> None:
+    s = np.concatenate([_euler_scalars(block.fs, r, kc) for r in rows])
     total = block.residues.sum(axis=1)
     err = np.max(np.abs(total - s[:, None, None] * np.eye(total.shape[-1])), axis=(1, 2))
     if np.any(err > 1e-10 * np.maximum(1.0, np.abs(s))):
@@ -480,9 +495,7 @@ def _check_curvature(block: ConnectionBlock) -> None:
     a = block.residues
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(1, 2, 3)) ** 2)
     for _ in range(3):
-        v = np.array(
-            [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-        )
+        v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
         if np.min(np.abs(alpha @ v)) < 1e-2:
             continue
         x = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
@@ -762,11 +775,10 @@ def gamma_scan(
         if not k.is_integral():
             raise KZError("gamma needs integral label vectors")
     gen_hyps = _generator_hyperplanes(g)
-    nrows = len(fs.table.rows)
-    conj_rows = [
-        np.array([v.to_complex() for v in r.values]).conj() for r in fs.table.rows
-    ]
+    conj_rows = np.array([[v.to_complex() for v in r.values] for r in fs.table.rows]).conj()
     class_words = [g.words[c.rep] for c in g.classes]
+    degrees = [r.degree_int() for r in fs.table.rows]
+    mults = [loc.multiplicities for loc in fs.local]
 
     results = [
         {
@@ -775,33 +787,30 @@ def gamma_scan(
             "pure_braid_residual": 0.0,
             "match_residual": 0.0,
             "transport": {},
-            "convention": {
-                "computed": "row -> monodromy deformation at +k",
-                "functor_label": "gamma(-k)",
-            },
+            "convention": {"computed": "row -> monodromy deformation at +k", "functor_label": "gamma(-k)"},
         }
         for k in ks
     ]
     for rows in _rows_by_degree(fs):
         values, residual, steps = _sweep(fs, rows, ks, gen_hyps, class_words, settings)
-        for res in results:
-            res["transport"][str(fs.table.rows[rows[0]].degree_int())] = steps
-        for entry, (row, res) in enumerate(itertools.product(rows, results)):
-            match, resid = _match_row(values[entry], conj_rows, settings.match_tol)
-            res["pure_braid_residual"] = max(res["pure_braid_residual"], float(residual[entry]))
-            res["match_residual"] = max(res["match_residual"], resid)
-            res["mapping"][row] = match
-    for b, k in enumerate(ks):
-        mapping = results[b]["mapping"]
-        image = sorted(mapping.values())
-        if image != list(range(nrows)):
+        match, distance = _match_rows(values, conj_rows, settings.match_tol)
+        shape = (len(rows), len(ks))  # entries are rows outermost
+        residual, distance = (a.reshape(shape).max(axis=0).tolist() for a in (residual, distance))
+        for b, (res, images) in enumerate(zip(results, match.reshape(shape).T.tolist())):
+            res["transport"][str(degrees[rows[0]])] = steps
+            res["pure_braid_residual"] = max(res["pure_braid_residual"], residual[b])
+            res["match_residual"] = max(res["match_residual"], distance[b])
+            res["mapping"].update(zip(rows, images))
+    for res in results:
+        mapping = res["mapping"]
+        if sorted(mapping.values()) != list(range(len(degrees))):
             raise KZError(f"gamma output is not a permutation: {mapping}")
         for src, dst in mapping.items():
-            if fs.table.rows[src].degree_int() != fs.table.rows[dst].degree_int():
+            if degrees[src] != degrees[dst]:
                 raise KZError("gamma does not preserve dimensions")
-            if fs.local[src].multiplicities != fs.local[dst].multiplicities:
+            if mults[src] != mults[dst]:
                 raise KZError("gamma does not preserve local data")
-        results[b]["pairs"] = sorted(mapping.items())
+        res["pairs"] = sorted(mapping.items())
     return results
 
 
@@ -839,15 +848,18 @@ def _rows_by_degree(fs: FakeDegreeSet) -> list[list[int]]:
     return [[i for i, d in enumerate(degrees) if d == deg] for deg in dict.fromkeys(degrees)]
 
 
-def _match_row(values: np.ndarray, embedded_rows, tol: float):
-    dists = [float(np.max(np.abs(values - er))) for er in embedded_rows]
-    order = sorted(range(len(dists)), key=lambda i: dists[i])
-    best = order[0]
-    if dists[best] > tol:
-        raise KZError(f"no table row within {tol} of the monodromy character")
-    if len(order) > 1 and dists[order[1]] <= tol:
+def _match_rows(values: np.ndarray, conj_rows: np.ndarray, tol: float):
+    """Nearest row of conj_rows to each entry of values (entries, classes) in the max
+    norm, and its distance; the first entry with no row within tol, or two, raises."""
+    dists = np.abs(values[:, None, :] - conj_rows[None]).max(axis=-1)  # (entries, rows)
+    best = dists.argmin(axis=1)
+    nearest = dists[np.arange(len(dists)), best]
+    bad = (nearest > tol) | ((dists <= tol).sum(axis=1) > 1)
+    if bad.any():
+        if nearest[bad.argmax()] > tol:
+            raise KZError(f"no table row within {tol} of the monodromy character")
         raise KZError("ambiguous character match; tighten the integrator")
-    return best, dists[best]
+    return best, nearest
 
 
 def gamma_permutation(

@@ -27,10 +27,13 @@ products, where the group factors the integer fixed-space count and divides
 exactly.  The matrix-group oracles enumerate the group by CycNum matrix
 products keyed in a dict, take restriction multiplicities by the CycNum
 discrete Fourier transform and divide each G_c as CycNum polynomials, where
-the group composes permutations of its roots and works on integers.
+the group composes permutations of its roots and works on integers.  The
+match oracle sorts one entry's distances to the table rows at a time, where
+gamma_scan takes an argmin over one (entries, rows, classes) distance array.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +48,7 @@ from reflekt.exact import (
     poly_one_minus_Tk,
     series_inverse,
 )
-from reflekt import linalg
+from reflekt import kz, linalg
 from reflekt.chars import CharTableError
 from reflekt.kz import KZError
 from reflekt.groups import Hyperplane, HyperplaneOrbit, degree_numerator, monomials
@@ -460,6 +463,34 @@ def sampled_log_integrals(path, alpha, samples: int = 2048) -> np.ndarray:
         turn = np.unwrap(np.angle(vals), axis=0)
         total += np.log(np.abs(vals[-1]) / np.abs(vals[0])) + 1j * (turn[-1] - turn[0])
     return total
+
+
+def match_row(values: np.ndarray, embedded_rows, tol: float):
+    """The table row nearest one entry's monodromy character, and its distance."""
+    dists = [float(np.max(np.abs(values - er))) for er in embedded_rows]
+    order = sorted(range(len(dists)), key=lambda i: dists[i])
+    best = order[0]
+    if dists[best] > tol:
+        raise KZError(f"no table row within {tol} of the monodromy character")
+    if len(order) > 1 and dists[order[1]] <= tol:
+        raise KZError("ambiguous character match; tighten the integrator")
+    return best, dists[best]
+
+
+def per_entry_gamma_matches(fs, ks, settings) -> list[tuple[dict, float]]:
+    """(mapping, match residual) per label: gamma_scan's degree sweeps, each
+    (row, label) entry matched on its own by match_row."""
+    g = fs.group
+    gen_hyps = kz._generator_hyperplanes(g)
+    conj_rows = [np.array([v.to_complex() for v in r.values]).conj() for r in fs.table.rows]
+    class_words = [g.words[c.rep] for c in g.classes]
+    mappings, residuals = [{} for _ in ks], [0.0] * len(ks)
+    for rows in kz._rows_by_degree(fs):
+        values, _residual, _steps = kz._sweep(fs, rows, ks, gen_hyps, class_words, settings)
+        for entry, (row, b) in enumerate(itertools.product(rows, range(len(ks)))):
+            mappings[b][row], resid = match_row(values[entry], conj_rows, settings.match_tol)
+            residuals[b] = max(residuals[b], resid)
+    return list(zip(mappings, residuals))
 
 
 def _normalized_form(row):

@@ -1,6 +1,8 @@
 import cmath
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from reflekt.kz import (
     monodromy_rep,
 )
 
-from oracles import reference_transport, sampled_log_integrals
+from oracles import match_row, per_entry_gamma_matches, reference_transport, sampled_log_integrals
 
 
 @pytest.fixture(scope="module")
@@ -469,3 +471,94 @@ def test_batch_entries_match_single_label_transport(built):
             for b, k in enumerate(ks):
                 one, _steps = kz._transport(assemble_connection(fs, std, k), path)
                 assert np.max(np.abs(got[b] - one[0])) <= 1e-12 * np.max(np.abs(one[0])), (name, b)
+
+
+# (group, label bound, settings): the integral scans over [-bound, bound]^r.
+MATCH_SCANS = [
+    ("S3", 2, KZSettings()),
+    ("G(2,1,2)", 1, KZSettings()),
+    ("G(6,6,2)", 1, KZSettings()),
+    ("G(4,2,2)", 1, KZSettings()),
+    # The pure-braid check stops this scan at residual 1.6e-6, the conditioning
+    # defect that criterion 10 pins; a looser hecke_tol lets its matching run.
+    ("G(3,1,2)", 1, KZSettings(hecke_tol=1e-5)),
+]
+
+
+@pytest.mark.parametrize("name, bound, settings", MATCH_SCANS, ids=[m[0] for m in MATCH_SCANS])
+def test_batched_match_agrees_with_per_entry_oracle(name, bound, settings):
+    g = build_group(name)
+    fs = FakeDegreeSet(g, character_table(g))
+    ks = integral_labels(g, bound)
+    got = gamma_scan(fs, ks, settings)
+    want = per_entry_gamma_matches(fs, ks, settings)
+    for res, (mapping, resid) in zip(got, want):
+        assert res["mapping"] == mapping
+        assert list(res["mapping"]) == list(mapping)  # rows in the same order
+        assert res["match_residual"] == resid  # the same distances, so bit-equal
+
+
+def test_match_without_a_row_in_tolerance_raises(built):
+    fs = built["S3"]
+    with pytest.raises(KZError, match="no table row within"):
+        gamma_permutation(fs, label(fs, c0=[1, 0]), KZSettings(match_tol=1e-16))
+
+
+def test_ambiguous_match_raises(built):
+    fs = built["S3"]
+    with pytest.raises(KZError, match="ambiguous character match"):
+        gamma_permutation(fs, label(fs, c0=[1, 0]), KZSettings(match_tol=1e9))
+
+
+def test_match_raises_for_the_first_failing_entry():
+    conj_rows = np.array([[1, 1], [1, -1]], dtype=complex)
+    ambiguous, unmatched = [1, 0], [5, 5]  # at tol 1.5: both rows, then none
+    for values, message in [([ambiguous, unmatched], "ambiguous"), ([unmatched, ambiguous], "no table row")]:
+        values = np.array(values, dtype=complex)
+        with pytest.raises(KZError, match=message):
+            kz._match_rows(values, conj_rows, 1.5)
+        with pytest.raises(KZError, match=message):
+            for entry in values:
+                match_row(entry, conj_rows, 1.5)
+
+
+def test_central_scalar_check_rejects_tampered_residues(built):
+    fs = built["S3"]
+    std = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 2)
+    k = label(fs, c0=[0.2, -0.1])
+    block = assemble_connection(fs, std, k)
+    kc = kz._label_arrays(fs.group, [k])
+    kz._check_central_scalar(block, [std], kc)
+    block.residues[0, 0, 0, 1] += 1e-6  # the sum of residues is no longer scalar
+    with pytest.raises(KZError, match="sum of residues"):
+        kz._check_central_scalar(block, [std], kc)
+
+
+def test_row_data_is_built_once_per_fake_degree_set_and_row(monkeypatch):
+    monkeypatch.setattr(kz, "_ROW_DATA", weakref.WeakKeyDictionary())
+    calls = []
+    build = kz.matrix_realization
+
+    def counting_build(g, table, row):
+        calls.append((table, row))
+        return build(g, table, row)
+
+    monkeypatch.setattr(kz, "matrix_realization", counting_build)
+    fresh, scanned = (FakeDegreeSet(g, character_table(g)) for g in (build_group("S3"), build_group("S3")))
+    k, integral = label(fresh, c0=[0.1, -0.2]), [label(fresh, c0=[1, 0]), label(fresh, c0=[0, 1])]
+    rows = range(len(fresh.table.rows))
+    want = [monodromy_rep(fresh, row, k).to_json() for row in rows]
+    gamma_scan(fresh, integral)
+    assert sorted(calls, key=lambda c: c[1]) == [(fresh.table, row) for row in rows]
+    gamma_scan(scanned, integral)
+    assert [monodromy_rep(scanned, row, k).to_json() for row in rows] == want
+    assert len(calls) == 2 * len(rows)
+    for fs in (fresh, scanned):
+        for _real, projs in kz._ROW_DATA[fs].values():
+            assert len(projs) == len(fs.group.hyperplanes)
+            assert not any(p.flags.writeable for p in projs)
+    refs = [weakref.ref(fresh), weakref.ref(scanned)]
+    del fs, fresh, scanned
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert len(kz._ROW_DATA) == 0
