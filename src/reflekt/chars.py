@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import mul
 
 from .exact import CycNum, integral_terms, weighted_sums
 from .groups import ReflectionGroup
-from .linalg import _fp_det, _fp_nullspace, _fp_rref, _is_prime, _primitive_root_power
+from .linalg import _fp_nullspace, _fp_pack, _fp_rref, _fp_unpack, _is_prime, _primitive_root_power
 
 
 class CharTableError(Exception):
@@ -198,21 +198,18 @@ def _dixon_prime(exponent: int, order: int, nclasses: int) -> int:
         p += 1
 
 
-def _fp_charpoly_eigenvalues(a: list[list[int]], p: int) -> list[int]:
-    """Distinct eigenvalues of a over F_p: the roots of det(a - x I), whose
-    values at x = 0..d give it everywhere by barycentric interpolation."""
+def _fp_eigenvalues(a: list[list[int]], p: int) -> list[int]:
+    """Distinct eigenvalues of a over F_p: the roots of its characteristic
+    polynomial sum_k c_k x^(d-k), by Faddeev-LeVerrier: c_0 = 1, M_1 = I,
+    c_k = -tr(a M_k) / k and M_(k+1) = a M_k + c_k I.  The Dixon prime
+    exceeds the class count, so every k <= d is invertible mod p."""
     d = len(a)
-    xs = range(d + 1)
-    ys = [_fp_det([[(v - x * (i == j)) % p for j, v in enumerate(row)] for i, row in enumerate(a)], p)
-          for x in xs]
-    weights = [y * pow(prod(i - j for j in xs if j != i), -1, p) for i, y in zip(xs, ys)]
-
-    def value(x: int) -> int:
-        if x <= d:
-            return ys[x]
-        return prod(x - j for j in xs) * sum(w * pow(x - i, -1, p) for i, w in enumerate(weights)) % p
-
-    return [x for x in range(p) if value(x) == 0]
+    c, mt = [1], [[int(i == j) for i in range(d)] for j in range(d)]  # columns of M_k
+    for k in range(1, d + 1):
+        prod = [[sum(map(mul, row, col)) for col in mt] for row in a]
+        c.append(-sum(prod[i][i] for i in range(d)) * pow(k, -1, p) % p)
+        mt = [[(prod[i][j] + c[-1] * (i == j)) % p for i in range(d)] for j in range(d)]
+    return [x for x in range(p) if sum(ck * pow(x, d - k, p) for k, ck in enumerate(c)) % p == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +251,16 @@ def character_table(g: ReflectionGroup) -> CharacterTable:
             d = len(basis)
             imgs = [[sum(mi[row][c] * b[c] for c in range(r)) % p for row in range(r)] for b in basis]
             # Solve for all images at once: M_i b_s = sum_t act[t][s] b_t.
-            red, pivots = _fp_rref([[b[c] for b in basis + imgs] for c in range(r)], p)
+            red, pivots = _fp_rref(_fp_pack([[b[c] for b in basis + imgs] for c in range(r)], 2 * d, p), 2 * d, p)
             if pivots != list(range(d)):
                 raise CharTableError("class matrix leaves subspace (bug)")
-            act = [row[d:] for row in red]
-            for lam in _fp_charpoly_eigenvalues(act, p):
+            act = [row[d:] for row in _fp_unpack(red, 2 * d, p)]
+            for lam in _fp_eigenvalues(act, p):
                 shifted = [
                     [(act[a][b] - (lam if a == b else 0)) % p for b in range(d)]
                     for a in range(d)
                 ]
-                null = _fp_nullspace(shifted, p)
+                null = _fp_nullspace(_fp_pack(shifted, d, p), d, p)
                 if not null:
                     continue
                 joined = [

@@ -4,18 +4,23 @@ Matrices are immutable tuples of tuples of CycNum (row major).  There is no exac
 determinant or rank here: a group element's determinant and its fixed space
 come from its spectrum (`groups`), which the traces give.
 
-The F_p helpers (primes, roots of unity, elimination and determinants modulo
-a prime) serve both the Burnside-Dixon character table in `chars` and the
-exact solves here.  `nullspace` (and `rref` through it) works over
-Q(zeta_L) multi-modularly on integer power-basis coefficients
-(`integral_nullspace`, which minmat feeds directly): it eliminates the images
-of the system modulo primes p = 1 (mod L) under every embedding
-zeta_L -> r^j, recovers power-basis coefficients by inverting the Vandermonde
-matrix of the embeddings, lifts them by CRT and rational reconstruction, and
-accepts the lift only once every row times every vector is checked to be 0
-exactly, in Z[zeta_L] on packed integers (`_certified`).  The integer forms
-come from `exact`: `integral_terms` for the rows and the lifted vectors,
-`kronecker_pack` for the packed certificate.
+The F_p helpers (primes, roots of unity, elimination modulo a prime) serve
+both the Burnside-Dixon character table in `chars` and the exact solves
+here.  Their one elimination, `_fp_rref`, takes and returns packed rows: one
+int per row, a slot of `_fp_bits` bits per column, so a row operation is one
+big-integer multiply-add (Kronecker substitution; Harvey, J. Symbolic Comput.
+44, 2009).  A slot holds a residue plus one elimination step per column;
+`chars` and `_embeddings` pack and unpack lists at their boundary.
+`nullspace` (and `rref` through it) works over Q(zeta_L) multi-modularly on
+integer power-basis coefficients (`integral_nullspace`, which minmat feeds
+directly): it eliminates the images of the system modulo primes p = 1
+(mod L) under every embedding zeta_L -> r^j, each row packed straight from
+its integer terms, recovers power-basis coefficients by inverting the
+Vandermonde matrix of the embeddings, lifts them by CRT and rational
+reconstruction, and accepts the lift only once every row times every vector
+is checked to be 0 exactly, in Z[zeta_L] on packed integers (`_certified`).
+The integer forms come from `exact`: `integral_terms` for the rows and the
+lifted vectors, `kronecker_pack` for the packed certificate.
 """
 from __future__ import annotations
 
@@ -123,12 +128,17 @@ def nullspace(a: Sequence[Sequence[CycNum]]) -> list[Vector]:
 def integral_nullspace(rows: Sequence[Sequence[Term]], ncols: int, label: int) -> list[Vector]:
     """`nullspace` of the system whose row i has the entry of each of its
     terms (column c, conductor N, integer power-basis coefficients at N, one
-    per exponent 0 .. phi(N) - 1) at column c and zeros elsewhere.  Rational
-    entries have conductor 1.  Recovered entries carry `label`.
+    per exponent 0 .. phi(N) - 1) at column c, terms at one column adding, and
+    zeros elsewhere.  Rational entries have conductor 1.  Recovered entries
+    carry `label`.  Without rows every column is free: the basis is the
+    identity.
 
     Found modulo primes and then checked exactly (see the module docstring).
-    Over F_p the nullity can only grow, so a lift that passes the check spans
-    the whole kernel and, having the reduced-echelon shape, is its unique
+    Each distinct term is evaluated once per embedding and shifted into its
+    column's slot, so a row of the image is one packed int (`_fp_rref`), and
+    embeddings that give the same image are eliminated once.  Over F_p the
+    nullity can only grow, so a lift that passes the check spans the whole
+    kernel and, having the reduced-echelon shape, is its unique
     reduced-echelon basis.
 
     Raises ExactError if no lift passes within _PRIME_BUDGET primes, enough
@@ -138,32 +148,27 @@ def integral_nullspace(rows: Sequence[Sequence[Term]], ncols: int, label: int) -
     conductors = {1} | {N for row in rows for _, N, _ in row}
     L = lcm(*conductors)
     phi = euler_phi(L)
+    index: dict[tuple[int, tuple[int, ...]], int] = {}  # distinct (N, coeffs) -> its number
+    shape = [[(c, index.setdefault((N, tuple(co)), len(index))) for c, N, co in row] for row in rows]
     best = None  # (nullity, negated free columns) of the reductions kept
     moduli: list[int] = []
     images: list[list[int]] = []  # per kept prime: coefficients of every entry
     for i in range(_PRIME_BUDGET):
         p, nodes, vinv = _embeddings(L, i)
+        bits = _fp_bits(p, ncols)
         spaces = []
-        seen: dict[tuple, list[list[int]]] = {}
+        seen: dict[tuple[int, ...], list[list[int]]] = {}
         for w in nodes:
             # zeta_N = zeta_L^(L/N) maps to w^(L/N)
             powers = {N: [pow(w, L // N * k, p) for k in range(euler_phi(N))] for N in conductors}
-            m = []
-            for row in rows:
-                mrow = [0] * ncols
-                for c, N, coeffs in row:
-                    mrow[c] = sum(map(mul, coeffs, powers[N]))
-                m.append([x % p for x in mrow])
+            values = [sum(map(mul, co, powers[N])) % p for N, co in index]
+            system = tuple(sum(values[t] << bits * c for c, t in row) for row in shape)
             # Embeddings that agree on the entries' field agree on the result.
-            key = tuple(map(tuple, m))
-            if key not in seen:
-                seen[key] = _fp_nullspace(m, p)
-            spaces.append(seen[key])
+            if system not in seen:
+                seen[system] = _fp_nullspace(list(system), ncols, p)
+            spaces.append(seen[system])
         # A bad prime or embedding gains nullity or moves free columns left.
-        keys = [
-            (len(space), [-max(c for c in range(ncols) if v[c]) for v in space])
-            for space in spaces
-        ]
+        keys = [(len(space), [-max(c for c in range(ncols) if v[c]) for v in space]) for space in spaces]
         if best is None or min(keys) < best:
             best, moduli, images = min(keys), [], []
         if any(k != best for k in keys):
@@ -312,80 +317,77 @@ def _embeddings(L: int, i: int) -> tuple[int, list[int], list[list[int]]]:
     # [V | I] reduces to [I | V^-1]
     vander = [[pow(w, k, p) for k in range(n)] + [int(j == k) for k in range(n)]
               for j, w in enumerate(nodes)]
-    return p, nodes, [row[n:] for row in _fp_rref(vander, p)[0]]
+    red, _ = _fp_rref(_fp_pack(vander, 2 * n, p), 2 * n, p)
+    return p, nodes, [row[n:] for row in _fp_unpack(red, 2 * n, p)]
 
 
-def _fp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p: (the nonzero rows, their pivot
-    columns).
+def _fp_bits(p: int, n: int) -> int:
+    """Width of a slot of a packed F_p row of n columns: room for a value
+    below p^2 (a residue, or the sum of fewer than p of them) plus n
+    elimination steps of at most (p - 1)^2 each."""
+    return 2 * p.bit_length() + n.bit_length()
 
-    Each row is packed into one integer, a slot of `size` bytes per column,
-    so a row operation is one big-integer multiply-add.  Slots hold
-    nonnegative representatives, reduced mod p only when read: x - f*y is
-    done as x + (p - f)*y, and a slot has room for one such step per column.
+
+def _fp_pack(rows: Sequence[Sequence[int]], n: int, p: int) -> list[int]:
+    """Rows of n integers as packed F_p rows: slot c holds entry c mod p."""
+    bits = _fp_bits(p, n)
+    return [sum(x % p << bits * c for c, x in enumerate(row)) for row in rows]
+
+
+def _fp_unpack(rows: Sequence[int], n: int, p: int) -> list[list[int]]:
+    bits = _fp_bits(p, n)
+    mask = (1 << bits) - 1
+    return [[(r >> bits * c & mask) % p for c in range(n)] for r in rows]
+
+
+def _fp_rref(rows: Sequence[int], n: int, p: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over F_p of packed rows of n columns: (the
+    nonzero rows, packed, their pivot columns).
+
+    A packed row is one int with a slot of `_fp_bits(p, n)` bits per column,
+    column c at bit c * bits, each holding a nonnegative value below p^2, so
+    a row operation is one big-integer multiply-add.  Slots are reduced mod p
+    only when read: x - f*y is done as x + (p - f)*y with y < p, and a slot
+    has room for one such step per column.  The rows still to reduce are
+    shifted one slot right per column, so their lowest slot is the current
+    column and a row whose slots are all 0 drops out.  A pivot row is
+    normalized from its own slots after the pivot (those before are 0 mod p).
     """
-    if not rows or not rows[0]:
-        return [], []
-    n = len(rows[0])
-    size = (2 * p.bit_length() + n.bit_length() + 9) // 8
-    mask = (1 << 8 * size) - 1
-
-    def pack(vals):
-        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in vals), "little")
-
-    def unpack(row):
-        data = row.to_bytes(n * size, "little")
-        return [int.from_bytes(data[i : i + size], "little") % p for i in range(0, n * size, size)]
-
-    todo = [pack([x % p for x in r]) for r in rows]
+    bits = _fp_bits(p, n)
+    mask = (1 << bits) - 1
+    todo = [r for r in rows if r]
     done: list[int] = []
     pivots: list[int] = []
     for c in range(n):
-        shift = 8 * size * c
-        k = next((i for i, r in enumerate(todo) if (r >> shift & mask) % p), None)
+        k = next((i for i, r in enumerate(todo) if (r & mask) % p), None)
         if k is None:
+            todo = [x for r in todo if (x := r >> bits)]
             continue
-        vals = unpack(todo.pop(k))
-        inv = pow(vals[c], -1, p)
-        prow = pack([v * inv % p for v in vals])
-        todo = [r + (p - f) * prow if (f := (r >> shift & mask) % p) else r for r in todo]
-        done = [r + (p - f) * prow if (f := (r >> shift & mask) % p) else r for r in done]
+        row = todo.pop(k)
+        inv = pow((row & mask) % p, -1, p)
+        prow = 1
+        for s in range(bits, bits * (n - c), bits):
+            if v := (row >> s & mask) % p:
+                prow += v * inv % p << s
+        todo = [x for r in todo if (x := (r + (p - f) * prow if (f := (r & mask) % p) else r) >> bits)]
+        prow <<= bits * c
+        done = [r + (p - f) * prow if (f := (r >> bits * c & mask) % p) else r for r in done]
         done.append(prow)
         pivots.append(c)
-    return [unpack(r) for r in done], pivots
+    return done, pivots
 
 
-def _fp_nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = _fp_rref(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
+def _fp_nullspace(rows: Sequence[int], n: int, p: int) -> list[list[int]]:
+    """Reduced-echelon basis of the kernel of rows packed as for `_fp_rref`,
+    one list of n residues per free column: 1 there, and at each pivot minus
+    the pivot row's slot at that free column, the only slots read."""
+    red, pivots = _fp_rref(rows, n, p)
+    bits = _fp_bits(p, n)
+    mask = (1 << bits) - 1
     out = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][fc]) % p
+    for fc in sorted(set(range(n)) - set(pivots)):
+        v = [int(c == fc) for c in range(n)]
+        for r, pc in zip(red, pivots):
+            v[pc] = -(r >> bits * fc & mask) % p
         out.append(v)
     return out
-
-
-def _fp_det(a: list[list[int]], p: int) -> int:
-    n = len(a)
-    m = [r[:] for r in a]
-    out = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out = out * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if m[i][c] % p:
-                f = m[i][c] * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return out % p

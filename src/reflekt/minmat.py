@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import ZERO, CycNum, ExactError, MultiPoly, from_integral, integral_terms, series_inverse
+from .exact import ZERO, CycNum, ExactError, MultiPoly, integral_terms, series_inverse
 from . import linalg
 from .linalg import Matrix
 from .groups import ReflectionGroup, degree_numerator, monomials
@@ -59,6 +59,7 @@ class Realization:
 
     def __post_init__(self):
         self._cache: dict[int, Matrix] = {}
+        self._bases: dict[int, list] = {}  # degree -> its equivariant_basis
 
     @property
     def dim(self) -> int:
@@ -227,9 +228,25 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
     The rows of every generator go to one `linalg.integral_nullspace` call, so
     the basis is the unique reduced-echelon basis of the solution space.  Its
     entries carry the lcm of N and the labels of the tau entries, the labels
-    the constraint rows have as CycNums.  With `fs`, its dimension is checked
-    against the fake-degree prediction.
+    the constraint rows have as CycNums.  Solved bases are kept on `real`, one
+    per degree, so `build_minimal_matrix` and `verify_quotient_property` solve
+    each degree once; every call with `fs` checks the dimension against the
+    fake-degree prediction.
     """
+    basis = real._bases.get(p)
+    if basis is None:
+        basis = real._bases[p] = _solve_equivariant(real, p)
+    if fs is not None:
+        want = predicted_equivariant_dimension(fs, real.row, p)
+        if len(basis) != want:
+            raise ExactError(
+                f"equivariant space at degree {p} has dim {len(basis)}, "
+                f"fake degree predicts {want}"
+            )
+    return basis
+
+
+def _solve_equivariant(real: Realization, p: int) -> list:
     g = real.group
     n, l = g.dimension, real.dim
     monos = monomials(n, p)
@@ -252,18 +269,8 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
             tau.append((den, scaled))
         for dp in range(D):
             for s, (den, tau_terms) in enumerate(tau):
-                row = {d * l + s: (M, [den * v for v in c]) for d, (M, c) in by_out[dp].items()}
-                taus = {dp * l + t: term for t, term in tau_terms.items()}
-                col = dp * l + s
-                if col in row and col in taus:
-                    # one entry, image minus tau, summed at the lcm of their conductors
-                    parts = (row.pop(col), taus.pop(col))
-                    M = lcm(*(Mi for Mi, _ in parts))
-                    diag = from_integral(M, ((k * (M // Mi), v) for Mi, c in parts for k, v in enumerate(c)))
-                    [(M, c)] = integral_terms([diag])[1]
-                    if any(c):
-                        row[col] = (M, c)
-                rows.append([(c, M, coeffs) for c, (M, coeffs) in (row | taus).items()])
+                image = [(d * l + s, M, [den * v for v in c] if den > 1 else c) for d, (M, c) in by_out[dp].items()]
+                rows.append(image + [(dp * l + t, M, c) for t, (M, c) in tau_terms.items()])
     basis = []
     for vec in linalg.integral_nullspace(rows, D * l, label):
         comps = []
@@ -275,13 +282,6 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
                     terms[mo] = c
             comps.append(MultiPoly(n, terms))
         basis.append(tuple(comps))
-    if fs is not None:
-        want = predicted_equivariant_dimension(fs, real.row, p)
-        if len(basis) != want:
-            raise ExactError(
-                f"equivariant space at degree {p} has dim {len(basis)}, "
-                f"fake degree predicts {want}"
-            )
     return basis
 
 

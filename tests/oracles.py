@@ -30,6 +30,8 @@ discrete Fourier transform and divide each G_c as CycNum polynomials, where
 the group composes permutations of its roots and works on integers.  The
 match oracle sorts one entry's distances to the table rows at a time, where
 gamma_scan takes an argmin over one (entries, rows, classes) distance array.
+The F_p elimination oracle works on lists of residues, where `linalg._fp_rref`
+works on packed rows.
 """
 from __future__ import annotations
 
@@ -300,6 +302,27 @@ def rank_reflections(g) -> tuple[int, ...]:
         if len(exact_rref([[x - int(r == c) for c, x in enumerate(row)]
                            for r, row in enumerate(m)])[1]) == 1
     )
+
+
+def fp_rref_lists(rows, p: int):
+    """Reduced row echelon form over F_p on lists of residues: (the nonzero
+    rows, their pivot columns)."""
+    m = [[x % p for x in r] for r in rows]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
 
 
 def exact_nullspace(a):

@@ -1,7 +1,7 @@
 import pytest
 
-from reflekt.exact import CycNum, MultiPoly
-from reflekt import linalg
+from reflekt.exact import CycNum, ExactError, MultiPoly
+from reflekt import linalg, minmat
 from reflekt.groups import build_group
 from reflekt.chars import character_table, det_character, trivial_character
 from reflekt.fake import FakeDegreeSet
@@ -80,6 +80,41 @@ def test_predicted_dimension_counts_invariant_multiples(built):
     assert predicted_equivariant_dimension(fs, two, 3) == 2
     real = matrix_realization(fs.group, fs.table, two)
     assert len(equivariant_basis(real, 3, fs)) == 2
+
+
+def test_each_degree_is_solved_once_per_realization(built, monkeypatch):
+    """S4's row with exponents (1, 2, 3) needs degree 3 twice: as a column
+    degree and as 1 + d_1 in the quotient check.  The realization's basis
+    store solves each distinct degree once."""
+    fs = built["S4"]
+    row = 4
+    assert fs.fds[row].exponents == (1, 2, 3)
+    solved = []
+    solve = linalg.integral_nullspace
+
+    def spy(rows, ncols, label):
+        solved.append(ncols)
+        return solve(rows, ncols, label)
+
+    monkeypatch.setattr(linalg, "integral_nullspace", spy)
+    mm = build_minimal_matrix(fs, row)
+    assert verify_quotient_property(fs, mm)["passed"]
+    degrees = {p + bump for p in mm.column_degrees for bump in (0, fs.group.degrees[0])}
+    assert degrees == {1, 2, 3, 4, 5}
+    assert len(solved) == len(degrees)
+    assert sorted(mm.realization._bases) == sorted(degrees)
+
+
+def test_stored_basis_is_still_checked_against_the_prediction(built, monkeypatch):
+    fs = built["S4"]
+    real = matrix_realization(fs.group, fs.table, 4)
+    basis = equivariant_basis(real, 3, fs)
+    monkeypatch.setattr(linalg, "integral_nullspace", None)  # no further solve
+    assert equivariant_basis(real, 3, fs) is basis
+    monkeypatch.setattr(minmat, "predicted_equivariant_dimension", lambda fs, row, p: len(basis) + 1)
+    with pytest.raises(ExactError, match="fake degree predicts"):
+        equivariant_basis(real, 3, fs)
+    assert equivariant_basis(real, 3) is basis
 
 
 def test_minimal_matrix_s3_standard(built):
