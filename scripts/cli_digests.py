@@ -21,10 +21,6 @@ G4's echoed descriptor is the same for every tree; a line is
     python3 scripts/cli_digests.py                  # this checkout's src/
     python3 scripts/cli_digests.py OTHER/src        # another tree's src/
     python3 scripts/cli_digests.py src OTHER/src    # compare; exit 1 on any difference
-    python3 scripts/cli_digests.py --only minmat src OTHER/src
-
-`--only S` keeps the commands whose text contains S, for a quick comparison
-while iterating; only the full set of 171 commands checks a change.
 """
 import hashlib
 import os
@@ -65,11 +61,11 @@ def commands() -> list[list[str]]:
     return out + KZ_COMMANDS
 
 
-def digests(src: str, only: str = "") -> list[str]:
+def digests(src: str) -> list[str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REFLEKT_")}
     env["PYTHONPATH"] = os.path.abspath(src)
     lines = []
-    for cmd in (c for c in commands() if only in " ".join(c)):
+    for cmd in commands():
         proc = subprocess.run(
             [sys.executable, "-m", "reflekt.cli", *cmd],
             env=env, capture_output=True, cwd=ROOT,
@@ -80,17 +76,14 @@ def digests(src: str, only: str = "") -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    only = ""
-    if argv[:1] == ["--only"]:
-        only, argv = argv[1], argv[2:]
     srcs = argv or [os.path.join(ROOT, "src")]
     if len(srcs) == 1:
-        print("\n".join(digests(srcs[0], only)))
+        print("\n".join(digests(srcs[0])))
         return 0
-    base = digests(srcs[0], only)
+    base = digests(srcs[0])
     differ = 0
     for other in srcs[1:]:
-        for a, b in zip(base, digests(other, only)):
+        for a, b in zip(base, digests(other)):
             if a != b:
                 differ += 1
                 print(f"differs in {other}: {a.split(' ', 2)[2]}")

@@ -22,14 +22,14 @@ references are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
 from .exact import CycNum, integral_terms, weighted_sums
 from .groups import ReflectionGroup
-from .linalg import _fp_nullspace, _fp_pack, _fp_rref, _fp_unpack, _is_prime, _primitive_root_power
+from .linalg import _fp_bits, _fp_nullspace, _fp_pack, _fp_rref, _fp_unpack, _is_prime, _primitive_root_power
 
 
 class CharTableError(Exception):
@@ -200,16 +200,16 @@ def _dixon_prime(exponent: int, order: int, nclasses: int) -> int:
 
 def _fp_eigenvalues(a: list[list[int]], p: int) -> list[int]:
     """Distinct eigenvalues of a over F_p: the roots of its characteristic
-    polynomial sum_k c_k x^(d-k), by Faddeev-LeVerrier: c_0 = 1, M_1 = I,
-    c_k = -tr(a M_k) / k and M_(k+1) = a M_k + c_k I.  The Dixon prime
-    exceeds the class count, so every k <= d is invertible mod p."""
+    polynomial sum_k c_k x^(d-k), by Faddeev-LeVerrier on packed rows of M_k
+    (c_0 = 1, M_1 = I, c_k = -tr(a M_k) / k, M_(k+1) = a M_k + c_k I; slots
+    stay below d p^2).  Each k <= d is invertible: the Dixon prime exceeds d."""
     d = len(a)
-    c, mt = [1], [[int(i == j) for i in range(d)] for j in range(d)]  # columns of M_k
+    c, m = [1], _fp_pack([[int(i == j) for i in range(d)] for j in range(d)], d, p)
     for k in range(1, d + 1):
-        prod = [[sum(map(mul, row, col)) for col in mt] for row in a]
+        prod = _fp_unpack([sum(map(mul, row, m)) for row in a], d, p)
         c.append(-sum(prod[i][i] for i in range(d)) * pow(k, -1, p) % p)
-        mt = [[(prod[i][j] + c[-1] * (i == j)) % p for i in range(d)] for j in range(d)]
-    return [x for x in range(p) if sum(ck * pow(x, d - k, p) for k, ck in enumerate(c)) % p == 0]
+        m = _fp_pack([[x + c[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(prod)], d, p)
+    return [x for x in range(p) if not reduce(lambda v, ck: (v * x + ck) % p, c, 0)]  # Horner's rule
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +251,16 @@ def character_table(g: ReflectionGroup) -> CharacterTable:
             d = len(basis)
             imgs = [[sum(mi[row][c] * b[c] for c in range(r)) % p for row in range(r)] for b in basis]
             # Solve for all images at once: M_i b_s = sum_t act[t][s] b_t.
-            red, pivots = _fp_rref(_fp_pack([[b[c] for b in basis + imgs] for c in range(r)], 2 * d, p), 2 * d, p)
+            system = _fp_pack([[b[c] for b in basis + imgs] for c in range(r)], 2 * d, p)
+            red, pivots = _fp_rref(system, 2 * d, p)
             if pivots != list(range(d)):
                 raise CharTableError("class matrix leaves subspace (bug)")
             act = [row[d:] for row in _fp_unpack(red, 2 * d, p)]
+            packed = _fp_pack(act, d, p)
+            bits = _fp_bits(p, d)
             for lam in _fp_eigenvalues(act, p):
-                shifted = [
-                    [(act[a][b] - (lam if a == b else 0)) % p for b in range(d)]
-                    for a in range(d)
-                ]
-                null = _fp_nullspace(_fp_pack(shifted, d, p), d, p)
-                if not null:
-                    continue
+                # act - lam I: p - lam added at each diagonal slot
+                null = _fp_nullspace([row + (p - lam << bits * a) for a, row in enumerate(packed)], d, p)
                 joined = [
                     [sum(c[t] * basis[t][col] for t in range(d)) % p for col in range(r)]
                     for c in null

@@ -168,7 +168,10 @@ def integral_nullspace(rows: Sequence[Sequence[Term]], ncols: int, label: int) -
                 seen[system] = _fp_nullspace(list(system), ncols, p)
             spaces.append(seen[system])
         # A bad prime or embedding gains nullity or moves free columns left.
-        keys = [(len(space), [-max(c for c in range(ncols) if v[c]) for v in space]) for space in spaces]
+        keys = [
+            (len(space), [-max(c for c in range(ncols) if v[c]) for v in space])
+            for space in spaces
+        ]
         if best is None or min(keys) < best:
             best, moduli, images = min(keys), [], []
         if any(k != best for k in keys):

@@ -59,7 +59,7 @@ class Realization:
 
     def __post_init__(self):
         self._cache: dict[int, Matrix] = {}
-        self._bases: dict[int, list] = {}  # degree -> its equivariant_basis
+        self._bases: dict[int, tuple] = {}  # degree -> its equivariant_basis
 
     @property
     def dim(self) -> int:
@@ -246,7 +246,7 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
     return basis
 
 
-def _solve_equivariant(real: Realization, p: int) -> list:
+def _solve_equivariant(real: Realization, p: int) -> tuple:
     g = real.group
     n, l = g.dimension, real.dim
     monos = monomials(n, p)
@@ -269,7 +269,7 @@ def _solve_equivariant(real: Realization, p: int) -> list:
             tau.append((den, scaled))
         for dp in range(D):
             for s, (den, tau_terms) in enumerate(tau):
-                image = [(d * l + s, M, [den * v for v in c] if den > 1 else c) for d, (M, c) in by_out[dp].items()]
+                image = [(d * l + s, M, [den * v for v in c]) for d, (M, c) in by_out[dp].items()]
                 rows.append(image + [(dp * l + t, M, c) for t, (M, c) in tau_terms.items()])
     basis = []
     for vec in linalg.integral_nullspace(rows, D * l, label):
@@ -282,7 +282,7 @@ def _solve_equivariant(real: Realization, p: int) -> list:
                     terms[mo] = c
             comps.append(MultiPoly(n, terms))
         basis.append(tuple(comps))
-    return basis
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------

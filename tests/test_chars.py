@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,11 @@ from reflekt.chars import (
     CharacterTable,
     CharTableError,
     ClassFunction,
+    _fp_eigenvalues,
 )
 
 from corpus import CORPUS, G4
-from oracles import orbit_det_power, regular_rep_characters
+from oracles import fp_rref_lists, orbit_det_power, regular_rep_characters
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +28,29 @@ def built():
         g = build_group(d)
         out[d] = (g, character_table(g))
     return out
+
+
+@pytest.mark.parametrize("p", [37, 73])
+def test_fp_eigenvalues_are_the_singular_shifts(p):
+    """The Faddeev-LeVerrier roots are the x with a - x I singular over F_p:
+    random matrices, and diagonalizable ones with repeated eigenvalues, up to
+    the size of the largest class-matrix blocks of the scale groups."""
+    rng = random.Random(p)
+    for d in (1, 2, 5, 22):
+        diag = [rng.choice([0, 1, p - 1, 5]) for _ in range(d)]
+        q = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        qinv_aug, piv = fp_rref_lists([r + [int(i == j) for j in range(d)] for i, r in enumerate(q)], p)
+        if piv != list(range(d)):
+            continue
+        qinv = [r[d:] for r in qinv_aug]
+        similar = [[sum(q[i][t] * diag[t] * qinv[t][j] for t in range(d)) % p for j in range(d)] for i in range(d)]
+        for a in ([[rng.randrange(p) for _ in range(d)] for _ in range(d)], similar):
+            singular = [
+                x for x in range(p)
+                if len(fp_rref_lists([[v - x * (i == j) for j, v in enumerate(r)] for i, r in enumerate(a)], p)[1]) < d
+            ]
+            assert _fp_eigenvalues(a, p) == singular
+        assert _fp_eigenvalues(similar, p) == sorted(set(diag))
 
 
 def test_degrees_s3(built):

@@ -109,6 +109,7 @@ def test_stored_basis_is_still_checked_against_the_prediction(built, monkeypatch
     fs = built["S4"]
     real = matrix_realization(fs.group, fs.table, 4)
     basis = equivariant_basis(real, 3, fs)
+    assert isinstance(basis, tuple)  # every caller gets the stored basis
     monkeypatch.setattr(linalg, "integral_nullspace", None)  # no further solve
     assert equivariant_basis(real, 3, fs) is basis
     monkeypatch.setattr(minmat, "predicted_equivariant_dimension", lambda fs, row, p: len(basis) + 1)
