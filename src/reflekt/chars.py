@@ -13,7 +13,7 @@ integers, so each is packed into one Python int and every Hermitian product
 sum_c |c| chi(c) conj(psi(c)) is r big-integer multiply-adds, reduced modulo
 Phi_N once.  ClassFunction.inner (and so norm()) uses the same product.  The
 table keeps every value's conjugate (`conjugates`) for the checks and `fake`,
-and finds a row by its values' integer form (`exact.integral_terms`).
+and finds a row by its values, whose hashes agree across labels.
 
 Row order is canonical: by degree, then lexicographically on the numerically
 embedded values (exact JSON as the final tiebreak), so cross-run row
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .exact import CycNum, integral_terms, weighted_sums
+from .exact import CycNum, weighted_sums
 from .groups import ReflectionGroup
 from .linalg import _fp_bits, _fp_nullspace, _fp_pack, _fp_rref, _fp_unpack, _is_prime, _primitive_root_power
 
@@ -110,7 +110,7 @@ class CharacterTable:
         self.group = group
         self.rows = tuple(rows)
         self._validate()
-        self._row_of = {self._key(row): i for i, row in enumerate(self.rows)}
+        self._row_of = {tuple(row.values): i for i, row in enumerate(self.rows)}
 
     def _validate(self) -> None:
         """The exact certificate: one row per class, squared degrees summing
@@ -157,21 +157,11 @@ class CharacterTable:
             if acc != want:
                 raise CharTableError(f"column orthogonality fails at ({ci},{cj})")
 
-    def _key(self, f: ClassFunction) -> tuple:
-        """The integral terms of f's values at the group conductor, where
-        every row lives: equal values give equal keys whatever their labels,
-        as CycNum hashes do not."""
-        N = self.group.conductor
-        den, terms = integral_terms(v.promote(N) for v in f.values)
-        return den, tuple(tuple(coeffs) for _, coeffs in terms)
-
     def row_index(self, f: ClassFunction) -> int:
         """The index of the row equal to f; KeyError when f is not a row."""
         try:
-            return self._row_of[self._key(f)]
-        except (ValueError, KeyError):
-            # ValueError: a value's label does not divide the conductor, so
-            # no row has that value.
+            return self._row_of[tuple(f.values)]
+        except KeyError:
             raise KeyError("class function is not a row of the table") from None
 
     def to_json(self) -> dict:

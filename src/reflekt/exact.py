@@ -1,12 +1,16 @@
 """Exact arithmetic underlying everything else.
 
 Scalars are elements of cyclotomic fields Q(zeta_N), stored on the power basis
-zeta_N^0 .. zeta_N^{phi(N)-1} as a sparse map exponent -> Fraction, reduced
-modulo the N-th cyclotomic polynomial.  The reduced form is canonical at fixed
-conductor, so equality and hashing are plain dict comparisons.  Mixing two
-conductors promotes both operands to their lcm.  Inverses come from the Galois
-norm: 1/x is the product of the other conjugates of x divided by the rational
-norm N(x), the product of all of them, at the conductor of x.
+zeta_N^0 .. zeta_N^{phi(N)-1} as a sparse map exponent -> int over one common
+denominator, reduced modulo the N-th cyclotomic polynomial, with the gcd of
+the denominator and the coefficients divided out.  The reduced form is
+canonical at fixed conductor, so equality is a plain dict comparison; a hash
+is taken at the least conductor holding the value, so equal values hash alike
+whatever their labels.  Mixing two conductors promotes both operands to their
+lcm.  Inverses come from the Galois norm: 1/x is the product of the other
+conjugates of x divided by the rational norm N(x), the product of all of them,
+at the conductor of x.  Fractions appear only at the edges: `as_fraction`,
+`to_json`, `repr`, and the constructors and operators that take one.
 
 On top of the scalars:
 
@@ -15,9 +19,10 @@ On top of the scalars:
   MultiPoly sparse multivariate polynomials on the ambient vector space
 
 and the one integer form of Z[zeta_N] that every integer kernel uses:
-`integral_terms` (CycNums to integers), `kronecker_pack` (integers to one
-packed int), `from_integral` (integers back to a CycNum), and `weighted_sums`
-on them.  No other module touches `_reduce` or `CycNum._make`.
+`integral_terms` (CycNums to integers, a read of the stored form),
+`kronecker_pack` (integers to one packed int), `from_integral` (integers back
+to a CycNum), and `weighted_sums` on them.  No other module touches `_reduce`,
+`CycNum._make` or a CycNum's stored fields.
 
 All values are immutable after construction and safe to share between
 concurrent workers.
@@ -119,26 +124,105 @@ def _reduction_table(n: int) -> tuple[dict[int, int], ...]:
     return tuple(rows)
 
 
-_F0 = Fraction(0)
-
-
-def _reduce(n: int, terms: Iterable[tuple[int, RatLike]], zero: RatLike = _F0) -> dict[int, RatLike]:
+def _reduce(n: int, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
     """The nonzero power-basis coefficients at n of the sum of c zeta_n^e over
-    the (e, c) terms; with zero=0, integer coefficients stay ints."""
+    the (e, c) terms, for integers c at any exponents e."""
     phi = euler_phi(n)
     table = _reduction_table(n)
-    out: dict[int, RatLike] = {}
+    out: dict[int, int] = {}
     for e, c in terms:
         if not c:
             continue
         if e >= n or e < 0:
             e %= n
         if e < phi:
-            out[e] = out.get(e, zero) + c
+            out[e] = out.get(e, 0) + c
         else:
             for e2, m in table[e - phi].items():
-                out[e2] = out.get(e2, zero) + c * m
+                out[e2] = out.get(e2, 0) + c * m
     return {e: c for e, c in out.items() if c}
+
+
+def _lowest(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """num/den with the gcd of den and the coefficients divided out and den
+    made positive: the canonical (num, den) of a reduced num."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            return {e: c // g for e, c in num.items()}, den // g
+    return num, den
+
+
+def _scaled(x: CycNum, n: int, d: int) -> CycNum:
+    """x n/d for coprime ints n, d with n != 0, d > 0."""
+    den = x._den
+    if d == 1 and den == 1:
+        return CycNum._make(x.N, {e: c * n for e, c in x._num.items()}, 1)
+    g = gcd(n, den)
+    h = gcd(d, *x._num.values())
+    n //= g
+    return CycNum._make(x.N, {e: c * n // h for e, c in x._num.items()}, den // g * (d // h))
+
+
+def _merge(out: dict[int, int], num: dict[int, int], s: int = 1) -> dict[int, int]:
+    """out plus s num, in place; a key whose sum is 0 is dropped."""
+    for e, c in num.items():
+        if s != 1:
+            c *= s
+        t = out.get(e)
+        if t is None:
+            out[e] = c
+        else:
+            t += c
+            if t:
+                out[e] = t
+            else:
+                del out[e]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _descents(N: int) -> tuple[tuple[int, int, tuple], ...]:
+    """Per prime q | N, with M = N/q, (q, M, images): images[e] is e/q or
+    None (q^2 | N), or (t, f) with zeta_N^e = zeta_M^f zeta_q^t (q || N)."""
+    out = []
+    for q in prime_factors(N):
+        M = N // q
+        if M % q == 0:
+            images = tuple(None if e % q else e // q for e in range(euler_phi(N)))
+        else:
+            u, v = pow(q, -1, M), pow(M, -1, q)
+            images = tuple((v * e % q, u * e % M) for e in range(euler_phi(N)))
+        out.append((q, M, images))
+    return tuple(out)
+
+
+def _minimal_form(N: int, num: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(M, coefficients at M) of the sum of c zeta_N^e over num, M the least
+    label whose field holds it.  For a prime q | N and M = N/q:
+    when q^2 | N, zeta_N has degree q over Q(zeta_M) with basis zeta_N^r,
+    r < q, and zeta_N^(q k) = zeta_M^k, so the value lies in Q(zeta_M)
+    exactly when q divides every exponent.  When q || N, zeta_N =
+    zeta_M^u zeta_q^v with u q + v M = 1 (mod N) splits it as
+    sum_t y_t zeta_q^t with y_t at M; as 1, zeta_q, .., zeta_q^(q-2) is a
+    basis over Q(zeta_M), it lies there exactly when y_1 = .. = y_(q-1), with
+    value y_0 - y_1.  The labels holding a value are closed under gcd, so
+    descending one prime at a time reaches the least."""
+    for q, M, images in _descents(N):
+        if M % q == 0:
+            if all(images[e] is not None for e in num):
+                return _minimal_form(M, {images[e]: c for e, c in num.items()})
+            continue
+        parts: list[list[tuple[int, int]]] = [[] for _ in range(q)]
+        for e, c in num.items():
+            t, f = images[e]
+            parts[t].append((f, c))
+        ys = [_reduce(M, p) for p in parts]
+        if all(y == ys[1] for y in ys[2:]):
+            return _minimal_form(M, _merge(ys[0], ys[1], -1))
+    return N, num
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +232,38 @@ def _reduce(n: int, terms: Iterable[tuple[int, RatLike]], zero: RatLike = _F0) -
 class CycNum:
     """An element of Q(zeta_N) in canonical reduced sparse form.
 
-    `coeffs` maps exponents 0 <= e < phi(N) to nonzero Fractions.  Instances
-    are immutable; all arithmetic returns fresh objects.
+    Stored as the label N, a denominator `_den` > 0 and `_num`, a map from
+    exponents 0 <= e < phi(N) to nonzero ints with gcd(_den, all of them) = 1:
+    the value is sum _num[e] zeta_N^e / _den.  As the power basis is an
+    integral basis of Z[zeta_N], _den is the least d making d x an algebraic
+    integer, whatever the label.  Instances are immutable; all arithmetic
+    returns fresh objects.
     """
 
-    __slots__ = ("N", "coeffs", "_hash")
+    __slots__ = ("N", "_num", "_den", "_hash")
 
     def __init__(self, N: int, raw: Mapping[int, RatLike]):
         if N < 1:
             raise ValueError("conductor must be >= 1")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(
-            self, "coeffs", _reduce(N, {e: Fraction(c) for e, c in raw.items()}.items())
-        )
-        object.__setattr__(self, "_hash", None)
+        if all(type(c) is int for c in raw.values()):
+            num, den = _reduce(N, raw.items()), 1
+        else:
+            qs = [(e, Fraction(c)) for e, c in raw.items()]
+            den = lcm(*(q.denominator for _, q in qs))
+            num = _reduce(N, ((e, q.numerator * (den // q.denominator)) for e, q in qs))
+        num, den = _lowest(num, den)
+        _set_N(self, N)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @staticmethod
-    def _make(N: int, coeffs: dict[int, Fraction]) -> CycNum:
-        """Trusted constructor: coeffs must already be canonical (reduced
-        exponents, Fraction values, no zeros)."""
-        self = object.__new__(CycNum)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
+    def _make(N: int, num: dict[int, int], den: int) -> CycNum:
+        """Trusted constructor: (num, den) must already be canonical (reduced
+        exponents, int values, no zeros, den > 0 prime to the values)."""
+        self = _new(CycNum)
+        _set_N(self, N)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
@@ -180,15 +273,17 @@ class CycNum:
 
     @staticmethod
     def rational(q: RatLike, N: int = 1) -> CycNum:
-        return CycNum(N, {0: Fraction(q)})
+        if type(q) is int and N >= 1:
+            return CycNum._make(N, {0: q} if q else {}, 1)
+        return CycNum(N, {0: q})
 
     @staticmethod
     def zero(N: int = 1) -> CycNum:
-        return CycNum(N, {})
+        return CycNum.rational(0, N)
 
     @staticmethod
     def one(N: int = 1) -> CycNum:
-        return CycNum(N, {0: 1})
+        return CycNum.rational(1, N)
 
     @staticmethod
     def zeta(N: int, e: int = 1) -> CycNum:
@@ -203,31 +298,30 @@ class CycNum:
             return self
         if M % self.N:
             raise ValueError(f"cannot promote conductor {self.N} to {M}")
+        if self.is_rational():
+            return CycNum._make(M, self._num, self._den)
         k = M // self.N
-        return CycNum._make(M, _reduce(M, {e * k: c for e, c in self.coeffs.items()}.items()))
+        return CycNum._make(M, _reduce(M, [(e * k, c) for e, c in self._num.items()]), self._den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def is_rational(self) -> bool:
-        c = self.coeffs
+        c = self._num
         return not c or (len(c) == 1 and 0 in c)
 
     def as_fraction(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
         if not self.is_rational():
             raise ExactError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num.get(0, 0), self._den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.as_fraction().denominator == 1
+        return self._den == 1 and self.is_rational()
 
     def galois(self, j: int) -> CycNum:
         """The image under the automorphism zeta_N -> zeta_N^j, j prime to N."""
-        return CycNum._make(
-            self.N, _reduce(self.N, {e * j % self.N: c for e, c in self.coeffs.items()}.items())
-        )
+        N = self.N
+        return CycNum._make(N, _reduce(N, [(e * j % N, c) for e, c in self._num.items()]), self._den)
 
     def conjugate(self) -> CycNum:
         return self.galois(-1)
@@ -244,87 +338,103 @@ class CycNum:
         M = lcm(self.N, other.N)
         return self.promote(M), other.promote(M)
 
+    def _add(self, other, s: int) -> CycNum:
+        """self + s other for s = 1 or -1."""
+        if type(other) is CycNum and self.N == other.N:
+            a, b = self, other
+        else:
+            a, b = self._pair(other)
+            if a is NotImplemented:
+                return NotImplemented
+        if not b._num:
+            return a
+        if not a._num:
+            return b if s == 1 else -b
+        da, db = a._den, b._den
+        if da == db:
+            out = _merge(dict(a._num), b._num, s)
+            if da == 1:
+                return CycNum._make(a.N, out, 1)
+            return CycNum._make(a.N, *_lowest(out, da))
+        # as for Fractions, a common factor of the sum and the denominator
+        # da db / g divides g = gcd(da, db)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        out = _merge({e: c * sa for e, c in a._num.items()} if sa != 1 else dict(a._num), b._num, s * sb)
+        if g != 1:
+            h = gcd(g, *out.values())
+            if h != 1:
+                return CycNum._make(a.N, {e: c // h for e, c in out.items()}, sb * (db // h))
+        return CycNum._make(a.N, out, sb * db)
+
     def __add__(self, other) -> CycNum:
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        # both operands reduced: merging stays reduced
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return CycNum._make(a.N, out)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycNum:
-        return CycNum._make(self.N, {e: -c for e, c in self.coeffs.items()})
+        return CycNum._make(self.N, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> CycNum:
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return a + (-b)
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> CycNum:
         return (-self) + other
 
     def __mul__(self, other) -> CycNum:
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return CycNum._make(self.N, {})
-            q = Fraction(other)
-            return CycNum._make(self.N, {e: c * q for e, c in self.coeffs.items()})
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        if type(other) is not CycNum:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return CycNum._make(self.N, {}, 1)
+                return _scaled(self, other.numerator, other.denominator)
             return NotImplemented
-        ac, bc = a.coeffs, b.coeffs
+        a, b = (self, other) if self.N == other.N else self._pair(other)
+        ac, bc = a._num, b._num
         # rational operands scale without convolution or reduction
         if len(bc) <= 1 and (not bc or 0 in bc):
             if not bc:
-                return CycNum._make(a.N, {})
-            q = bc[0]
-            return CycNum._make(a.N, {e: c * q for e, c in ac.items()})
+                return CycNum._make(a.N, {}, 1)
+            return _scaled(a, bc[0], b._den)
         if len(ac) <= 1 and (not ac or 0 in ac):
             if not ac:
-                return CycNum._make(a.N, {})
-            q = ac[0]
-            return CycNum._make(a.N, {e: c * q for e, c in bc.items()})
-        out: dict[int, Fraction] = {}
+                return CycNum._make(a.N, {}, 1)
+            return _scaled(b, ac[0], a._den)
+        out: dict[int, int] = {}
         for e1, c1 in ac.items():
             for e2, c2 in bc.items():
                 e = e1 + e2
-                out[e] = out.get(e, _F0) + c1 * c2
-        return CycNum._make(a.N, _reduce(a.N, out.items()))
+                out[e] = out.get(e, 0) + c1 * c2
+        num = _reduce(a.N, out.items())
+        den = a._den * b._den
+        return CycNum._make(a.N, num, 1) if den == 1 else CycNum._make(a.N, *_lowest(num, den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
         """Multiplicative inverse: the product of the other Galois conjugates
-        of self divided by the rational norm, the product of all of them."""
+        of self divided by the rational norm, the product of all of them.
+        Both are taken of the algebraic integer _den self."""
         if self.is_zero():
             raise ZeroDivisionError("CycNum inverse of zero")
+        N, den = self.N, self._den
         if self.is_rational():
-            return CycNum.rational(1 / self.as_fraction(), self.N)
-        N = self.N
-        others = self.galois(N - 1)
+            c = self._num[0]
+            return CycNum._make(N, {0: den if c > 0 else -den}, abs(c))
+        a = CycNum._make(N, self._num, 1)
+        others = a.galois(N - 1)
         for j in range(2, N - 1):
             if gcd(j, N) == 1:
-                others = others * self.galois(j)
-        return others * (1 / (self * others).as_fraction())
+                others = others * a.galois(j)
+        norm = (a * others)._num[0]
+        g = gcd(den, norm)
+        return _scaled(others, den // g if norm > 0 else -den // g, abs(norm) // g)
 
     def __truediv__(self, other) -> CycNum:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("CycNum division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            n, d = other.numerator, other.denominator
+            return _scaled(self, d if n > 0 else -d, abs(n))
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
@@ -345,38 +455,47 @@ class CycNum:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if type(other) is CycNum:
+            a, b = (self, other) if self.N == other.N else self._pair(other)
+            return a._den == b._den and a._num == b._num
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.coeffs
-            return self.coeffs == {0: Fraction(other)}
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+            if not other:
+                return not self._num
+            return self._den == other.denominator and self._num == {0: other.numerator}
+        return NotImplemented
 
     def __hash__(self):
-        # Valid across instances at the same conductor (canonical form);
-        # rationals hash conductor-free.
-        h = self._hash
-        if h is None:
-            if self.is_rational():
-                h = hash(("rat", self.coeffs.get(0, Fraction(0))))
-            else:
-                h = hash((self.N, tuple(sorted(self.coeffs.items()))))
-            object.__setattr__(self, "_hash", h)
+        # The value at its least label: equal values hash alike whatever
+        # their labels; rationals hash conductor-free.  Cached in the
+        # `_hash` slot, which stays unset until then.
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        if self.is_rational():
+            h = hash(("rat", self._num.get(0, 0), self._den))
+        else:
+            M, num = _minimal_form(self.N, self._num)
+            h = hash((M, self._den, tuple(sorted(num.items()))))
+        _set_hash(self, h)
         return h
 
     # -- output -------------------------------------------------------------
 
     def to_complex(self) -> complex:
         """Numerical embedding zeta_N -> exp(2 pi i / N).  Never used for equality."""
+        den = self._den
         return sum(
-            (float(c) * _zeta_power(self.N, e) for e, c in self.coeffs.items()),
+            ((c / den) * _zeta_power(self.N, e) for e, c in self._num.items()),
             complex(0),
         )
 
     def to_json(self) -> dict:
-        terms = [[e, f"{c.numerator}/{c.denominator}"] for e, c in sorted(self.coeffs.items())]
+        den = self._den
+        terms = []
+        for e, c in sorted(self._num.items()):
+            g = gcd(c, den)
+            terms.append([e, f"{c // g}/{den // g}"])
         return {"N": self.N, "terms": terms}
 
     @staticmethod
@@ -387,8 +506,16 @@ class CycNum:
     def __repr__(self):
         if self.is_zero():
             return "CycNum(0)"
-        parts = [f"{c}*z{self.N}^{e}" if e else str(c) for e, c in sorted(self.coeffs.items())]
+        parts = []
+        for e, c in sorted(self._num.items()):
+            q = Fraction(c, self._den)
+            parts.append(f"{q}*z{self.N}^{e}" if e else str(q))
         return "CycNum(" + " + ".join(parts) + ")"
+
+
+# CycNum's slot setters, which its __setattr__ guard leaves to exact alone
+_new = object.__new__
+_set_N, _set_num, _set_den, _set_hash = (CycNum.__dict__[f].__set__ for f in CycNum.__slots__)
 
 
 @lru_cache(maxsize=None)
@@ -416,13 +543,14 @@ def integral_terms(values: Iterable[CycNum]) -> tuple[int, list[tuple[int, list[
     is the least d making every d x an algebraic integer, whatever the labels,
     and multiplying by roots of unity keeps it."""
     values = list(values)
-    den = lcm(*{q.denominator for x in values for q in x.coeffs.values()})
+    den = lcm(*(x._den for x in values))
     terms = []
     for x in values:
         N = 1 if x.is_rational() else x.N
         coeffs = [0] * euler_phi(N)
-        for k, q in x.coeffs.items():
-            coeffs[k] = q.numerator * (den // q.denominator) if den > 1 else q.numerator
+        s = den // x._den
+        for k, c in x._num.items():
+            coeffs[k] = c * s
         terms.append((N, coeffs))
     return den, terms
 
@@ -436,7 +564,7 @@ def kronecker_pack(blocks: Iterable[Sequence[int]], bits: int, stride: int) -> i
 def from_integral(N: int, terms: Iterable[tuple[int, int]], den: int = 1) -> CycNum:
     """The CycNum (sum of v zeta_N^e over the (e, v) terms) / den at label N,
     for integers v at any exponents e, repeats summed, reduced modulo Phi_N."""
-    return CycNum._make(N, {e: Fraction(v, den) for e, v in _reduce(N, terms, 0).items()})
+    return CycNum._make(N, *_lowest(_reduce(N, terms), den))
 
 
 def slot_bits(bound: int) -> int:

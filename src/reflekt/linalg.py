@@ -218,10 +218,10 @@ def _certified(rows: Sequence[Sequence[Term]], L: int, vectors: list[list[CycNum
     scaled = [[co if any(co) else [] for _, co in integral_terms(vec)[1]] for vec in vectors]
     # power j -> vector -> column: the integer coefficients of zeta_L^j v[c],
     # coefficient t being sum_s v[c]_s times coefficient t of zeta_L^(j + s)
+    zetas = _zeta_powers(L)
     images = {}
     for j in shifts:
-        _, zetas = integral_terms(CycNum.zeta(L, j + s) for s in range(phi))
-        by_coeff = list(zip(*(co + [0] * (phi - len(co)) for _, co in zetas)))
+        by_coeff = list(zip(*(zetas[(j + s) % L] for s in range(phi))))
         images[j] = [[[sum(map(mul, co, t)) for t in by_coeff] if co else co for co in v] for v in scaled]
     bound = max(sum(sum(map(abs, coeffs)) for _, _, coeffs in row) for row in rows) * max(
         (max(map(abs, co)) for vecs in images.values() for vec in vecs for co in vec if co), default=0
@@ -231,6 +231,14 @@ def _certified(rows: Sequence[Sequence[Term]], L: int, vectors: list[list[CycNum
     # conductor N, column c -> the packed zeta_N^k v[c], k < phi(N)
     powers = {N: list(zip(*(packed[k * (L // N)] for k in range(euler_phi(N))))) for N in conductors}
     return not any(sum(sum(map(mul, coeffs, powers[N][c])) for c, N, coeffs in row) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(L: int) -> tuple[tuple[int, ...], ...]:
+    """The power-basis coefficients at L of zeta_L^e, for each e < L."""
+    phi = euler_phi(L)
+    _, terms = integral_terms(CycNum.zeta(L, e) for e in range(L))
+    return tuple(tuple(co) + (0,) * (phi - len(co)) for _, co in terms)
 
 
 def _lift(moduli: list[int], images: list[list[int]]) -> list[Fraction] | None:

@@ -31,12 +31,16 @@ the group composes permutations of its roots and works on integers.  The
 match oracle sorts one entry's distances to the table rows at a time, where
 gamma_scan takes an argmin over one (entries, rows, classes) distance array.
 The F_p elimination oracle works on lists of residues, where `linalg._fp_rref`
-works on packed rows.
+works on packed rows.  `FractionCycNum` keeps one Fraction per power-basis
+coefficient, where `exact.CycNum` keeps integers over one denominator.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
@@ -47,6 +51,8 @@ from reflekt.exact import (
     ExactError,
     MultiPoly,
     PolyT,
+    _reduction_table,
+    euler_phi,
     poly_one_minus_Tk,
     series_inverse,
 )
@@ -819,3 +825,164 @@ def divided_coinvariant_traces(g) -> tuple[PolyT, ...]:
     polynomial division, which raises on a nonzero remainder."""
     numer = degree_numerator(g)
     return tuple(poly_divide_exact(numer, char_poly_one_minus_Tw(g, cls.rep)) for cls in g.classes)
+
+
+# ---------------------------------------------------------------------------
+# Fraction coefficients: the reference for exact.CycNum
+# ---------------------------------------------------------------------------
+
+def _fraction_reduce(n: int, terms) -> dict[int, Fraction]:
+    """The nonzero power-basis coefficients at n of the sum of c zeta_n^e."""
+    phi = euler_phi(n)
+    table = _reduction_table(n)
+    out: dict[int, Fraction] = {}
+    for e, c in terms:
+        if not c:
+            continue
+        e %= n
+        if e < phi:
+            out[e] = out.get(e, Fraction(0)) + c
+        else:
+            for e2, m in table[e - phi].items():
+                out[e2] = out.get(e2, Fraction(0)) + c * m
+    return {e: c for e, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _fraction_zeta_power(N: int, e: int) -> complex:
+    return cmath.exp(2j * cmath.pi * e / N)
+
+
+class FractionCycNum:
+    """An element of Q(zeta_N) as a map from exponents e < phi(N) to nonzero
+    Fractions, each coefficient kept in lowest terms on its own; arithmetic
+    walks the maps in the same order as `exact.CycNum`, so `to_complex` sums
+    the same floats in the same order."""
+
+    __slots__ = ("N", "coeffs")
+
+    def __init__(self, N: int, raw):
+        self.N = N
+        self.coeffs = _fraction_reduce(N, {e: Fraction(c) for e, c in raw.items()}.items())
+
+    @staticmethod
+    def _make(N: int, coeffs: dict) -> FractionCycNum:
+        self = object.__new__(FractionCycNum)
+        self.N, self.coeffs = N, coeffs
+        return self
+
+    def promote(self, M: int) -> FractionCycNum:
+        if M == self.N:
+            return self
+        k = M // self.N
+        return FractionCycNum._make(M, _fraction_reduce(M, {e * k: c for e, c in self.coeffs.items()}.items()))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_rational(self) -> bool:
+        c = self.coeffs
+        return not c or (len(c) == 1 and 0 in c)
+
+    def as_fraction(self) -> Fraction:
+        return self.coeffs.get(0, Fraction(0))
+
+    def galois(self, j: int) -> FractionCycNum:
+        N = self.N
+        return FractionCycNum._make(N, _fraction_reduce(N, {e * j % N: c for e, c in self.coeffs.items()}.items()))
+
+    def _pair(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionCycNum(1, {0: other})
+        if self.N == other.N:
+            return self, other
+        M = lcm(self.N, other.N)
+        return self.promote(M), other.promote(M)
+
+    def __add__(self, other) -> FractionCycNum:
+        a, b = self._pair(other)
+        out = dict(a.coeffs)
+        for e, c in b.coeffs.items():
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+            elif s + c:
+                out[e] = s + c
+            else:
+                del out[e]
+        return FractionCycNum._make(a.N, out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> FractionCycNum:
+        return FractionCycNum._make(self.N, {e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other) -> FractionCycNum:
+        a, b = self._pair(other)
+        return a + (-b)
+
+    def __rsub__(self, other) -> FractionCycNum:
+        return (-self) + other
+
+    def __mul__(self, other) -> FractionCycNum:
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return FractionCycNum._make(self.N, {e: c * q for e, c in self.coeffs.items()} if q else {})
+        a, b = self._pair(other)
+        ac, bc = a.coeffs, b.coeffs
+        if b.is_rational():
+            return a * b.as_fraction()
+        if a.is_rational():
+            return b * a.as_fraction()
+        out: dict[int, Fraction] = {}
+        for e1, c1 in ac.items():
+            for e2, c2 in bc.items():
+                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+        return FractionCycNum._make(a.N, _fraction_reduce(a.N, out.items()))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> FractionCycNum:
+        if self.is_zero():
+            raise ZeroDivisionError("FractionCycNum inverse of zero")
+        if self.is_rational():
+            return FractionCycNum(self.N, {0: 1 / self.as_fraction()})
+        N = self.N
+        others = self.galois(N - 1)
+        for j in range(2, N - 1):
+            if gcd(j, N) == 1:
+                others = others * self.galois(j)
+        return others * (1 / (self * others).as_fraction())
+
+    def __truediv__(self, other) -> FractionCycNum:
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        a, b = self._pair(other)
+        return a * b.inverse()
+
+    def __pow__(self, k: int) -> FractionCycNum:
+        if k < 0:
+            return self.inverse() ** (-k)
+        out, base = FractionCycNum(self.N, {0: 1}), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other) -> bool:
+        a, b = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    __hash__ = None
+
+    def to_complex(self) -> complex:
+        return sum(
+            (float(c) * _fraction_zeta_power(self.N, e) for e, c in self.coeffs.items()),
+            complex(0),
+        )
+
+    def to_json(self) -> dict:
+        terms = [[e, f"{c.numerator}/{c.denominator}"] for e, c in sorted(self.coeffs.items())]
+        return {"N": self.N, "terms": terms}

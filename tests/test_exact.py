@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from reflekt.exact import (
     PolyT,
     cyclotomic_polynomial,
     euler_phi,
+    from_integral,
     integral_terms,
     poly_from_ints,
     poly_one_minus_Tk,
@@ -20,7 +22,7 @@ from reflekt.exact import (
 )
 from reflekt.groups import build_group
 
-from oracles import poly_divide_exact
+from oracles import FractionCycNum, poly_divide_exact
 
 
 def test_cyclotomic_polynomials():
@@ -42,8 +44,8 @@ def test_cyc_reduce_examples():
 
 def test_reduction_idempotent_and_periodic():
     x = CycNum(12, {0: 1, 5: Fraction(3, 2), 11: -2})
-    again = CycNum(12, dict(x.coeffs))
-    assert x == again and x.coeffs == again.coeffs
+    again = CycNum.from_json(x.to_json())
+    assert x == again and x.to_json() == again.to_json()
     assert CycNum.zeta(12) ** 12 == 1
 
 
@@ -122,6 +124,114 @@ def test_embedding_matches_arithmetic(x):
     # the embedding is a ring homomorphism
     y = x * x + 3
     assert abs(y.to_complex() - (x.to_complex() ** 2 + 3)) < 1e-9
+
+
+# -- against the Fraction oracle ---------------------------------------------
+
+ORACLE_LABELS = [1, 3, 4, 5, 8, 9, 12, 15, 20, 24, 60]
+small_fraction = st.fractions(-9, 9, max_denominator=12)
+
+
+@st.composite
+def twins(draw):
+    """One value as a CycNum and as the Fraction oracle, from the same raw
+    terms (exponents up to 2N, so reduction runs) at a label drawn from
+    ORACLE_LABELS."""
+    N = draw(st.sampled_from(ORACLE_LABELS))
+    raw = draw(st.dictionaries(st.integers(0, 2 * N), small_fraction, max_size=8))
+    return CycNum(N, raw), FractionCycNum(N, raw)
+
+
+def assert_canonical(x: CycNum):
+    """den > 0, int coefficients, no zeros, exponents below phi(N), and
+    gcd(den, all coefficients) = 1."""
+    num, den = x._num, x._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in num.values())
+    assert all(0 <= e < euler_phi(x.N) for e in num)
+    assert math.gcd(den, *num.values()) == 1
+
+
+def assert_same(new: CycNum, old: FractionCycNum):
+    """Same label and JSON, the same to_complex bytes, and canonical form."""
+    assert new.to_json() == old.to_json()
+    z, w = new.to_complex(), old.to_complex()
+    assert struct.pack("<dd", z.real, z.imag) == struct.pack("<dd", w.real, w.imag)
+    assert_canonical(new)
+
+
+@given(twins(), twins(), small_fraction, st.integers(-5, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cycnum_matches_the_fraction_oracle(xs, ys, q, n, data):
+    (x, xo), (y, yo) = xs, ys
+    assert_same(x, xo)
+    pairs = [
+        (x + y, xo + yo), (x - y, xo - yo), (x * y, xo * yo), (-x, -xo), (x**2, xo**2),
+        (x + q, xo + q), (q + x, q + xo), (x - q, xo - q), (q - x, q - xo), (x * q, xo * q),
+        (x + n, xo + n), (n - x, n - xo), (x * n, xo * n), (n * x, n * xo),
+    ]
+    for new, old in pairs:
+        assert_same(new, old)
+    assert (x == y) == (xo == yo)
+    assert (x == q) == (xo == q) and (x == n) == (xo == n)
+    j = data.draw(st.sampled_from([j for j in range(1, x.N + 1) if math.gcd(j, x.N) == 1]))
+    assert_same(x.galois(j), xo.galois(j))
+    k = data.draw(st.integers(1, 4))
+    assert_same(x.promote(k * x.N), xo.promote(k * x.N))
+    if not y.is_zero():
+        assert_same(y.inverse(), yo.inverse())
+        assert_same(x / y, xo / yo)
+    if q:
+        assert_same(x / q, xo / q)
+
+
+@given(st.lists(twins(), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_integral_terms_round_trip_through_from_integral(values):
+    den, terms = integral_terms(x for x, _ in values)
+    assert den == math.lcm(*(c.denominator for _, xo in values for c in xo.coeffs.values()))
+    for (x, _), (N, coeffs) in zip(values, terms):
+        assert N == (1 if x.is_rational() else x.N) and len(coeffs) == euler_phi(N)
+        back = from_integral(N, enumerate(coeffs), den)
+        assert back == x
+        if N == x.N:
+            assert back.to_json() == x.to_json()
+        assert_canonical(back)
+
+
+@given(
+    st.sampled_from(ORACLE_LABELS),
+    st.lists(st.tuples(st.integers(-130, 130), st.integers(-50, 50)), max_size=10),
+    st.integers(-24, 24).filter(bool),
+)
+@settings(max_examples=100, deadline=None)
+def test_from_integral_matches_the_fraction_oracle(N, terms, den):
+    """Exponents anywhere, repeats summed, any nonzero denominator."""
+    old = FractionCycNum(N, {})
+    for e, v in terms:
+        old = old + FractionCycNum(N, {e: Fraction(v, den)})
+    new = from_integral(N, terms, den)
+    assert new.to_json() == old.to_json()
+    assert_canonical(new)
+
+
+@given(twins(), st.integers(1, 6), twins())
+@settings(max_examples=200, deadline=None)
+def test_equal_values_hash_alike_whatever_their_labels(xs, k, zs):
+    x, z = xs[0], zs[0]
+    y = x.promote(k * x.N)
+    w = (x + z) - z  # at lcm(x.N, z.N)
+    assert x == y == w
+    assert hash(x) == hash(y) == hash(w)
+    assert len({x, y, w}) == 1
+
+
+def test_promoted_roots_of_unity_hash_alike():
+    for N, M in ((3, 6), (4, 12), (5, 10), (3, 12), (8, 24)):
+        z = CycNum.zeta(N)
+        assert len({z, z.promote(M)}) == 1
+        assert len({z, z.promote(M), CycNum.zeta(N, 2).promote(M)}) == 2
+    assert len({CycNum.rational(Fraction(3, 4)), CycNum.rational(Fraction(3, 4), 12)}) == 1
 
 
 # -- PolyT -------------------------------------------------------------------

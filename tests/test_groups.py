@@ -284,7 +284,7 @@ def test_degrees_and_traces_match_molien_oracle(name):
 
 def labelled_terms(f: MultiPoly):
     """Terms with each coefficient's conductor label, which reaches the JSON."""
-    return sorted((mono, c.N, sorted(c.coeffs.items())) for mono, c in f.terms.items())
+    return sorted((mono, c.to_json()) for mono, c in f.terms.items())
 
 
 def test_substitute_matches_power_expansion_oracle(groups):

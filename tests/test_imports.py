@@ -47,18 +47,26 @@ def test_detects_an_unused_import():
     ]
 
 
+# CycNum's stored fields: the integer numerators, the common denominator and
+# the cached hash
+CYCNUM_FIELDS = {"_num", "_den", "_hash"}
+
+
 def private_exact_uses(source: str) -> list[str]:
     """The `_`-prefixed names of `exact` a module imports or reads as
-    `exact._name`, and its `CycNum._make` calls."""
+    `exact._name`, its `CycNum._make` calls, and its reads of a CycNum's
+    stored fields on any expression; in line order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exact":
-            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name.startswith("_")]
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in CYCNUM_FIELDS:
+            found.append((node.lineno, f".{node.attr}"))
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             owner, name = node.value.id, node.attr
             if (owner == "exact" and name.startswith("_")) or (owner == "CycNum" and name == "_make"):
-                found.append(f"{owner}.{name} (line {node.lineno})")
-    return found
+                found.append((node.lineno, f"{owner}.{name}"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
 @pytest.mark.parametrize(
@@ -75,5 +83,15 @@ def test_detects_private_exact_uses():
         "exact._F0\n"
         "CycNum._make(1, {})\n"
         "CycNum.zero()\n"
+        "x._den * rows[0][1]._num\n"
+        "(x + y)._hash\n"
+        "x.N, x.den, x.num\n"
     )
-    assert private_exact_uses(source) == ["_reduce (line 1)", "exact._F0 (line 3)", "CycNum._make (line 4)"]
+    assert private_exact_uses(source) == [
+        "_reduce (line 1)",
+        "exact._F0 (line 3)",
+        "CycNum._make (line 4)",
+        "._den (line 6)",
+        "._num (line 6)",
+        "._hash (line 7)",
+    ]

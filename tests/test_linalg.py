@@ -14,7 +14,7 @@ from oracles import exact_nullspace, exact_rref, fp_rref_lists
 
 def entry_key(x: CycNum):
     """Value plus conductor label; zeros compare by value only."""
-    return None if x.is_zero() else (x.N, tuple(sorted(x.coeffs.items())))
+    return None if x.is_zero() else x.to_json()
 
 
 def basis_key(basis):

@@ -179,7 +179,7 @@ def test_full_scope_minimal_matrices(built, name):
 
 def poly_key(f: MultiPoly):
     """Terms with each coefficient's conductor label, which reaches the JSON."""
-    return sorted((mono, c.N, sorted(c.coeffs.items())) for mono, c in f.terms.items())
+    return sorted((mono, c.to_json()) for mono, c in f.terms.items())
 
 
 @pytest.mark.parametrize("name", SCOPE)
