@@ -338,8 +338,7 @@ class CycNum:
         M = lcm(self.N, other.N)
         return self.promote(M), other.promote(M)
 
-    def _add(self, other, s: int) -> CycNum:
-        """self + s other for s = 1 or -1."""
+    def __add__(self, other) -> CycNum:
         if type(other) is CycNum and self.N == other.N:
             a, b = self, other
         else:
@@ -349,10 +348,10 @@ class CycNum:
         if not b._num:
             return a
         if not a._num:
-            return b if s == 1 else -b
+            return b
         da, db = a._den, b._den
         if da == db:
-            out = _merge(dict(a._num), b._num, s)
+            out = _merge(dict(a._num), b._num)
             if da == 1:
                 return CycNum._make(a.N, out, 1)
             return CycNum._make(a.N, *_lowest(out, da))
@@ -360,15 +359,12 @@ class CycNum:
         # da db / g divides g = gcd(da, db)
         g = gcd(da, db)
         sa, sb = db // g, da // g
-        out = _merge({e: c * sa for e, c in a._num.items()} if sa != 1 else dict(a._num), b._num, s * sb)
+        out = _merge({e: c * sa for e, c in a._num.items()} if sa != 1 else dict(a._num), b._num, sb)
         if g != 1:
             h = gcd(g, *out.values())
             if h != 1:
                 return CycNum._make(a.N, {e: c // h for e, c in out.items()}, sb * (db // h))
         return CycNum._make(a.N, out, sb * db)
-
-    def __add__(self, other) -> CycNum:
-        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -376,7 +372,10 @@ class CycNum:
         return CycNum._make(self.N, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> CycNum:
-        return self._add(other, -1)
+        a, b = self._pair(other)
+        if a is NotImplemented:
+            return NotImplemented
+        return a + (-b)
 
     def __rsub__(self, other) -> CycNum:
         return (-self) + other
@@ -425,16 +424,13 @@ class CycNum:
         for j in range(2, N - 1):
             if gcd(j, N) == 1:
                 others = others * a.galois(j)
-        norm = (a * others)._num[0]
-        g = gcd(den, norm)
-        return _scaled(others, den // g if norm > 0 else -den // g, abs(norm) // g)
+        return others * Fraction(den, (a * others)._num[0])
 
     def __truediv__(self, other) -> CycNum:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("CycNum division by zero")
-            n, d = other.numerator, other.denominator
-            return _scaled(self, d if n > 0 else -d, abs(n))
+            return self * Fraction(other.denominator, other.numerator)
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
