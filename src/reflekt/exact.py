@@ -351,10 +351,7 @@ class CycNum:
             return b
         da, db = a._den, b._den
         if da == db:
-            out = _merge(dict(a._num), b._num)
-            if da == 1:
-                return CycNum._make(a.N, out, 1)
-            return CycNum._make(a.N, *_lowest(out, da))
+            return CycNum._make(a.N, *_lowest(_merge(dict(a._num), b._num), da))
         # as for Fractions, a common factor of the sum and the denominator
         # da db / g divides g = gcd(da, db)
         g = gcd(da, db)
@@ -403,9 +400,7 @@ class CycNum:
             for e2, c2 in bc.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        num = _reduce(a.N, out.items())
-        den = a._den * b._den
-        return CycNum._make(a.N, num, 1) if den == 1 else CycNum._make(a.N, *_lowest(num, den))
+        return CycNum._make(a.N, *_lowest(_reduce(a.N, out.items()), a._den * b._den))
 
     __rmul__ = __mul__
 
