@@ -184,18 +184,21 @@ def _merge(out: dict[int, int], num: dict[int, int], s: int = 1) -> dict[int, in
 
 
 @lru_cache(maxsize=None)
-def _descents(N: int) -> tuple[tuple[int, int, tuple], ...]:
-    """Per prime q | N, with M = N/q, (q, M, images): images[e] is e/q or
-    None (q^2 | N), or (t, f) with zeta_N^e = zeta_M^f zeta_q^t (q || N)."""
+def _descents(N: int) -> tuple[tuple[int, int, tuple, bool], ...]:
+    """Per prime q | N, with M = N/q, (q, M, images, unreduced): images[e] is
+    e/q or None (q^2 | N), or (t, f) with zeta_N^e = zeta_M^f zeta_q^t
+    (q || N), where unreduced says some f reaches phi(M)."""
     out = []
     for q in prime_factors(N):
         M = N // q
         if M % q == 0:
-            images = tuple(None if e % q else e // q for e in range(euler_phi(N)))
+            images: tuple = tuple(None if e % q else e // q for e in range(euler_phi(N)))
+            unreduced = False
         else:
             u, v = pow(q, -1, M), pow(M, -1, q)
             images = tuple((v * e % q, u * e % M) for e in range(euler_phi(N)))
-        out.append((q, M, images))
+            unreduced = any(f >= euler_phi(M) for _, f in images)
+        out.append((q, M, images, unreduced))
     return tuple(out)
 
 
@@ -210,16 +213,23 @@ def _minimal_form(N: int, num: dict[int, int]) -> tuple[int, dict[int, int]]:
     basis over Q(zeta_M), it lies there exactly when y_1 = .. = y_(q-1), with
     value y_0 - y_1.  The labels holding a value are closed under gcd, so
     descending one prime at a time reaches the least."""
-    for q, M, images in _descents(N):
+    for q, M, images, unreduced in _descents(N):
         if M % q == 0:
             if all(images[e] is not None for e in num):
                 return _minimal_form(M, {images[e]: c for e, c in num.items()})
             continue
-        parts: list[list[tuple[int, int]]] = [[] for _ in range(q)]
+        if q == 2:  # zeta_2 = -1, so the value is y_0 - y_1 whatever it is
+            terms = []
+            for e, c in num.items():
+                t, f = images[e]
+                terms.append((f, -c if t else c))
+            return _minimal_form(M, _reduce(M, terms))
+        ys: list[dict[int, int]] = [{} for _ in range(q)]
         for e, c in num.items():
             t, f = images[e]
-            parts[t].append((f, c))
-        ys = [_reduce(M, p) for p in parts]
+            ys[t][f] = c
+        if unreduced:
+            ys = [_reduce(M, y.items()) for y in ys]
         if all(y == ys[1] for y in ys[2:]):
             return _minimal_form(M, _merge(ys[0], ys[1], -1))
     return N, num
