@@ -1,11 +1,11 @@
 """CycNum additions and multiplications per second, the exact-scalar layer.
 
-    python3 scripts/cycnum_rates.py [SRC] [--seconds S]
+    python3 scripts/cycnum_rates.py [SRC]
 
 SRC is the directory holding the `reflekt` package (default: `src` of this
 checkout), so two trees can be compared on one host.  Each case draws 64
-operand pairs from a fixed seed and times whole sweeps over them for about S
-seconds (default 1); the best of 5 such rounds is printed, one JSON object
+operand pairs from a fixed seed and times whole sweeps over them for about
+one second in all; the best of 5 such rounds is printed, one JSON object
 per line: {"case", "op", "per_s"}.
 
   N=1         rationals a/b, |a| <= 99, 1 <= b <= 12
@@ -35,11 +35,11 @@ def operands(CycNum, rng: random.Random, case: str):
     return CycNum(N, {e: rat() for e in range(phi)})
 
 
-def rate(pairs, op, seconds: float) -> float:
+def rate(pairs, op) -> float:
     best = 0.0
     for _ in range(5):
         n, start = 0, time.perf_counter()
-        while (elapsed := time.perf_counter() - start) < seconds / 5:
+        while (elapsed := time.perf_counter() - start) < 0.2:
             for a, b in pairs:
                 op(a, b)
             n += len(pairs)
@@ -48,11 +48,6 @@ def rate(pairs, op, seconds: float) -> float:
 
 
 def main(argv: list[str]) -> None:
-    seconds = 1.0
-    if "--seconds" in argv:
-        i = argv.index("--seconds")
-        seconds = float(argv[i + 1])
-        del argv[i : i + 2]
     src = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src")
     sys.path.insert(0, str(src.resolve()))
     from reflekt.exact import CycNum
@@ -61,7 +56,7 @@ def main(argv: list[str]) -> None:
         rng = random.Random(20261020)
         pairs = [(operands(CycNum, rng, case), operands(CycNum, rng, case)) for _ in range(64)]
         for name, op in (("add", lambda a, b: a + b), ("mul", lambda a, b: a * b)):
-            print(json.dumps({"case": case, "op": name, "per_s": round(rate(pairs, op, seconds))}))
+            print(json.dumps({"case": case, "op": name, "per_s": round(rate(pairs, op))}))
 
 
 if __name__ == "__main__":
