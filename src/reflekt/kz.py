@@ -19,7 +19,9 @@ v = center + u nu, disc by disc (see _transport); more than TERM_BUDGET
 series terms on one path raise KZError.
 
 The label axis is a numpy axis: the residue-spectrum and Euler-scalar checks
-build each (row, hyperplane) target for all labels at once, and gamma_scan
+build each (row, hyperplane) target for all labels at once, the k = 0
+calibration reads one zero-label mask per block, the Hecke-residual and
+determinant checks run on the stacked (labels, l, l) matrices, and gamma_scan
 matches a degree sweep's characters in one distance array.  A row's matrix
 realization and stabilizer projectors do not depend on the labels; they are
 built once per (fake-degree set, row) and kept, read-only, while the set lives.
@@ -125,9 +127,6 @@ class LabelVector:
             abs(v.imag) > 1e-12 or abs(v.real - round(v.real)) > 1e-12 for row in self.values for v in row
         )
 
-    def is_zero(self) -> bool:
-        return all(abs(v) < 1e-15 for row in self.values for v in row)
-
     def negated(self) -> LabelVector:
         return LabelVector(tuple(tuple(-v for v in row) for row in self.values))
 
@@ -202,6 +201,7 @@ class ConnectionBlock:
     paths: tuple["BraidPath", ...]
     settings: KZSettings
     seed_used: int
+    zero_labels: np.ndarray  # (batch,) bool: the entries whose label vector is 0
     steps: dict[int, dict] = field(default_factory=dict)  # hyperplane -> series statistics
 
     @property
@@ -327,14 +327,11 @@ def _build_path(g, h_idx, v0, alpha, delta):
         if eps < 1e-4:
             return None
     segments = _path_segments(center, nu, e, eps)
-    ts = np.linspace(0.0, 1.0, PATH_SAMPLES)
-    for seg_point, _seg_vel in segments:
-        for t in ts:
-            vt = seg_point(t)
-            vals = np.abs(alpha @ vt)
-            vals[h_idx] = np.inf  # margin to H itself is |alpha_H| >= eps*|alpha_H(nu)|
-            if len(alpha) > 1 and vals.min() < 0.25 * delta:
-                return None
+    ts = np.linspace(0.0, 1.0, PATH_SAMPLES)[:, None]
+    # one (samples, n) @ (n, others) product per leg; the margin to H itself
+    # is |alpha_H| >= eps*|alpha_H(nu)|
+    if others and any(np.abs(point(ts) @ alpha[others].T).min() < 0.25 * delta for point, _vel in segments):
+        return None
     path = BraidPath(
         hyperplane=h_idx,
         order=e,
@@ -439,6 +436,7 @@ def assemble_connection(
     if not np.all(np.isfinite(residues)):
         raise KZError("the label vector gives residues that are not finite")
     alpha, v0, attempt, paths = _arrangement(g, settings.seed)
+    zero = np.all(np.abs(np.concatenate(kc, axis=1)) < 1e-15, axis=1)
     block = ConnectionBlock(
         fs=fs,
         rows=[r for r in rows for _ in batch],
@@ -450,6 +448,7 @@ def assemble_connection(
         paths=paths,
         settings=settings,
         seed_used=attempt,
+        zero_labels=np.tile(zero, len(rows)),
     )
     _check_residue_spectra(block, rows, kc)
     _check_central_scalar(block, rows, kc)
@@ -558,17 +557,20 @@ def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dic
         W_{H,n} = y_n - (x/d_H) W_{H,n-1},  W_{H,0} = y_0,
         y_{n+1} = -(x/(n+1)) sum_H (A_H/d_H) W_{H,n},
 
-    one batched (H, l, l, batch) contraction per term.  |x| <= min(RHO
+    one batched (H, l, l, batch) contraction per term, written into buffers
+    that _series_step allocates once per step.  |x| <= min(RHO
     min_H |d_H|, GROWTH / sum_H ||A_H||/|d_H|), ||A_H|| the largest row-sum
     norm over the batch, so no step is ever rejected.  A step sums until, on
     3 consecutive terms, every batch entry's term is at most TINY = 2^-52 of
-    its partial sum: the kernel sums to double precision.  Arcs of radius r
-    are stepped along chords: the own pole 0 is r away, so |x| <= r/2, the
-    chord subtends less than pi, and the arc from u0 to u0 + x stays within
-    |x| of u0.  The region between chord and arc thus lies in the disc
-    |u - u0| <= |x| < min_H |d_H|, free of poles, so the continuation stays
-    on the braid generator's branch.  More than TERM_BUDGET terms on one
-    path, or a result that is not finite, raise KZError.
+    its partial sum, both maxima read from one magnitude array of the
+    stacked (term, partial sum): the kernel sums to double precision.  Arcs
+    of radius r are stepped along chords: the own pole 0 is r away, so
+    |x| <= r/2, the chord subtends less than pi, and the arc from u0 to
+    u0 + x stays within |x| of u0.  The region between chord and arc thus
+    lies in the disc |u - u0| <= |x| < min_H |d_H|, free of poles, so the
+    continuation stays on the braid generator's branch.  More than
+    TERM_BUDGET terms on one path, or a result that is not finite, raise
+    KZError.
     """
     a = block.residues  # (B, H, l, l)
     bsz, _, l, _ = a.shape
@@ -609,20 +611,29 @@ def _transport(block: ConnectionBlock, path: BraidPath) -> tuple[np.ndarray, dic
 @np.errstate(over="ignore", invalid="ignore")
 def _series_step(y, res, d, x, stats) -> np.ndarray:
     """Y(u0 + x) from y = Y(u0) of shape (l, l, B), by the recursion in
-    _transport; W starts at 0, so its first update gives W_0 = y_0."""
+    _transport, in buffers allocated once per step: W (H, l, l, B), the
+    product (l, H*l, l, B), and (last term, partial sum) stacked as (2, l, l, B).
+    W starts at 0, so its first update gives W_0 = y_0 - ratio * 0; both
+    maxima of the stopping test come from one magnitude array of the stack."""
     l, bsz = y.shape[0], y.shape[2]
     c = res * np.repeat(-x / d, l)[None, :, None, None]  # -x A_H/d_H
     ratio = (x / d)[:, None, None, None]
-    total, term, w, n, quiet = y.copy(), y, 0, 0, 0
+    w = np.zeros((len(d), l, l, bsz), dtype=complex)
+    flat, prod = w.reshape(-1, l, bsz), np.empty(c.shape[:2] + (l, bsz), dtype=complex)
+    stack = np.array([y, y])
+    term, total = stack
+    mags, top, big = np.empty(stack.shape), np.empty((2, bsz)), np.empty(bsz, dtype=bool)
+    n, quiet = 0, 0
     while quiet < 3:
         if stats["terms"] >= TERM_BUDGET:
             raise KZError(f"transport exceeded {TERM_BUDGET} series terms on one path")
-        w = term - ratio * w
+        np.subtract(term, np.multiply(ratio, w, out=w), out=w)
         n += 1
-        term = (c * w.reshape(-1, l, bsz)).sum(axis=1) / n
+        np.divide(np.add.reduce(np.multiply(c, flat, out=prod), 1, out=term), n, out=term)
         total += term
         stats["terms"] += 1
-        big = np.abs(term).max(axis=(0, 1)) > TINY * np.abs(total).max(axis=(0, 1))
+        np.maximum.reduce(np.abs(stack, out=mags), (1, 2), out=top)
+        np.greater(top[0], np.multiply(TINY, top[1], out=top[1]), out=big)
         quiet = 0 if big.any() else quiet + 1  # NaN counts as quiet, and raises below
     stats["steps"] += 1
     if not np.all(np.isfinite(total)):
@@ -640,45 +651,45 @@ def monodromy(block: ConnectionBlock, h_idx: int) -> np.ndarray:
     decks = {r: linalg.mat_to_complex(x.element_matrix(s_inv)) for r, x in reals}
     deck = np.array([decks[r] for r in block.rows])
     out = deck @ transports
-    for b, k in enumerate(block.labels):
-        # at k = 0 the target is tau(s_H)^{-1}, which is tau(s_H) whenever e_H = 2
-        if k.is_zero() and np.max(np.abs(out[b] - deck[b])) > CALIBRATION_TOL:
-            raise KZError("k = 0 calibration failed: monodromy != deck matrix")
+    # at k = 0 the target is tau(s_H)^{-1}, which is tau(s_H) whenever e_H = 2
+    zero = block.zero_labels
+    if zero.any() and np.max(np.abs(out[zero] - deck[zero])) > CALIBRATION_TOL:
+        raise KZError("k = 0 calibration failed: monodromy != deck matrix")
     return out
 
 
-def _hecke_roots(k: LabelVector, c: int, e: int) -> list[complex]:  # q_{C,j} zeta^j
-    return [k.q(c, j) * cmath.exp(2j * cmath.pi * j / e) for j in range(e)]
+def _hecke_roots(block: ConnectionBlock, h_idx: int) -> np.ndarray:
+    """q_{H,j} zeta_H^j of every batch entry as a (batch, e_H) array, each by cmath."""
+    c = block.group.orbit_of_hyperplane[h_idx]
+    e = block.group.hyperplanes[h_idx].order
+    return np.array([[k.q(c, j) * cmath.exp(2j * cmath.pi * j / e) for j in range(e)] for k in block.labels])
 
 
 def hecke_residuals(block: ConnectionBlock, h_idx: int, mats: np.ndarray) -> list[float]:
-    """|| prod_j (T - q_{H,j} zeta_H^j) || per batch entry."""
-    g = block.group
-    c = g.orbit_of_hyperplane[h_idx]
-    e = g.hyperplanes[h_idx].order
-    out = []
-    for b, k in enumerate(block.labels):
-        l = mats.shape[-1]
-        prod = np.eye(l, dtype=complex)
-        for root in _hecke_roots(k, c, e):
-            prod = prod @ (mats[b] - root * np.eye(l))
-        out.append(float(np.max(np.abs(prod))))
-    return out
+    """|| prod_j (T - q_{H,j} zeta_H^j) || per batch entry, on the stacked matrices."""
+    eye = np.eye(mats.shape[-1])
+    prod = eye.astype(complex)
+    for roots in _hecke_roots(block, h_idx).T:
+        prod = prod @ (mats - roots[:, None, None] * eye)
+    return np.max(np.abs(prod), axis=(1, 2)).tolist()
 
 
 def _check_determinant(block: ConnectionBlock, h_idx: int, mats: np.ndarray) -> None:
     """det m = prod_j (q_{H,j} zeta_H^j)^{n_{C,j}} to hecke_tol relative: a transport
-    that under- or overflowed can pass the absolute Hecke residual, not this."""
+    that under- or overflowed can pass the absolute Hecke residual, not this.
+    The first failing entry raises."""
     c = block.group.orbit_of_hyperplane[h_idx]
-    e = block.group.hyperplanes[h_idx].order
-    dets = np.linalg.det(mats)
-    for got, row, k in zip(dets, block.rows, block.labels):
-        with np.errstate(over="ignore", invalid="ignore"):
-            target = np.prod(np.power(_hecke_roots(k, c, e), block.fs.local[row].multiplicities[c]))
-        if not (got and target and np.isfinite(got) and np.isfinite(target)):
+    mults = np.array([block.fs.local[row].multiplicities[c] for row in block.rows])
+    got = np.linalg.det(mats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = np.prod(np.power(_hecke_roots(block, h_idx), mults), axis=1)
+        broken = (got == 0) | (target == 0) | ~np.isfinite(got) | ~np.isfinite(target)
+        off = np.abs(got - target) > block.settings.hecke_tol * np.abs(target)
+    if (broken | off).any():
+        b = np.argmax(broken | off)
+        if broken[b]:
             raise KZError("monodromy determinant or its Hecke target is 0 or not finite")
-        if abs(got - target) > block.settings.hecke_tol * abs(target):
-            raise KZError(f"monodromy determinant is off its Hecke target by {abs(got / target - 1):.2e}")
+        raise KZError(f"monodromy determinant is off its Hecke target by {abs(got[b] / target[b] - 1):.2e}")
 
 
 @dataclass

@@ -13,6 +13,9 @@ spectrum of its class, and the Leibniz oracle sums over permutations where
 minmat expands det(M) by Laplace.  The transport oracle
 is the RK kernel kz used before its batch moved to the last axis: it
 evaluates omega at every stage of every step and keeps the batch first.  The
+series-step oracle is kz's Taylor kernel with fresh arrays every term, and
+the path oracle tests a braid path's admissibility one sample point at a time,
+where kz takes one product per leg.  The
 log-integral oracle unwraps the argument of each alpha_H over finely sampled
 points of every leg, where kz takes one principal Log per leg end.  The
 hyperplane and orbit oracles key every reflection's normalized form into a
@@ -480,6 +483,67 @@ def reference_transport(block, path, rtol: float = 1e-11) -> np.ndarray:
             if h < MIN_STEP:
                 raise KZError("step-size underflow near a hyperplane")
     return y
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def series_step_reference(y, res, d, x, stats) -> np.ndarray:
+    """kz._series_step as it was before its buffers: fresh arrays every term,
+    and the stopping test on two separate magnitude arrays."""
+    l, bsz = y.shape[0], y.shape[2]
+    c = res * np.repeat(-x / d, l)[None, :, None, None]  # -x A_H/d_H
+    ratio = (x / d)[:, None, None, None]
+    total, term, w, n, quiet = y.copy(), y, 0, 0, 0
+    while quiet < 3:
+        if stats["terms"] >= kz.TERM_BUDGET:
+            raise KZError(f"transport exceeded {kz.TERM_BUDGET} series terms on one path")
+        w = term - ratio * w
+        n += 1
+        term = (c * w.reshape(-1, l, bsz)).sum(axis=1) / n
+        total += term
+        stats["terms"] += 1
+        big = np.abs(term).max(axis=(0, 1)) > kz.TINY * np.abs(total).max(axis=(0, 1))
+        quiet = 0 if big.any() else quiet + 1  # NaN counts as quiet, and raises below
+    stats["steps"] += 1
+    if not np.all(np.isfinite(total)):
+        raise KZError("series transport is not finite")
+    return total
+
+
+def build_path_reference(g, h_idx, v0, alpha, delta):
+    """kz._build_path with its admissibility test one sample at a time: one
+    mat-vec per sample point of every leg."""
+    hp = g.hyperplanes[h_idx]
+    e = hp.order
+    center, nu = kz._split_point(v0, alpha[h_idx])
+    a_center = np.abs(alpha @ center)
+    a_nu = np.abs(alpha @ nu)
+    others = [hh for hh in range(len(alpha)) if hh != h_idx]
+    if others and min(a_center[hh] for hh in others) < 0.3 * delta:
+        return None
+    if not others:
+        eps = 1.0
+    else:
+        ratio = min(a_center[hh] / a_nu[hh] if a_nu[hh] > 1e-14 else np.inf for hh in others)
+        eps = 1.0 if ratio > 1.3 else min(0.8 * ratio, 0.5)
+        if eps < 1e-4:
+            return None
+    segments = kz._path_segments(center, nu, e, eps)
+    ts = np.linspace(0.0, 1.0, kz.PATH_SAMPLES)
+    for seg_point, _seg_vel in segments:
+        for t in ts:
+            vt = seg_point(t)
+            vals = np.abs(alpha @ vt)
+            vals[h_idx] = np.inf  # margin to H itself is |alpha_H| >= eps*|alpha_H(nu)|
+            if len(alpha) > 1 and vals.min() < 0.25 * delta:
+                return None
+    return kz.BraidPath(
+        hyperplane=h_idx,
+        order=e,
+        center=kz._read_only(center),
+        nu=kz._read_only(nu),
+        eps=eps,
+        log_integrals=kz._read_only(kz._log_integrals(segments, alpha, h_idx, e)),
+    )
 
 
 def sampled_log_integrals(path, alpha, samples: int = 2048) -> np.ndarray:

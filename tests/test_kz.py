@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from corpus import G4
 from reflekt.groups import build_group
 from reflekt.chars import character_table, det_character, trivial_character
 from reflekt.fake import FakeDegreeSet
@@ -25,7 +26,14 @@ from reflekt.kz import (
     monodromy_rep,
 )
 
-from oracles import match_row, per_entry_gamma_matches, reference_transport, sampled_log_integrals
+from oracles import (
+    build_path_reference,
+    match_row,
+    per_entry_gamma_matches,
+    reference_transport,
+    sampled_log_integrals,
+    series_step_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -562,3 +570,93 @@ def test_row_data_is_built_once_per_fake_degree_set_and_row(monkeypatch):
     gc.collect()
     assert [r() for r in refs] == [None, None]
     assert len(kz._ROW_DATA) == 0
+
+
+def test_series_step_matches_reference_bit_for_bit(monkeypatch):
+    # both kernels run on every step: equal bytes and equal step/term counts
+    step, calls = kz._series_step, []
+
+    def paired(y, res, d, x, stats):
+        want_stats = dict(stats)
+        want = series_step_reference(y, res, d, x, want_stats)
+        got = step(y, res, d, x, stats)
+        assert got.tobytes() == want.tobytes() and stats == want_stats
+        calls.append(y.shape)
+        return got
+
+    monkeypatch.setattr(kz, "_series_step", paired)
+    rng = random.Random(29)
+    for name, row in [("S3", None), ("G(2,1,2)", None), ("G(3,1,2)", None), ("S4", 3)]:
+        g = build_group(name)
+        fs = FakeDegreeSet(g, character_table(g))
+        degrees = [r.degree_int() for r in fs.table.rows]
+        rows = [row] if row is not None else [r for r, deg in enumerate(degrees) if deg >= 2]
+        for r in rows:
+            monodromy_rep(fs, r, random_labels(g, rng, 5))
+    assert {shape[0] for shape in calls} == {2, 3}
+    g = build_group("S3")
+    fs = FakeDegreeSet(g, character_table(g))
+    gamma_scan(fs, integral_labels(fs.group, 2))
+    assert calls[-1][2] == 25  # the degree-2 sweep of [-2,2]^2 in one batch
+
+
+ARRANGEMENT_GROUPS = [
+    "S3", "S4", "G(2,1,2)", "G(3,1,2)", "G(4,1,2)", "G(2,1,3)", "G(3,1,1)", "G(4,4,2)",
+    "G(5,5,2)", "G(6,6,2)", "G(8,8,2)", "G(4,2,2)", "G(6,3,2)", "G(6,2,2)", G4,
+]
+
+
+@pytest.mark.parametrize("name", ARRANGEMENT_GROUPS, ids=ARRANGEMENT_GROUPS[:-1] + ["G4"])
+def test_arrangement_matches_per_sample_oracle(name, monkeypatch):
+    g = build_group(name)
+    for seed in range(8):
+        got = kz._choose_base_point(g, seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(kz, "_build_path", build_path_reference)
+            want = kz._choose_base_point(g, seed)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes() and got[2] == want[2], (name, seed)
+        assert len(got[3]) == len(want[3]) == len(g.hyperplanes)
+        for a, b in zip(got[3], want[3]):
+            assert a.eps == b.eps and (a.hyperplane, a.order) == (b.hyperplane, b.order), (name, seed)
+            for field in ("center", "nu", "log_integrals"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (name, seed, field)
+
+
+def test_zero_label_mask_follows_the_entries(built):
+    fs = built["S3"]
+    block = assemble_connection(fs, [0, 1], [LabelVector.zero(fs.group), label(fs, c0=[0.2, -0.1])])
+    assert block.zero_labels.tolist() == [True, False, True, False]  # rows outermost
+    monodromy(block, 0)
+    block.residues[2] = block.residues[1]  # the second row's k = 0 entry now moves
+    with pytest.raises(KZError, match="calibration"):
+        monodromy(block, 0)
+
+
+def test_hecke_residuals_match_per_entry_products(built):
+    fs = built["G(2,1,2)"]
+    g = fs.group
+    std = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 2)
+    block = assemble_connection(fs, std, random_labels(g, random.Random(31), 4))
+    for h in kz._generator_hyperplanes(g):
+        mats = monodromy(block, h)
+        c, e = g.orbit_of_hyperplane[h], g.hyperplanes[h].order
+        for b, k in enumerate(block.labels):
+            prod = np.eye(2, dtype=complex)
+            for j in range(e):
+                prod = prod @ (mats[b] - k.q(c, j) * cmath.exp(2j * cmath.pi * j / e) * np.eye(2))
+            assert hecke_residuals(block, h, mats)[b] == float(np.max(np.abs(prod)))
+
+
+def test_determinant_check_raises_for_the_first_failing_entry(built):
+    fs = built["S3"]
+    std = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 2)
+    block = assemble_connection(fs, std, random_labels(fs.group, random.Random(37), 3))
+    mats = monodromy(block, 0)
+    kz._check_determinant(block, 0, mats)
+    for first, second, message in [(1, 2, "off its Hecke target by 3.00e"), (2, 1, "0 or not finite")]:
+        bad = mats.copy()
+        bad[first] *= 2  # det scaled by 4
+        bad[second] = 0
+        with pytest.raises(KZError, match=message):
+            kz._check_determinant(block, 0, bad)
