@@ -27,7 +27,8 @@ from .fake import (
     verify_all_pn,
     verify_symmetry,
 )
-from .minmat import build_minimal_matrix, verify_det_factorization, verify_quotient_property
+from .exact import ExactError
+from .minmat import RealizationError, build_minimal_matrix, verify_det_factorization, verify_quotient_property
 
 
 class UsageError(Exception):
@@ -145,9 +146,12 @@ def cmd_minmat(cfg: RunConfig, rep: int) -> tuple[int, dict]:
     fs = _fake_set(cfg)
     if not 0 <= rep < len(fs.table.rows):
         raise UsageError(f"--rep must be in [0, {len(fs.table.rows)})")
-    mm = build_minimal_matrix(fs, rep, seed=cfg.seed)
-    det_rep = verify_det_factorization(fs, mm)
-    quot_rep = verify_quotient_property(fs, mm, seed=cfg.seed)
+    try:
+        mm = build_minimal_matrix(fs, rep, seed=cfg.seed)
+        det_rep = verify_det_factorization(fs, mm)
+        quot_rep = verify_quotient_property(fs, mm, seed=cfg.seed)
+    except (ExactError, RealizationError) as exc:
+        raise UsageError(str(exc)) from exc
     passed = det_rep["passed"] and quot_rep["passed"]
     payload = {
         "rep_index": rep,

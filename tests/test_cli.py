@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from reflekt.cli import run
+from reflekt.exact import ExactError
+from reflekt.minmat import RealizationError
 import reflekt.cli as cli_mod
 
 
@@ -72,6 +74,16 @@ def test_minmat_cli(capsys):
     res = json.loads(out)["result"]
     assert res["checks_passed"] is True
     assert "column_degrees" in res
+
+
+@pytest.mark.parametrize("error", [ExactError, RealizationError], ids=lambda e: e.__name__)
+def test_minmat_failed_computation_exits_2(capsys, monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error("no minimal matrix at this degree")
+
+    monkeypatch.setattr(cli_mod, "build_minimal_matrix", failing)
+    code, out, err = run_capture(capsys, ["minmat", "S3", "--rep", "0"])
+    assert (code, out, err) == (2, "", "error: no minimal matrix at this degree\n")
 
 
 def test_kz_gamma_cli(capsys):
