@@ -199,3 +199,17 @@ def test_equivariant_basis_matches_sequential_oracle(built, name):
                 assert [[poly_key(f) for f in v] for v in got] == [
                     [poly_key(f) for f in v] for v in want
                 ], (name, i, q)
+
+
+# Both rows fail because their solved equivariant dimensions, at every degree
+# 0-8, are those the fake degrees predict for the complex-conjugate row
+# (fs.conj_perm).  G(3,3,3) rows 6-9 fail the same way.
+@pytest.mark.xfail(strict=True, raises=ExactError, reason="equivariant solve matches the conjugate row's fake degree")
+@pytest.mark.parametrize("row", [8, 9])
+def test_minimal_matrix_of_g422_non_real_rows(row):
+    g = build_group("G(4,2,2)")
+    fs = FakeDegreeSet(g, character_table(g))
+    assert fs.conj_perm[row] == 17 - row
+    mm = build_minimal_matrix(fs, row)
+    assert verify_det_factorization(fs, mm)["passed"]
+    assert verify_quotient_property(fs, mm)["passed"]
