@@ -685,8 +685,9 @@ def _check_determinant(block: ConnectionBlock, h_idx: int, mats: np.ndarray) -> 
         target = np.prod(np.power(_hecke_roots(block, h_idx), mults), axis=1)
         broken = (got == 0) | (target == 0) | ~np.isfinite(got) | ~np.isfinite(target)
         off = np.abs(got - target) > block.settings.hecke_tol * np.abs(target)
-    if (broken | off).any():
-        b = np.argmax(broken | off)
+    bad = broken | off
+    if bad.any():
+        b = bad.argmax()
         if broken[b]:
             raise KZError("monodromy determinant or its Hecke target is 0 or not finite")
         raise KZError(f"monodromy determinant is off its Hecke target by {abs(got[b] / target[b] - 1):.2e}")
