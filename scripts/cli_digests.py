@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per CLI output over a fixed check set, to compare trees.
 
-The check set is 173 commands:
+The check set is 175 commands:
   - the 15 corpus groups, G4 (`file:tests/data/g4.json`, a group that is
     not monomial) and S5 (dense Fourier-basis generators) x `group`, `chars`,
     `fake` and the four `verify` kinds;
@@ -10,9 +10,11 @@ The check set is 173 commands:
     `verify palindrome`;
   - `minmat --rep i` for every row of criterion 8's scope;
   - `kz monodromy` for S3 rep 1, S4 rep 2, S4 rep 3 (degree 3, one
-    contracted path) and G(3,1,2) rep 2 at a fixed label;
-  - `kz gamma` for S3, G(2,1,2), G(6,6,2) and G(4,2,2) at one integral label
-    each; G(6,6,2)'s swaps rows 4 and 5, G(4,2,2)'s rows 8 and 9.
+    contracted path), G(3,1,2) rep 2 and G(2,1,3) rep 6 (degree 3, rank 3,
+    two hyperplane orbits, two contracted paths) at a fixed label;
+  - `kz gamma` for S3, G(2,1,2), G(6,6,2), G(4,2,2) and G(2,1,3) at one
+    integral label each; G(6,6,2)'s swaps rows 4 and 5, G(4,2,2)'s rows 8
+    and 9.
 
 Each command runs as a fresh `python -m reflekt.cli` process with every
 `REFLEKT_*` variable unset and the repository root as working directory, so
@@ -45,10 +47,12 @@ KZ_COMMANDS = [
     ["kz", "monodromy", "S4", "--rep", "2", "--k", '{"0":[0.1,-0.05]}'],
     ["kz", "monodromy", "S4", "--rep", "3", "--k", '{"0":[0.1,-0.05]}'],
     ["kz", "monodromy", "G(3,1,2)", "--rep", "2", "--k", '{"0":[0.1,0,-0.05],"1":[0.05,0]}'],
+    ["kz", "monodromy", "G(2,1,3)", "--rep", "6", "--k", '{"0":[0.1,-0.05],"1":[0.05,0]}'],
     ["kz", "gamma", "S3", "--k", '{"0":[1,0]}'],
     ["kz", "gamma", "G(2,1,2)", "--k", '{"0":[1,0],"1":[0,-1]}'],
     ["kz", "gamma", "G(6,6,2)", "--k", '{"0":[1,0],"1":[0,0]}'],
     ["kz", "gamma", "G(4,2,2)", "--k", '{"0":[1,0],"1":[0,0],"2":[0,0]}'],
+    ["kz", "gamma", "G(2,1,3)", "--k", '{"0":[1,0],"1":[0,0]}'],
 ]
 
 
