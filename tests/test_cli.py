@@ -177,6 +177,18 @@ def test_file_descriptor_bad_entries_exit_2(capsys, tmp_path, data):
     assert err.startswith("error: generator")
 
 
+def test_file_group_not_generated_by_its_reflections_exits_2(capsys, tmp_path):
+    # <diag(-1, 1), i I> has order 8; its reflections diag(+-1, -+1) generate 4 elements
+    zero, one = {"N": 1, "terms": []}, {"N": 1, "terms": [[0, "1/1"]]}
+    minus_one, i = {"N": 1, "terms": [[0, "-1/1"]]}, {"N": 4, "terms": [[1, "1/1"]]}
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([[[minus_one, zero], [zero, one]], [[i, zero], [zero, i]]]))
+    code, out, err = run_capture(capsys, ["group", f"file:{path}"])
+    assert code == 2
+    assert out == ""
+    assert "reflections generate only 4 of 8 elements" in err
+
+
 def test_fake_rereads_an_edited_file_group(capsys, tmp_path):
     from reflekt.groups import build_group
 

@@ -239,6 +239,25 @@ def test_group_order_cap():
         assemble_connection(fs, 0, LabelVector.zero(g))
 
 
+def test_gamma_scan_reaches_degrees_5_and_6_on_s5(monkeypatch):
+    """S5 (order 120) has rows of degree 5 and 6.  No two of its rows share
+    both their degree and their local data, and gamma preserves both, so
+    gamma at every integral label is forced to be the identity: the expected
+    map follows from the table and the local data alone."""
+    monkeypatch.setattr(kz, "MAX_GROUP_ORDER", 120)
+    g = build_group("S5")
+    fs = FakeDegreeSet(g, character_table(g))
+    degrees = [r.degree_int() for r in fs.table.rows]
+    keys = [(d, loc.multiplicities) for d, loc in zip(degrees, fs.local)]
+    assert len(set(keys)) == len(keys)
+    assert {5, 6} <= set(degrees)
+    settings = KZSettings()
+    for res in gamma_scan(fs, [label(fs, c0=[1, 0]), label(fs, c0=[0, 1])], settings):
+        assert res["pairs"] == [(i, i) for i in range(len(degrees))]
+        assert res["pure_braid_residual"] <= settings.hecke_tol
+        assert {"5", "6"} <= set(res["transport"])
+
+
 def random_labels(g, rng, count, bound=0.3):
     return [
         LabelVector(
@@ -311,6 +330,31 @@ def test_block_checks_every_row_against_its_own_local_data(built, monkeypatch):
     monkeypatch.setattr(fs, "local", [fs.local[0], fs.local[0], fs.local[2]])
     with pytest.raises(KZError, match="residue spectrum"):
         assemble_connection(fs, [0, 1], k)
+
+
+def test_residue_check_pins_the_projector_convention(built, monkeypatch):
+    """P_j must project onto det^{-j}, the convention of chars.local_data: a
+    projector array handed out as P_{-j mod e} breaks the residue spectra of
+    a row whose n_{C,j} differs from n_{C,-j}."""
+    fs = built["G(3,1,2)"]
+    row, c = next(
+        (r, c)
+        for r, loc in enumerate(fs.local)
+        for c, mults in enumerate(loc.multiplicities)
+        if any(n != mults[-j % len(mults)] for j, n in enumerate(mults))
+    )
+    assert fs.group.orbits[c].order == 3
+    k = label(fs, c0=[0.1, 0, -0.05], c1=[0.05, 0])
+    build = kz.stabilizer_projectors
+
+    def negated(real, h):
+        projs = build(real, h)
+        return projs[-np.arange(len(projs)) % len(projs)]
+
+    monkeypatch.setattr(kz, "_ROW_DATA", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(kz, "stabilizer_projectors", negated)
+    with pytest.raises(KZError, match="residue spectrum"):
+        assemble_connection(fs, row, k)
 
 
 def test_transport_diagnostics_in_json(built):
