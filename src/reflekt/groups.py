@@ -27,12 +27,17 @@ of forms is built when read.  The matrix M of w in B-coordinates has the
 w(b_j) for columns: the trace of w is a sum of n coordinates, a moving row of
 M - 1 times B^-1 is the form of a reflection, and B M B^-1 is built on each
 call of `matrix`, for the substitution f(w v) (`substitute`) and numerical
-transport.  Substitution runs on integers: with delta the lcm of the
-denominators of the matrix A of w and N the label of its entries, the images
-(delta A v)^e of the monomials e of degree q are integer power-basis
-coefficients at N (denominator delta^q), built degree by degree and reduced
-modulo Phi_N (`monomial_images`), in the integer form of `exact`
-(`integral_terms` in, `from_integral` out).  The spectrum of each class
+transport.  B also serves the equivariant solves of `minmat`: a generating
+reflection whose root lies in B moves only its own coordinate, so where the
+generators are sparser as the M than as matrices of V
+(`solves_in_root_basis`), the solves use the M, and `from_root_basis` carries
+their solutions back through B^-1.  Substitution runs on integers: with delta
+the lcm of the denominators of a matrix A (that of w, its M, or B^-1) and N
+the label of its irrational entries, the images (delta A v)^e of the
+monomials e of degree q are integer power-basis coefficients at N
+(denominator delta^q), built degree by degree, reduced modulo Phi_N and kept
+per matrix (`_MonomialImages`, `monomial_images`), in the integer form of
+`exact` (`integral_terms` in, `from_integral` out).  The spectrum of each class
 representative is the discrete Fourier transform of the traces of its powers,
 on integers; the determinant, the reflections (eigenvalue 1 of multiplicity
 dim - 1) and det(1 - T w) come from it, and so do the degrees: by
@@ -243,6 +248,54 @@ def _monomial_steps(n: int, q: int) -> tuple[tuple[tuple[int, int], ...], tuple[
     return tuple(down), up
 
 
+class _MonomialImages:
+    """The integer images (delta A v)^e of the monomials e under one matrix A,
+    kept for every degree up to the highest one asked and built degree by
+    degree: the image of e is the image of e over its last variable x_k,
+    times row k of delta A.
+
+    N is the lcm of the labels of A's irrational entries (1 when all are
+    rational) and delta the lcm of their denominators; rows[k] holds one
+    (j, cols) per nonzero b = delta A[k][j], with cols[t][a] coefficient t of
+    zeta_N^a b reduced modulo Phi_N, so (c b)_t = sum_a c_a cols[t][a].  Only
+    ints are stored, so one group's conductor labels cannot reach another's.
+    """
+
+    def __init__(self, a: Matrix):
+        entries = [(k, j, x) for k, row in enumerate(a) for j, x in enumerate(row) if not x.is_zero()]
+        N = lcm(1, *(x.N for _, _, x in entries if not x.is_rational()))
+        phi = euler_phi(N)
+        delta, terms = integral_terms(x * CycNum.zeta(N, b) for _, _, x in entries for b in range(phi))
+        self.rows: list[list[tuple[int, tuple]]] = [[] for _ in a]
+        for m, (k, j, _) in enumerate(entries):
+            block = [c + [0] * (phi - len(c)) for _, c in terms[m * phi : (m + 1) * phi]]
+            self.rows[k].append((j, tuple(zip(*block))))
+        self.N, self.delta = N, delta
+        self.layers = [[{0: (1,) + (0,) * (phi - 1)}]]
+
+    def degree(self, q: int) -> tuple[int, int, list[dict[int, tuple[int, ...]]]]:
+        """(N, delta, images) at degree q, as `ReflectionGroup.monomial_images`."""
+        if q == 0:
+            return 1, 1, [{0: (1,)}]
+        layers, rows, n = self.layers, self.rows, len(self.rows)
+        while len(layers) <= q:
+            down, up = _monomial_steps(n, len(layers))
+            prev = layers[-1]
+            layer = []
+            for k, lower in down:
+                out: dict[int, tuple[int, ...]] = {}
+                for m, c in prev[lower].items():
+                    ups = up[m]
+                    for j, cols in rows[k]:
+                        t = ups[j]
+                        prod = [sum(map(mul, c, col)) for col in cols]
+                        acc = out.get(t)
+                        out[t] = tuple(prod) if acc is None else tuple(map(add, acc, prod))
+                layer.append({t: v for t, v in out.items() if any(v)})
+            layers.append(layer)
+        return self.N, self.delta, layers[q]
+
+
 # ---------------------------------------------------------------------------
 # group data
 # ---------------------------------------------------------------------------
@@ -307,8 +360,9 @@ class ReflectionGroup:
             if not linalg.is_unitary(mt):
                 raise GroupBuildError("non-unitary generator matrix")
         self.generator_matrices = gen_mats
-        self._n0 = n0
-        self._images: dict[int, tuple] = {}  # element -> monomial_images store
+        self.entry_label = n0  # N0, the label of every generator entry
+        # (element, in B-coordinates) or None for B^-1 -> its _MonomialImages
+        self._images: dict[tuple[int, bool] | None, _MonomialImages] = {}
 
         self._enumerate(max_order)
         if expected is not None and self.order != expected:
@@ -380,7 +434,7 @@ class ReflectionGroup:
         is the index in X of s_a(x).  X is kept in B-coordinates at label N0,
         with b_j = X[j].  X is the union of the W-orbits of the n vectors b_j,
         so |X| <= n |W|, and a larger X means |W| is over the cap."""
-        n, n0 = self.dimension, self._n0
+        n, n0 = self.dimension, self.entry_label
         ident = linalg.identity(n)
         diffs = [linalg.mat_sub(s, ident) for s in self.generator_matrices]
         columns = [c for d in diffs for c in zip(*d)] + linalg.nullspace([r for d in diffs for r in d])
@@ -445,7 +499,7 @@ class ReflectionGroup:
     def matrix(self, i: int) -> Matrix:
         """The matrix of w_i, B M B^-1, every entry at N0, built on each call."""
         m = linalg.mat_mul(self._basis, linalg.mat_mul(self._coordinate_matrix(i), self._basis_inverse))
-        return tuple(tuple(x.promote(self._n0) for x in row) for row in m)
+        return tuple(tuple(x.promote(self.entry_label) for x in row) for row in m)
 
     def trace(self, i: int) -> CycNum:
         """tr w_i: the sum of the B-coordinates b_j^*(w_i(b_j))."""
@@ -496,69 +550,62 @@ class ReflectionGroup:
             spectra.append(tuple((o, t, m) for t, m in enumerate(mults) if m))
         self.class_spectra = tuple(spectra)
 
-    def _integral_matrix(self, i: int) -> tuple[int, int, list[list[tuple[int, tuple]]]]:
-        """(N, delta, rows) for the matrix A of w_i: N the label of its nonzero
-        entries, delta the lcm of their denominators, and rows[k] one
-        (j, cols) per nonzero b = delta A[k][j], with cols[t][a] coefficient t
-        of zeta_N^a b reduced modulo Phi_N, so (c b)_t = sum_a c_a cols[t][a]."""
-        entries = [(k, j, x) for k, row in enumerate(self.matrix(i))
-                   for j, x in enumerate(row) if not x.is_zero()]
-        N = lcm(*(x.N for _, _, x in entries))
-        phi = euler_phi(N)
-        delta, terms = integral_terms(x * CycNum.zeta(N, a) for _, _, x in entries for a in range(phi))
-        rows: list[list[tuple[int, tuple]]] = [[] for _ in range(self.dimension)]
-        for n, (k, j, _) in enumerate(entries):
-            block = [c + [0] * (phi - len(c)) for _, c in terms[n * phi : (n + 1) * phi]]
-            rows[k].append((j, tuple(zip(*block))))
-        return N, delta, rows
+    @cached_property
+    def solves_in_root_basis(self) -> bool:
+        """Whether equivariant solves run in B-coordinates: whether the
+        generator inverses have strictly fewer nonzero entries there, as the
+        matrices M, than as matrices of V.  A generating reflection whose
+        root lies in B moves only its own coordinate, so S_n takes B, while
+        monomial generators are at least as sparse in the defining basis."""
+        def nonzeros(m: Matrix) -> int:
+            return sum(not x.is_zero() for row in m for x in row)
 
-    def monomial_images(self, i: int, q: int) -> tuple[int, int, list[dict[int, tuple[int, ...]]]]:
+        inverses = [self.inverse(s) for s in self.generator_elements]
+        return sum(nonzeros(self._coordinate_matrix(i)) for i in inverses) < sum(
+            nonzeros(self.matrix(i)) for i in inverses
+        )
+
+    def monomial_images(
+        self, i: int, q: int, coordinates: bool = False
+    ) -> tuple[int, int, list[dict[int, tuple[int, ...]]]]:
         """(N, delta, images) with images[d] the degree-q polynomial
-        (delta A v)^e for e = monomials(n, q)[d] and A the matrix of w_i: a map
-        from the index of each monomial of monomials(n, q) to its nonzero
-        power-basis coefficients at conductor N, as ints.  The coefficients of
-        (A v)^e are these over delta^q.  N is the label of A's entries, and 1
-        at q = 0, where the only image is 1.
-
-        Kept per element, every degree up to the highest one asked, and built
-        degree by degree: the image of e is the image of e over its last
-        variable x_k, times row k of delta A.  Only ints are stored, so one
-        group's conductor labels cannot reach another's.
+        (delta A v)^e for e = monomials(n, q)[d] and A the matrix of w_i, or
+        its matrix M in B-coordinates when `coordinates`: a map from the
+        index of each monomial of monomials(n, q) to its nonzero power-basis
+        coefficients at conductor N, as ints.  The coefficients of (A v)^e are
+        these over delta^q.  N is the lcm of the labels of A's irrational
+        entries: 1 when they are all rational, and at q = 0, where the only
+        image is 1.  Kept per matrix (`_MonomialImages`).
         """
-        if q == 0:
-            return 1, 1, [{0: (1,)}]
-        store = self._images.get(i)
+        key = (i, coordinates)
+        store = self._images.get(key)
         if store is None:
-            N, delta, rows = self._integral_matrix(i)
-            one = (1,) + (0,) * (euler_phi(N) - 1)
-            store = self._images[i] = (N, delta, rows, [[{0: one}]])
-        N, delta, rows, layers = store
-        n = self.dimension
-        while len(layers) <= q:
-            down, up = _monomial_steps(n, len(layers))
-            prev = layers[-1]
-            layer = []
-            for k, lower in down:
-                out: dict[int, tuple[int, ...]] = {}
-                for m, c in prev[lower].items():
-                    ups = up[m]
-                    for j, cols in rows[k]:
-                        t = ups[j]
-                        prod = [sum(map(mul, c, col)) for col in cols]
-                        acc = out.get(t)
-                        out[t] = tuple(prod) if acc is None else tuple(map(add, acc, prod))
-                layer.append({t: v for t, v in out.items() if any(v)})
-            layers.append(layer)
-        return N, delta, layers[q]
+            a = self._coordinate_matrix(i) if coordinates else self.matrix(i)
+            store = self._images[key] = _MonomialImages(a)
+        return store.degree(q)
 
     def substitute(self, f: MultiPoly, i: int) -> MultiPoly:
-        """f(w_i v): every monomial x^e of f becomes its image (A v)^e.
+        """f(w_i v): every monomial x^e of f becomes its image (A v)^e."""
+        return self._substitute(f, lambda q: self.monomial_images(i, q))
 
-        Each degree of f is summed on integers (`monomial_images`, with f's
-        coefficients scaled to integers) in Z[x]/(x^M - 1), M the lcm of all
-        the labels involved, and each output monomial becomes one CycNum.  Its
-        label is the lcm of the image label and the labels of the coefficients
-        of f that reach it, as a CycNum sum of the products would have it.
+    def from_root_basis(self, h: MultiPoly) -> MultiPoly:
+        """h(B^-1 v): a polynomial in the B-coordinates u = B^-1 v of v as a
+        polynomial on V, with the images of its monomials under B^-1, kept
+        like those of the elements."""
+        store = self._images.get(None)
+        if store is None:
+            store = self._images[None] = _MonomialImages(self._basis_inverse)
+        return self._substitute(h, store.degree)
+
+    def _substitute(self, f: MultiPoly, images_of) -> MultiPoly:
+        """f(A v), with images_of(q) the `monomial_images` of A at degree q.
+
+        Each degree of f is summed on integers (with f's coefficients scaled
+        to integers) in Z[x]/(x^M - 1), M the lcm of all the labels involved,
+        and each output monomial becomes one CycNum.  Its label is the lcm of
+        N0 (1 at degree 0) and the labels of the coefficients of f that reach
+        it, as a CycNum sum of the products would have it: A's entries carry
+        N0.
         """
         n = self.dimension
         by_degree: dict[int, list[tuple[tuple[int, ...], CycNum]]] = {}
@@ -566,7 +613,8 @@ class ReflectionGroup:
             by_degree.setdefault(sum(e), []).append((e, c))
         out: dict[tuple[int, ...], CycNum] = {}
         for q, terms in by_degree.items():
-            N, delta, images = self.monomial_images(i, q)
+            N, delta, images = images_of(q)
+            base = self.entry_label if q else 1
             index = _monomial_index(n, q)
             M = lcm(N, *(c.N for _, c in terms))
             den, scaled_terms = integral_terms(c for _, c in terms)
@@ -576,7 +624,7 @@ class ReflectionGroup:
             for (e, c), (Nc, coeffs) in zip(terms, scaled_terms):
                 scaled = [(k * (M // Nc), v) for k, v in enumerate(coeffs) if v]
                 for t, a in images[index[e]].items():
-                    labels[t] = lcm(labels.get(t, N), c.N)
+                    labels[t] = lcm(labels.get(t, base), c.N)
                     acc = sums.setdefault(t, {})
                     for k, v in enumerate(a):
                         if v:
