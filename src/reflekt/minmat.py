@@ -9,6 +9,11 @@ generators form one linear system on integer power-basis coefficients, built
 from the integer monomial images of the group (`monomial_images`) and the
 realization matrices in `exact`'s integer form, and solved by
 `linalg.integral_nullspace` (modular, then certified exactly on integers).
+Where the group's basis B of root vectors makes the generators sparser
+(`ReflectionGroup.solves_in_root_basis`: S_n, whose Fourier-basis generators
+are dense, while a generating reflection with its root in B moves one
+coordinate), the system is posed for h(u) = f(Bu) and each solution is
+carried back, f = h(B^-1 v), on integers (`from_root_basis`).
 When the solution space is bigger than the number of columns needed, a
 deterministic pseudo-random mixing is drawn.  Its determinant det(M) is
 expanded once, by Laplace along the first row, and certified nonzero by its
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import ZERO, CycNum, ExactError, MultiPoly, integral_terms, series_inverse
+from .exact import ONE, ZERO, CycNum, ExactError, MultiPoly, integral_terms, series_inverse
 from . import linalg
 from .linalg import Matrix
 from .groups import ReflectionGroup, degree_numerator, monomials
@@ -226,9 +231,16 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
     row i of tau(s): the integer image coefficients of monomial d' at the
     columns of component i, and -delta^p tau(s)_it at the columns (d', t).
     The rows of every generator go to one `linalg.integral_nullspace` call, so
-    the basis is the unique reduced-echelon basis of the solution space.  Its
-    entries carry the lcm of N and the labels of the tau entries, the labels
-    the constraint rows have as CycNums.  Solved bases are kept on `real`, one
+    the basis is the unique reduced-echelon basis of the solution space.
+
+    Where the group solves in its root basis B, the unknowns are those of
+    h(u) = f(Bu) instead, and the images are those of s^{-1}'s matrix M in
+    B-coordinates: h(M u) = tau(s) h(u).  Each solution h is carried back to
+    f = h(B^-1 v) (`from_root_basis`) and the results are reduced to the
+    same unique basis, so the output does not depend on the coordinates.
+    Its entries carry the lcm of N0 (at p > 0) and the labels of the tau
+    entries, the labels the defining-basis constraint rows have as CycNums.
+    Solved bases are kept on `real`, one
     per degree, so `build_minimal_matrix` and `verify_quotient_property` solve
     each degree once; every call with `fs` checks the dimension against the
     fake-degree prediction.
@@ -249,13 +261,13 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
 def _solve_equivariant(real: Realization, p: int) -> tuple:
     g = real.group
     n, l = g.dimension, real.dim
+    root = g.solves_in_root_basis
     monos = monomials(n, p)
     D = len(monos)
-    label = 1
+    label = g.entry_label if p else 1
     rows: list[list[linalg.Term]] = []
     for a, gelt in enumerate(g.generator_elements):
-        N, delta, images = g.monomial_images(g.inverse(gelt), p)
-        label = lcm(label, N)
+        N, delta, images = g.monomial_images(g.inverse(gelt), p, root)
         # by_out[d'][d]: conductor and coefficients of monomial d' in image d
         by_out: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(D)]
         for d, image in enumerate(images):
@@ -271,18 +283,46 @@ def _solve_equivariant(real: Realization, p: int) -> tuple:
             for s, (den, tau_terms) in enumerate(tau):
                 image = [(d * l + s, M, [den * v for v in c]) for d, (M, c) in by_out[dp].items()]
                 rows.append(image + [(dp * l + t, M, c) for t, (M, c) in tau_terms.items()])
-    basis = []
-    for vec in linalg.integral_nullspace(rows, D * l, label):
-        comps = []
-        for s in range(l):
-            terms = {}
-            for d, mo in enumerate(monos):
-                c = vec[d * l + s]
-                if not c.is_zero():
-                    terms[mo] = c
-            comps.append(MultiPoly(n, terms))
-        basis.append(tuple(comps))
-    return tuple(basis)
+    vectors = linalg.integral_nullspace(rows, D * l, label)
+    if root:
+        # h(u) = f(Bu) was solved for; f = h(B^-1 v), reduced to the
+        # reduced-echelon basis the defining coordinates give.
+        carried = []
+        for vec in vectors:
+            comps = [g.from_root_basis(h) for h in _components(vec, monos, l)]
+            carried.append([comps[s].terms.get(mo, ZERO) for mo in monos for s in range(l)])
+        vectors = _echelon_from_right(carried, label)
+    return tuple(tuple(_components(vec, monos, l)) for vec in vectors)
+
+
+def _components(vec, monos, l: int) -> list[MultiPoly]:
+    """The l component polynomials of a coefficient vector, monomial-major."""
+    n = len(monos[0])
+    return [
+        MultiPoly(n, {mo: c for d, mo in enumerate(monos) if not (c := vec[d * l + s]).is_zero()})
+        for s in range(l)
+    ]
+
+
+def _echelon_from_right(vectors: list[list[CycNum]], label: int) -> list[tuple[CycNum, ...]]:
+    """The reduced-echelon basis of the span of independent vectors in the
+    shape of `linalg.nullspace`: 1 at each vector's last nonzero column, 0 at
+    those of the others, sorted by that column; entries carry `label`."""
+    rows = [list(v) for v in vectors]
+    pivots = []
+    for t in range(len(rows)):
+        # rows[t] is 0 at the earlier pivots, so its last nonzero column is new
+        c = max(c for c, x in enumerate(rows[t]) if not x.is_zero())
+        inv = rows[t][c].inverse()
+        row = rows[t] = [x * inv if not x.is_zero() else x for x in rows[t]]
+        for u, other in enumerate(rows):
+            if u != t and not (f := other[c]).is_zero():
+                rows[u] = [x - f * y if not y.is_zero() else x for x, y in zip(other, row)]
+        pivots.append(c)
+    return [
+        tuple(ONE if c == fc else ZERO if x.is_zero() else x.promote(label) for c, x in enumerate(rows[t]))
+        for fc, t in sorted((c, t) for t, c in enumerate(pivots))
+    ]
 
 
 # ---------------------------------------------------------------------------

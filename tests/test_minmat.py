@@ -14,6 +14,7 @@ from reflekt.minmat import (
     verify_quotient_property,
 )
 
+from corpus import G4
 from oracles import leibniz_det, sequential_equivariant_basis
 
 SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)", "G(2,1,1)", "G(3,1,1)", "G(4,1,1)"]
@@ -199,6 +200,54 @@ def test_equivariant_basis_matches_sequential_oracle(built, name):
                 assert [[poly_key(f) for f in v] for v in got] == [
                     [poly_key(f) for f in v] for v in want
                 ], (name, i, q)
+
+
+@pytest.mark.parametrize(
+    "name, root",
+    [("S4", True), ("S5", True), ("S3", False), pytest.param(G4, False, id="G4-False"), ("G(3,1,1)", False), ("G(2,1,2)", False),
+     ("G(3,1,2)", False), ("G(2,1,3)", False), ("G(3,3,2)", False), ("G(5,5,2)", False), ("G(4,2,2)", False)],
+)
+def test_solves_take_the_root_basis_only_where_it_is_sparser(name, root):
+    """The inverse generators have 8+8+8 nonzero entries in S4's Fourier
+    basis against 4+5+4 in B-coordinates, and S5's are denser still; S3 has
+    2+2 against 3+3, G4 ties at 6, and monomial generators are never sparser
+    in B-coordinates."""
+    assert build_group(name).solves_in_root_basis is root
+
+
+def test_basis_entries_carry_the_generator_label():
+    """Entries carry the lcm of N0 (at p > 0) and the labels of tau's entries,
+    as the defining-basis constraint rows have them as CycNums.  G(2,1,2)'s
+    generators are signed permutations at N0 = 2, so their monomial images are
+    rational; a trivial realization at label 1 leaves N0 the only label."""
+    g = build_group("G(2,1,2)")
+    triv = trivial_character(g)
+    one = ((CycNum.one(),),)
+    real = minmat.Realization(g, character_table(g).row_index(triv), triv, [one] * len(g.generator_elements), one, "linear")
+    for q in range(5):
+        got = equivariant_basis(real, q)
+        want = sequential_equivariant_basis(real, q)
+        assert [[poly_key(f) for f in v] for v in got] == [[poly_key(f) for f in v] for v in want], q
+    (invariant,) = equivariant_basis(real, 2)
+    assert sorted(c.N for c in invariant[0].terms.values()) == [1, 2]  # the free column's 1, then x^2
+
+
+def test_root_basis_solve_matches_sequential_oracle_on_s5():
+    """S5 solves in B-coordinates and carries each solution back to V: its
+    bases equal the defining-basis oracle's, conductor labels included, for
+    every row at degrees 0-2 and for the reflection representation (row 3)
+    at degree 3, where the space has dimension 2."""
+    g = build_group("S5")
+    fs = FakeDegreeSet(g, character_table(g))
+    reflection = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 4 and fs.fds[i].exponents[0] == 1)
+    assert reflection == 3
+    for i in range(len(fs.table.rows)):
+        real = matrix_realization(g, fs.table, i)
+        for q in (0, 1, 2, 3) if i == reflection else (0, 1, 2):
+            got = equivariant_basis(real, q, fs)
+            want = sequential_equivariant_basis(real, q, fs)
+            assert [[poly_key(f) for f in v] for v in got] == [[poly_key(f) for f in v] for v in want], (i, q)
+    assert len(equivariant_basis(matrix_realization(g, fs.table, reflection), 3)) == 2
 
 
 # Both rows fail because their solved equivariant dimensions, at every degree
