@@ -24,14 +24,14 @@ lifted vectors, `kronecker_pack` for the packed certificate.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
 from .exact import (
-    CycNum, ExactError, ZERO, ONE, euler_phi, integral_terms, kronecker_pack, prime_factors, slot_bits,
+    CycNum, ExactError, ZERO, ONE, euler_phi, from_integral, integral_terms, kronecker_pack, prime_factors,
+    slot_bits,
 )
 
 Matrix = tuple[tuple[CycNum, ...], ...]
@@ -181,12 +181,13 @@ def integral_nullspace(rows: Sequence[Sequence[Term]], ncols: int, label: int) -
             sum(map(mul, vrow, ys)) % p
             for vecs in zip(*spaces) for ys in zip(*vecs) for vrow in vinv
         ])
-        lifted = _lift(moduli, images)
+        lifted = _lift(moduli, images, ncols * phi)
         if lifted is None:
             continue
-        it = iter(lifted)
-        lifts = [[{k: q for k in range(phi) if (q := next(it))} for _ in range(ncols)] for _ in best[1]]
-        vectors = [[CycNum(L, e) if e else ZERO for e in vec] for vec in lifts]
+        vectors = [
+            [from_integral(L, enumerate(nums[c * phi : (c + 1) * phi]), den) for c in range(ncols)]
+            for den, nums in lifted
+        ]
         if _certified(rows, L, vectors):
             return [
                 tuple(
@@ -241,9 +242,11 @@ def _zeta_powers(L: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(co) + (0,) * (phi - len(co)) for _, co in terms)
 
 
-def _lift(moduli: list[int], images: list[list[int]]) -> list[Fraction] | None:
+def _lift(moduli: list[int], images: list[list[int]], width: int) -> list[tuple[int, list[int]]] | None:
     """CRT of the residue lists, then the fraction a/b = x (mod m) with
-    |a|, b <= sqrt(m/2) for each entry; None while some entry has none."""
+    |a|, b <= sqrt(m/2) for each entry; each block of `width` entries comes
+    back as (den, numerators): the lcm of its b, and each a times den / b.
+    None while some entry has none."""
     m, acc = moduli[0], images[0]
     for p, res in zip(moduli[1:], images[1:]):
         minv = pow(m, -1, p)
@@ -251,14 +254,18 @@ def _lift(moduli: list[int], images: list[list[int]]) -> list[Fraction] | None:
         m *= p
     bound = isqrt(m // 2)
     out = []
-    for x in acc:
-        r0, r1, s0, s1 = m, x, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-        if abs(s1) > bound or gcd(r1, s1) != 1:
-            return None
-        out.append(Fraction(r1, s1))
+    for start in range(0, len(acc), width):
+        fractions = []
+        for x in acc[start : start + width]:
+            r0, r1, s0, s1 = m, x, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound or gcd(r1, s1) != 1:
+                return None
+            fractions.append((r1, s1) if s1 > 0 else (-r1, -s1))
+        den = lcm(1, *(b for _, b in fractions))
+        out.append((den, [a * (den // b) for a, b in fractions]))
     return out
 
 
