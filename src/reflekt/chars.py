@@ -12,8 +12,9 @@ Z[zeta_N] kernel `exact.weighted_sums`: character values are algebraic
 integers, so each is packed into one Python int and every Hermitian product
 sum_c |c| chi(c) conj(psi(c)) is r big-integer multiply-adds, reduced modulo
 Phi_N once.  ClassFunction.inner (and so norm()) uses the same product.  The
-table keeps every value's conjugate (`conjugates`) for the checks and `fake`,
-and finds a row by its values, whose hashes agree across labels.
+table keeps every value's conjugate (`conjugates`) for the checks and `fake`;
+the certificate puts the values and conjugates in integer form once for both
+checks.  A row is found by its values, whose hashes agree across labels.
 
 Row order is canonical: by degree, then lexicographically on the numerically
 embedded values (exact JSON as the final tiebreak), so cross-run row
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .exact import CycNum, weighted_sums
+from .exact import CycNum, integral_coefficients, integral_weighted_sums, weighted_sums
 from .groups import ReflectionGroup
 from .linalg import _fp_bits, _fp_nullspace, _fp_pack, _fp_rref, _fp_unpack, _is_prime, _primitive_root_power
 
@@ -119,40 +120,54 @@ class CharacterTable:
         With X the table and D = diag(|c|), X D X* = |W| I holds exactly when
         X* X = |W| D^-1 does, since X is square; so a wrong table fails both
         relations, and each is checked in full.  Every value is conjugated
-        once, for both.
+        once, and the table and its conjugates are put in integer form once
+        (`exact.integral_coefficients`), for both.
         """
         g = self.group
         if len(self.rows) != len(g.classes):
             raise CharTableError("row count differs from class count")
         if sum(r.degree_int() ** 2 for r in self.rows) != g.order:
             raise CharTableError("sum of squared degrees != |W|")
-        self._check_rows()
-        self._check_columns()
+        table = self._integral_table()
+        self._check_rows(table)
+        self._check_columns(table)
 
     @cached_property
     def conjugates(self) -> list[list[CycNum]]:
         """The complex conjugate of every value, row by row."""
         return [[v.conjugate() for v in row.values] for row in self.rows]
 
+    def _integral_table(self) -> tuple[int, list, list]:
+        """(N, values, conjugates): the table and its conjugates row by row
+        in the integer form of `exact.integral_coefficients` at their common
+        label N, which `_validate` makes once for both checks."""
+        N = lcm(*(v.N for row in (*(r.values for r in self.rows), *self.conjugates) for v in row))
+        values = [integral_coefficients(N, row.values) for row in self.rows]
+        return N, values, [integral_coefficients(N, row) for row in self.conjugates]
+
     def _pairs(self) -> list[tuple[int, int]]:
         r = len(self.rows)
         return [(i, j) for i in range(r) for j in range(i, r)]
 
-    def _check_rows(self) -> None:
-        g = self.group
-        rows = [row.values for row in self.rows]
-        sizes = [c.size for c in g.classes]
+    def _hermitian_products(self, N, weights, xs, conj_ys) -> list[tuple[tuple[int, int], CycNum]]:
+        """((i, j), sum_k weights[k] xs[i][k] conj_ys[j][k]) for each pair
+        i <= j, on vectors from `_integral_table`."""
         pairs = self._pairs()
-        for (i, j), acc in zip(pairs, _products(sizes, rows, self.conjugates, pairs)):
+        sums = integral_weighted_sums(N, weights, xs, [[(c,) for c in vec] for vec in conj_ys], pairs)
+        return [(pair, acc) for pair, (acc,) in zip(pairs, sums)]
+
+    def _check_rows(self, table=None) -> None:
+        g = self.group
+        N, values, conjugates = table or self._integral_table()
+        for (i, j), acc in self._hermitian_products(N, [c.size for c in g.classes], values, conjugates):
             if acc != (g.order if i == j else 0):
                 raise CharTableError(f"row orthogonality fails at ({i},{j})")
 
-    def _check_columns(self) -> None:
+    def _check_columns(self, table=None) -> None:
         g = self.group
-        cols = list(zip(*(row.values for row in self.rows)))
-        pairs = self._pairs()
-        conj = list(zip(*self.conjugates))
-        for (ci, cj), acc in zip(pairs, _products([1] * len(cols), cols, conj, pairs)):
+        N, values, conjugates = table or self._integral_table()
+        columns, conj_columns = list(zip(*values)), list(zip(*conjugates))
+        for (ci, cj), acc in self._hermitian_products(N, [1] * len(columns), columns, conj_columns):
             want = Fraction(g.order, g.classes[ci].size) if ci == cj else 0
             if acc != want:
                 raise CharTableError(f"column orthogonality fails at ({ci},{cj})")

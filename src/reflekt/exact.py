@@ -21,8 +21,9 @@ On top of the scalars:
 and the one integer form of Z[zeta_N] that every integer kernel uses:
 `integral_terms` (CycNums to integers, a read of the stored form),
 `kronecker_pack` (integers to one packed int), `from_integral` (integers back
-to a CycNum), and `weighted_sums` on them.  No other module touches `_reduce`,
-`CycNum._make` or a CycNum's stored fields.
+to a CycNum), and `weighted_sums` on them (`integral_weighted_sums` on values
+put in integer form once, by `integral_coefficients`).  No other module
+touches `_reduce`, `CycNum._make` or a CycNum's stored fields.
 
 All values are immutable after construction and safe to share between
 concurrent workers.
@@ -618,17 +619,37 @@ def weighted_sums(
     character table certificate, the fake degrees, ClassFunction.inner) pass
     here is therefore integral, and ExactError means a bug upstream.
     """
+    return integral_weighted_sums(
+        N,
+        weights,
+        [integral_coefficients(N, vec) for vec in left],
+        [[integral_coefficients(N, blocks) for blocks in vec] for vec in right],
+        pairs,
+    )
+
+
+def integral_coefficients(N: int, values: Iterable[CycNum]) -> list[list[int]]:
+    """The power-basis coefficients at N of algebraic integers, as ints (one
+    per exponent below phi(N), or one for a rational value): the form
+    `integral_weighted_sums` takes.  ExactError for any other value."""
+    den, terms = integral_terms(x.promote(N) for x in values)
+    if den != 1:
+        raise ExactError("weighted_sums needs algebraic integers")
+    return [c for _, c in terms]
+
+
+def integral_weighted_sums(
+    N: int,
+    weights: Sequence[int],
+    lc: Sequence[Sequence[Sequence[int]]],
+    rc: Sequence[Sequence[Sequence[Sequence[int]]]],
+    pairs: Iterable[tuple[int, int]],
+) -> list[list[CycNum]]:
+    """`weighted_sums` of values already in the form of
+    `integral_coefficients`, so a caller converts a table once for several
+    calls."""
     phi = euler_phi(N)
     stride = 2 * phi - 1
-
-    def ints(values: Iterable[CycNum]) -> list[list[int]]:
-        den, terms = integral_terms(x.promote(N) for x in values)
-        if den != 1:
-            raise ExactError("weighted_sums needs algebraic integers")
-        return [c for _, c in terms]
-
-    lc = [ints(vec) for vec in left]
-    rc = [[ints(blocks) for blocks in vec] for vec in right]
     nblocks = max((len(blocks) for vec in rc for blocks in vec), default=0)
     nslots = nblocks * stride
     bound = sum(
