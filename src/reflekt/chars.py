@@ -145,14 +145,10 @@ class CharacterTable:
         values = [integral_coefficients(N, row.values) for row in self.rows]
         return N, values, [integral_coefficients(N, row) for row in self.conjugates]
 
-    def _pairs(self) -> list[tuple[int, int]]:
-        r = len(self.rows)
-        return [(i, j) for i in range(r) for j in range(i, r)]
-
     def _hermitian_products(self, N, weights, xs, conj_ys) -> list[tuple[tuple[int, int], CycNum]]:
         """((i, j), sum_k weights[k] xs[i][k] conj_ys[j][k]) for each pair
         i <= j, on vectors from `_integral_table`."""
-        pairs = self._pairs()
+        pairs = [(i, j) for i in range(len(xs)) for j in range(i, len(xs))]
         sums = integral_weighted_sums(N, weights, xs, [[(c,) for c in vec] for vec in conj_ys], pairs)
         return [(pair, acc) for pair, (acc,) in zip(pairs, sums)]
 

@@ -361,8 +361,7 @@ class ReflectionGroup:
                 raise GroupBuildError("non-unitary generator matrix")
         self.generator_matrices = gen_mats
         self.entry_label = n0  # N0, the label of every generator entry
-        # (element, in B-coordinates) or None for B^-1 -> its _MonomialImages
-        self._images: dict[tuple[int, bool] | None, _MonomialImages] = {}
+        self._images: dict[tuple[int, bool] | None, _MonomialImages] = {}  # see _image_store
 
         self._enumerate(max_order)
         if expected is not None and self.order != expected:
@@ -575,27 +574,30 @@ class ReflectionGroup:
         coefficients at conductor N, as ints.  The coefficients of (A v)^e are
         these over delta^q.  N is the lcm of the labels of A's irrational
         entries: 1 when they are all rational, and at q = 0, where the only
-        image is 1.  Kept per matrix (`_MonomialImages`).
+        image is 1.  Kept per matrix (`_image_store`).
         """
-        key = (i, coordinates)
-        store = self._images.get(key)
-        if store is None:
-            a = self._coordinate_matrix(i) if coordinates else self.matrix(i)
-            store = self._images[key] = _MonomialImages(a)
-        return store.degree(q)
+        return self._image_store((i, coordinates)).degree(q)
 
     def substitute(self, f: MultiPoly, i: int) -> MultiPoly:
         """f(w_i v): every monomial x^e of f becomes its image (A v)^e."""
-        return self._substitute(f, lambda q: self.monomial_images(i, q))
+        return self._substitute(f, self._image_store((i, False)).degree)
 
     def from_root_basis(self, h: MultiPoly) -> MultiPoly:
         """h(B^-1 v): a polynomial in the B-coordinates u = B^-1 v of v as a
-        polynomial on V, with the images of its monomials under B^-1, kept
-        like those of the elements."""
-        store = self._images.get(None)
+        polynomial on V, through the images of its monomials under B^-1."""
+        return self._substitute(h, self._image_store(None).degree)
+
+    def _image_store(self, key: tuple[int, bool] | None) -> _MonomialImages:
+        """The kept monomial images of the matrix of w_i (key (i, False)), of
+        its M (key (i, True)) or of B^-1 (key None)."""
+        store = self._images.get(key)
         if store is None:
-            store = self._images[None] = _MonomialImages(self._basis_inverse)
-        return self._substitute(h, store.degree)
+            if key is None:
+                a = self._basis_inverse
+            else:
+                a = self._coordinate_matrix(key[0]) if key[1] else self.matrix(key[0])
+            store = self._images[key] = _MonomialImages(a)
+        return store
 
     def _substitute(self, f: MultiPoly, images_of) -> MultiPoly:
         """f(A v), with images_of(q) the `monomial_images` of A at degree q.
