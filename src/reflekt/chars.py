@@ -140,8 +140,9 @@ class CharacterTable:
     def _integral_table(self) -> tuple[int, list, list]:
         """(N, values, conjugates): the table and its conjugates row by row
         in the integer form of `exact.integral_coefficients` at their common
-        label N, which `_validate` makes once for both checks."""
-        N = lcm(*(v.N for row in (*(r.values for r in self.rows), *self.conjugates) for v in row))
+        label N (conjugation keeps labels), which `_validate` makes once for
+        both checks."""
+        N = lcm(*(v.N for row in self.rows for v in row.values))
         values = [integral_coefficients(N, row.values) for row in self.rows]
         return N, values, [integral_coefficients(N, row) for row in self.conjugates]
 
