@@ -46,6 +46,11 @@ polynomial whose roots are peeled off exactly.  The coinvariant graded trace
 G_c = prod_i (1 - T^{d_i}) / det(1 - T c) divides the integer numerator by
 1 - lambda T per eigenvalue lambda in Z[x]/(x^o - 1), and each remainder must
 reduce to 0.  Everything is exact; all data is immutable after construction.
+
+Where rescaling the b_j makes every generator's M rational, B is rescaled
+(`_act_on_roots`): S_n's M are then integer matrices on its simple roots, its
+X is its root system, and `minmat` solves its defining realization in
+B-coordinates too, carried back through B and B^-1 (`from_root_basis`).
 """
 from __future__ import annotations
 
@@ -443,10 +448,25 @@ class ReflectionGroup:
         def promoted(rows) -> Matrix:
             return tuple(tuple(x.promote(n0) for x in row) for row in rows)
 
-        self._basis = promoted(zip(*(columns[p] for p in pivots)))
-        self._basis_inverse = promoted(row[len(columns):] for row in red)
-        gens = [promoted(linalg.mat_mul(self._basis_inverse, linalg.mat_mul(s, self._basis)))
-                for s in self.generator_matrices]
+        basis = tuple(zip(*(columns[p] for p in pivots)))
+        inverse = tuple(tuple(row[len(columns):]) for row in red)
+        gens = [linalg.mat_mul(inverse, linalg.mat_mul(s, basis)) for s in self.generator_matrices]
+        # b_j -> d_j b_j, so M -> D^-1 M D, with -1 = M'[i][j] = x d_j / d_i at a
+        # coupling x = M[i][j] along a spanning tree (d_j = 1 where none reaches
+        # b_j); kept where that makes every M rational.
+        d: list[CycNum | None] = [ONE] + [None] * (n - 1)
+        while None in d:
+            i, j, x = next(((i, j, m[i][j]) for m in gens for i in range(n) for j in range(n)
+                            if d[i] is not None and d[j] is None and not m[i][j].is_zero()), (0, d.index(None), -ONE))
+            d[j] = -d[i] / x
+        scaled = [tuple(tuple(x * d[j] / d[i] for j, x in enumerate(row)) for i, row in enumerate(m)) for m in gens]
+        rational = [all(x.is_rational() for m in ms for row in m for x in row) for ms in (gens, scaled)]
+        if rational == [False, True]:
+            basis = tuple(tuple(x * dj for x, dj in zip(row, d)) for row in basis)
+            inverse = tuple(tuple(x / di for x in row) for row, di in zip(inverse, d))
+            gens = scaled
+        self._basis, self._basis_inverse = promoted(basis), promoted(inverse)
+        gens = [promoted(m) for m in gens]
         zero = CycNum.zero(n0)
         roots: list[Vector] = list(promoted(ident))
         index = {v: j for j, v in enumerate(roots)}
@@ -582,10 +602,17 @@ class ReflectionGroup:
         """f(w_i v): every monomial x^e of f becomes its image (A v)^e."""
         return self._substitute(f, self._image_store((i, False)).degree)
 
-    def from_root_basis(self, h: MultiPoly) -> MultiPoly:
-        """h(B^-1 v): a polynomial in the B-coordinates u = B^-1 v of v as a
-        polynomial on V, through the images of its monomials under B^-1."""
-        return self._substitute(h, self._image_store(None).degree)
+    def to_root_basis(self, a: Matrix) -> Matrix:
+        """B^-1 a B: a linear map of V in B-coordinates."""
+        return linalg.mat_mul(self._basis_inverse, linalg.mat_mul(a, self._basis))
+
+    def from_root_basis(self, h: list[MultiPoly], vector: bool = False) -> list[MultiPoly]:
+        """Each h_t(B^-1 v), for polynomials h_t in the B-coordinates u = B^-1 v,
+        as polynomials on V through the images of their monomials under B^-1;
+        when `vector`, B h(B^-1 v), for h a map into B-coordinates."""
+        if vector:
+            h = [sum((x * b for x, b in zip(h, row)), MultiPoly.zero(self.dimension)) for row in self._basis]
+        return [self._substitute(x, self._image_store(None).degree) for x in h]
 
     def _image_store(self, key: tuple[int, bool] | None) -> _MonomialImages:
         """The kept monomial images of the matrix of w_i (key (i, False)), of

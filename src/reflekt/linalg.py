@@ -157,16 +157,15 @@ def integral_nullspace(rows: Sequence[Sequence[Term]], ncols: int, label: int) -
         p, nodes, vinv = _embeddings(L, i)
         bits = _fp_bits(p, ncols)
         spaces = []
-        seen: dict[tuple[int, ...], list[list[int]]] = {}
+        seen: dict[tuple[int, ...], list[list[int]]] = {}  # entries' images -> kernel
         for w in nodes:
             # zeta_N = zeta_L^(L/N) maps to w^(L/N)
             powers = {N: [pow(w, L // N * k, p) for k in range(euler_phi(N))] for N in conductors}
-            values = [sum(map(mul, co, powers[N])) % p for N, co in index]
-            system = tuple(sum(values[t] << bits * c for c, t in row) for row in shape)
-            # Embeddings that agree on the entries' field agree on the result.
-            if system not in seen:
-                seen[system] = _fp_nullspace(list(system), ncols, p)
-            spaces.append(seen[system])
+            values = tuple(sum(map(mul, co, powers[N])) % p for N, co in index)
+            # Embeddings that agree on the entries agree on the result.
+            if values not in seen:
+                seen[values] = _fp_nullspace([sum(values[t] << bits * c for c, t in row) for row in shape], ncols, p)
+            spaces.append(seen[values])
         # A bad prime or embedding gains nullity or moves free columns left.
         keys = [
             (len(space), [-max(c for c in range(ncols) if v[c]) for v in space])

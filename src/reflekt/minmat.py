@@ -13,7 +13,9 @@ Where the group's basis B of root vectors makes the generators sparser
 (`ReflectionGroup.solves_in_root_basis`: S_n, whose Fourier-basis generators
 are dense, while a generating reflection with its root in B moves one
 coordinate), the system is posed for h(u) = f(Bu) and each solution is
-carried back, f = h(B^-1 v), on integers (`from_root_basis`).
+carried back, f = h(B^-1 v), on integers (`from_root_basis`).  Defining rows,
+tau(s) = lambda(s) s, are solved for B^-1 f(Bu), whose tau side lambda(s) M_s
+is rational for S_n, and carried back as B h(B^-1 v).
 When the solution space is bigger than the number of columns needed, a
 deterministic pseudo-random mixing is drawn.  Its determinant det(M) is
 expanded once, by Laplace along the first row, and certified nonzero by its
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import ONE, ZERO, CycNum, ExactError, MultiPoly, integral_terms, series_inverse
+from .exact import ONE, ZERO, CycNum, ExactError, MultiPoly, PolyT, integral_terms, series_inverse
 from . import linalg
 from .linalg import Matrix
 from .groups import ReflectionGroup, degree_numerator, monomials
@@ -45,6 +47,8 @@ from .fake import FakeDegreeSet
 
 # Pseudo-random column mixings tried before a zero determinant is reported.
 MIXING_ATTEMPTS = 32
+# (degrees, p) -> the Molien series 1 / prod_i (1 - T^d_i) to degree p
+_MOLIEN: dict[tuple[tuple[int, ...], int], PolyT] = {}
 
 
 class RealizationError(Exception):
@@ -215,7 +219,10 @@ def matrix_realization(g: ReflectionGroup, table: CharacterTable, row_idx: int) 
 
 def predicted_equivariant_dimension(fs: FakeDegreeSet, row_idx: int, p: int) -> int:
     """[T^p] of F_tau(T) * (Molien series), the ambient multiplicity."""
-    molien = series_inverse(degree_numerator(fs.group), p)
+    key = (fs.group.degrees, p)
+    if key not in _MOLIEN:
+        _MOLIEN[key] = series_inverse(degree_numerator(fs.group), p)
+    molien = _MOLIEN[key]
     f = fs.f_poly(row_idx)
     return int(sum((f[k] * molien[p - k] for k in range(p + 1)), CycNum.zero()).as_fraction())
 
@@ -235,15 +242,16 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
 
     Where the group solves in its root basis B, the unknowns are those of
     h(u) = f(Bu) instead, and the images are those of s^{-1}'s matrix M in
-    B-coordinates: h(M u) = tau(s) h(u).  Each solution h is carried back to
-    f = h(B^-1 v) (`from_root_basis`) and the results are reduced to the
+    B-coordinates: h(M u) = tau(s) h(u), and each solution is carried back to
+    f = h(B^-1 v).  Defining rows, tau(s) = lambda(s) s, are solved for
+    h(u) = B^-1 f(Bu), h(M u) = lambda(s) M_s h(u), and carried back as
+    f = B h(B^-1 v) (`from_root_basis`).  The results are reduced to the
     same unique basis, so the output does not depend on the coordinates.
     Its entries carry the lcm of N0 (at p > 0) and the labels of the tau
     entries, the labels the defining-basis constraint rows have as CycNums.
-    Solved bases are kept on `real`, one
-    per degree, so `build_minimal_matrix` and `verify_quotient_property` solve
-    each degree once; every call with `fs` checks the dimension against the
-    fake-degree prediction.
+    Solved bases are kept on `real`, one per degree, so `build_minimal_matrix`
+    and `verify_quotient_property` solve each degree once; every call with
+    `fs` checks the dimension against the fake-degree prediction.
     """
     basis = real._bases.get(p)
     if basis is None:
@@ -262,9 +270,12 @@ def _solve_equivariant(real: Realization, p: int) -> tuple:
     g = real.group
     n, l = g.dimension, real.dim
     root = g.solves_in_root_basis
+    # tau(s) = lambda(s) s: solve for B^-1 f(Bu), whose tau side is B^-1 tau(s) B
+    defining = root and real.method.startswith("defining")
     monos = monomials(n, p)
     D = len(monos)
-    label = g.entry_label if p else 1
+    taus = real.generator_matrices
+    label = lcm(g.entry_label if p else 1, *(x.N for t in taus for row in t for x in row if not x.is_zero()))
     rows: list[list[linalg.Term]] = []
     for a, gelt in enumerate(g.generator_elements):
         N, delta, images = g.monomial_images(g.inverse(gelt), p, root)
@@ -274,8 +285,7 @@ def _solve_equivariant(real: Realization, p: int) -> tuple:
             for dp, c in image.items():
                 by_out[dp][d] = (N, c) if any(c[1:]) else (1, c[:1])
         tau = []  # per component s: (den, {t: term of -delta^p den tau_st})
-        for tau_row in real.generator_matrices[a]:
-            label = lcm(label, *(x.N for x in tau_row if not x.is_zero()))
+        for tau_row in g.to_root_basis(taus[a]) if defining else taus[a]:
             den, terms = integral_terms(tau_row)
             scaled = {t: (M, [-delta**p * v for v in c]) for t, (M, c) in enumerate(terms) if any(c)}
             tau.append((den, scaled))
@@ -285,11 +295,12 @@ def _solve_equivariant(real: Realization, p: int) -> tuple:
                 rows.append(image + [(dp * l + t, M, c) for t, (M, c) in tau_terms.items()])
     vectors = linalg.integral_nullspace(rows, D * l, label)
     if root:
-        # h(u) = f(Bu) was solved for; f = h(B^-1 v), reduced to the
-        # reduced-echelon basis the defining coordinates give.
+        # h(u) = f(Bu), or B^-1 f(Bu), was solved for; f = h(B^-1 v), or
+        # B h(B^-1 v), reduced to the reduced-echelon basis the defining
+        # coordinates give.
         carried = []
         for vec in vectors:
-            comps = [g.from_root_basis(h) for h in _components(vec, monos, l)]
+            comps = g.from_root_basis(_components(vec, monos, l), defining)
             carried.append([comps[s].terms.get(mo, ZERO) for mo in monos for s in range(l)])
         vectors = _echelon_from_right(carried, label)
     return tuple(tuple(_components(vec, monos, l)) for vec in vectors)

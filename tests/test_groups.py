@@ -248,6 +248,33 @@ def test_g4_file_group_structure():
     assert [(o.members, o.order) for o in g.orbits] == [((0, 1, 2, 3), 3)]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_symmetric_group_root_basis_is_its_simple_roots(n):
+    """B is rescaled so that each generator's matrix M in B-coordinates has -1
+    on its couplings: s_a(b_j) = b_j - b_a for |j - a| <= 1.  The M are then
+    integer matrices on simple roots, and X, the W-orbit of B, is the root
+    system: n(n - 1) roots."""
+    g = build_group(f"S{n}")
+    for a, s in enumerate(g.generator_elements):
+        want = tuple(
+            tuple(-1 if i == a and abs(j - a) <= 1 else int(i == j) for j in range(n - 1)) for i in range(n - 1)
+        )
+        got = g._coordinate_matrix(s)
+        assert got == want and all(x.is_integer() for row in got for x in row), a
+    assert len(g._roots) == n * (n - 1)
+
+
+def test_root_basis_is_kept_where_rescaling_leaves_m_irrational():
+    """G(6,6,3)'s and G4's M stay irrational under the rescaling, so both
+    keep their B: G(6,6,3) keeps its 108 roots (216 rescaled), and G4's b_j
+    are still columns of the s - 1."""
+    assert len(build_group("G(6,6,3)")._roots) == 108
+    g = build_group(G4)
+    ident = linalg.identity(g.dimension)
+    columns = {c for s in g.generator_matrices for c in zip(*linalg.mat_sub(s, ident))}
+    assert all(b in columns for b in zip(*g._basis))
+
+
 MULTI_ORBIT = ["G(6,3,2)", "G(4,2,2)", "G(6,2,2)", "G(12,4,2)", "G(4,1,2)"]
 
 

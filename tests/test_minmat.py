@@ -250,6 +250,39 @@ def test_root_basis_solve_matches_sequential_oracle_on_s5():
     assert len(equivariant_basis(matrix_realization(g, fs.table, reflection), 3)) == 2
 
 
+def test_symmetric_group_systems_are_rational(monkeypatch):
+    """S_n's M are integer matrices in its rescaled root basis, and its
+    defining rows are solved for B^-1 f(Bu), whose tau side lambda(s) M_s is
+    rational too: every system S4's and S5's rows pose has conductor-1 terms
+    only, except for S5's row 4, whose induced realization has entries in
+    Q(zeta_3), and whose only irrational terms carry tau's label.  S4's rows
+    are solved at every degree their minimal matrix and its quotient check
+    need, S5's at degrees 0-3 and the reflection representation's (row 3) up
+    to 6."""
+    conductors = set()
+    solve = linalg.integral_nullspace
+
+    def spy(rows, ncols, label):
+        conductors.update(N for row in rows for _, N, _ in row)
+        return solve(rows, ncols, label)
+
+    for name in ("S4", "S5"):
+        g = build_group(name)
+        fs = FakeDegreeSet(g, character_table(g))
+        reals = [matrix_realization(g, fs.table, i) for i in range(len(fs.table.rows))]
+        monkeypatch.setattr(linalg, "integral_nullspace", spy)
+        for i, real in enumerate(reals):
+            exps = set(fs.fds[i].exponents)
+            degrees = exps | {p + g.degrees[0] for p in exps} if name == "S4" else range(7 if i == 3 else 4)
+            conductors.clear()
+            for q in degrees:
+                equivariant_basis(real, q, fs)
+            irrational = {x.N for m in real.generator_matrices for row in m for x in row if not x.is_rational()}
+            want = {1, 60} if (name, i) == ("S5", 4) else {1}
+            assert conductors == want and conductors <= {1} | irrational, (name, i)
+        monkeypatch.undo()
+
+
 # Both rows fail because their solved equivariant dimensions, at every degree
 # 0-8, are those the fake degrees predict for the complex-conjugate row
 # (fs.conj_perm).  G(3,3,3) rows 6-9 fail the same way.
