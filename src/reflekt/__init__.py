@@ -9,7 +9,7 @@ Submodules map onto the functional areas:
   fake     fake degrees as class sums of graded traces; the identity verifiers
   minmat   minimal equivariant polynomial matrices
   kz       numerical monodromy of the KZ connection
-  cli      command-line front end with JSON output and caching
+  cli      command-line front end: canonical JSON on stdout, nothing stored on disk
 """
 
 ALGORITHM_VERSION = "reflekt-0.1.0/alg1"

@@ -22,11 +22,11 @@ references are stable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .exact import CycNum, integral_coefficients, integral_weighted_sums, weighted_sums
 from .groups import ReflectionGroup
@@ -45,8 +45,7 @@ def _products(weights, xs, ys, pairs) -> list[CycNum]:
     return [acc for (acc,) in weighted_sums(N, weights, xs, [[(v,) for v in vec] for vec in ys], pairs)]
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(NamedTuple):
     """Exact class function: one CycNum per conjugacy class, in class order."""
 
     group: ReflectionGroup
@@ -88,8 +87,7 @@ class ClassFunction:
         return [v.to_json() for v in self.values]
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     """Restriction multiplicities n_{C,j} to cyclic hyperplane stabilizers.
 
     multiplicities[c][j] = multiplicity of det^{-j} in the restriction of the

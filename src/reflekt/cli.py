@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import ALGORITHM_VERSION
 from .groups import GroupBuildError, build_group
@@ -40,13 +39,13 @@ KZ_HECKE_TOL = 1e-6
 KZ_MATCH_TOL = 1e-6
 
 
-@dataclass
 class RunConfig:
-    descriptor: str
-    subcommand: str
-    max_order: int = 50_000
-    seed: int = 0
-    output: str | None = None
+    def __init__(self, descriptor: str, subcommand: str, max_order: int, seed: int, output: str | None):
+        self.descriptor = descriptor
+        self.subcommand = subcommand
+        self.max_order = max_order
+        self.seed = seed
+        self.output = output
 
     def echo(self) -> dict:
         return {

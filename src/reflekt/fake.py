@@ -34,10 +34,10 @@ irreducible raises there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from .exact import CycNum, PolyT, weighted_sums
 from .groups import ReflectionGroup
@@ -53,8 +53,7 @@ class VerificationError(Exception):
     """An unconditional identity failed; indicates a bug, not a finding."""
 
 
-@dataclass(frozen=True)
-class FakeDegree:
+class FakeDegree(NamedTuple):
     polynomial: PolyT
     exponents: tuple[int, ...]
 

@@ -56,11 +56,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import lcm
 from operator import add, mul
+from typing import NamedTuple
 
 from .exact import (
     CycNum,
@@ -88,8 +88,7 @@ class GroupBuildError(Exception):
 # descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     kind: str  # "sym" | "imprimitive" | "file"
     n: int = 0
     m: int = 0
@@ -305,8 +304,7 @@ class _MonomialImages:
 # group data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """One reflection hyperplane: normalized linear form, cyclic stabilizer."""
 
     form: Vector            # row covector, first nonzero coefficient = 1
@@ -316,11 +314,11 @@ class Hyperplane:
     stabilizer: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class HyperplaneOrbit:
-    members: tuple[int, ...]
-    order: int              # common e_C
-    alphas: tuple[MultiPoly, ...]  # the member forms
+    def __init__(self, members: tuple[int, ...], order: int, alphas: tuple[MultiPoly, ...]):
+        self.members = members
+        self.order = order  # common e_C
+        self.alphas = alphas  # the member forms
 
     @cached_property
     def pi(self) -> MultiPoly:
@@ -328,8 +326,7 @@ class HyperplaneOrbit:
         return reduce(mul, self.alphas, MultiPoly.constant(self.alphas[0].nvars, 1))
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     rep: int
     members: tuple[int, ...]
     size: int

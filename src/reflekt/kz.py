@@ -51,9 +51,9 @@ from __future__ import annotations
 import cmath
 import random
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class KZError(Exception):
     """Numerical monodromy failure (calibration, margins, term budget, over- or underflow)."""
 
 
-@dataclass(frozen=True)
-class KZSettings:
+class KZSettings(NamedTuple):
     hecke_tol: float = 1e-6
     match_tol: float = 1e-6
     seed: int = 0
@@ -91,8 +90,7 @@ TERM_BUDGET = 100_000  # series terms per path (degree >= 2)
 # labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabelVector:
+class LabelVector(NamedTuple):
     """k_{C,j} for each orbit C and residue j in [0, e_C)."""
 
     values: tuple[tuple[complex, ...], ...]
@@ -178,7 +176,6 @@ def _euler_scalars(fs: FakeDegreeSet, row: int, kc: list[np.ndarray]) -> np.ndar
 # connection blocks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ConnectionBlock:
     """Residue data of irreducible blocks of one degree at a batch of labels.
 
@@ -187,18 +184,22 @@ class ConnectionBlock:
     only on the group and the seed, so all entries share one transport sweep.
     """
 
-    fs: FakeDegreeSet
-    rows: list[int]
-    labels: list[LabelVector]
-    realizations: dict[int, Realization]
-    residues: np.ndarray
-    base_point: np.ndarray
-    alpha_rows: np.ndarray  # (hyperplanes, n) complex linear forms
-    paths: tuple["BraidPath", ...]
-    settings: KZSettings
-    seed_used: int
-    zero_labels: np.ndarray  # (batch,) bool: the entries whose label vector is 0
-    steps: dict[int, dict] = field(default_factory=dict)  # hyperplane -> series statistics
+    def __init__(self, fs: FakeDegreeSet, rows: list[int], labels: list[LabelVector],
+                 realizations: dict[int, Realization], residues: np.ndarray, base_point: np.ndarray,
+                 alpha_rows: np.ndarray, paths: tuple["BraidPath", ...], settings: KZSettings,
+                 seed_used: int, zero_labels: np.ndarray, steps: dict[int, dict]):
+        self.fs = fs
+        self.rows = rows
+        self.labels = labels
+        self.realizations = realizations
+        self.residues = residues
+        self.base_point = base_point
+        self.alpha_rows = alpha_rows  # (hyperplanes, n) complex linear forms
+        self.paths = paths
+        self.settings = settings
+        self.seed_used = seed_used
+        self.zero_labels = zero_labels  # (batch,) bool: the entries whose label vector is 0
+        self.steps = steps  # hyperplane -> series statistics, filled by `monodromy`
 
     @property
     def group(self) -> ReflectionGroup:
@@ -445,6 +446,7 @@ def assemble_connection(
         settings=settings,
         seed_used=attempt,
         zero_labels=np.tile(zero, len(rows)),
+        steps={},
     )
     _check_residue_spectra(fs, rows, data)
     _check_central_scalar(block, rows, kc)
@@ -503,8 +505,7 @@ def _check_curvature(block: ConnectionBlock) -> None:
 # paths and transport
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BraidPath:
+class BraidPath(NamedTuple):
     """Braid generator path for one hyperplane.
 
     eps >= 1 means the plain arc center + exp(2 pi i t/order) nu; smaller eps
@@ -684,8 +685,7 @@ def _check_determinant(block: ConnectionBlock, h_idx: int, mats: np.ndarray) -> 
         raise KZError(f"monodromy determinant is off its Hecke target by {abs(got[b] / target[b] - 1):.2e}")
 
 
-@dataclass
-class MonodromyRep:
+class MonodromyRep(NamedTuple):
     """Braid generator matrices for one block, with achieved diagnostics."""
 
     row: int

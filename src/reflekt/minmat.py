@@ -34,9 +34,9 @@ require square-root field extensions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .exact import ONE, ZERO, CycNum, ExactError, MultiPoly, PolyT, integral_terms, series_inverse
 from . import linalg
@@ -55,18 +55,17 @@ class RealizationError(Exception):
     """Could not produce or validate an explicit matrix realization."""
 
 
-@dataclass
 class Realization:
     """Exact matrices for the group generators affording a character row."""
 
-    group: ReflectionGroup
-    row: int
-    character: ClassFunction
-    generator_matrices: list[Matrix]
-    gram: Matrix
-    method: str
-
-    def __post_init__(self):
+    def __init__(self, group: ReflectionGroup, row: int, character: ClassFunction,
+                 generator_matrices: list[Matrix], gram: Matrix, method: str):
+        self.group = group
+        self.row = row
+        self.character = character
+        self.generator_matrices = generator_matrices
+        self.gram = gram
+        self.method = method
         self._cache: dict[int, Matrix] = {}
         self._bases: dict[int, tuple] = {}  # degree -> its equivariant_basis
 
@@ -340,8 +339,7 @@ def _echelon_from_right(vectors: list[list[CycNum]], label: int) -> list[tuple[C
 # minimal matrices
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MinimalTauMatrix:
+class MinimalTauMatrix(NamedTuple):
     group: ReflectionGroup
     row: int
     realization: Realization

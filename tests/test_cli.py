@@ -111,11 +111,22 @@ def test_kz_gamma_zero_on_non_real_group_is_identity(capsys):
     assert set(res["transport"]["1"]["0"]) == {"steps", "terms", "eps"}
 
 
-def test_import_does_not_load_numpy():
-    code = "import sys, reflekt.cli; sys.exit('numpy' in sys.modules)"
+@pytest.mark.parametrize(
+    "module, banned",
+    [("reflekt.cli", ("numpy", "dataclasses", "inspect")), ("reflekt.kz", ("dataclasses",))],
+    ids=["reflekt.cli", "reflekt.kz"],
+)
+def test_import_does_not_load_numpy(module, banned):
+    # Only modules the import itself loads count, so a site hook that
+    # preloads one of them cannot fail the test.
+    code = (
+        f"import sys; before = set(sys.modules); import {module}; "
+        f"print(sorted((set(sys.modules) - before) & set({banned!r})))"
+    )
     src = str(Path(cli_mod.__file__).resolve().parents[1])  # the reflekt under test
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_kz_bad_labels_exit_2(capsys):

@@ -677,6 +677,14 @@ def test_zero_label_mask_follows_the_entries(built):
         monodromy(block, 0)
 
 
+def test_blocks_never_share_their_series_statistics(built):
+    fs = built["S3"]
+    a, b = (assemble_connection(fs, 1, LabelVector.zero(fs.group)) for _ in range(2))
+    assert a.steps is not b.steps
+    monodromy(a, 0)
+    assert set(a.steps) == {0} and b.steps == {}
+
+
 def test_hecke_residuals_match_per_entry_products(built):
     fs = built["G(2,1,2)"]
     g = fs.group
