@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per CLI output over a fixed check set, to compare trees.
 
-The check set is 184 commands:
+The check set is 192 commands:
   - the 15 corpus groups, G4 (`file:tests/data/g4.json`, a group that is
     not monomial) and S5 (dense Fourier-basis generators) x `group`, `chars`,
     `fake` and the four `verify` kinds;
   - G(6,3,2), G(4,2,2), G(6,2,2), G(12,4,2) and G(3,1,3), groups with
     several hyperplane orbits, x `group`, `verify symmetry` and
     `verify palindrome`;
+  - G(3,1,3), G(4,2,3), G(6,6,3) and G(3,1,4) x `chars` and `fake`: the
+    largest tables of the set (19 to 51 classes, |W| from 162 to 1,944),
+    where the other `chars` and `fake` commands reach at most 10 classes;
   - `minmat --rep i` for every row of criterion 8's scope, for S5's rows 1
     and 3 (row 3 the rank-4 reflection representation, solved in root
     coordinates) and for G4's 7 rows (a `file:` group, and one whose
@@ -43,6 +46,7 @@ CORPUS = (
 G4 = "file:tests/data/g4.json"
 DENSE = ["S5"]
 MULTI_ORBIT = ["G(6,3,2)", "G(4,2,2)", "G(6,2,2)", "G(12,4,2)", "G(3,1,3)"]
+LARGE_TABLES = ["G(3,1,3)", "G(4,2,3)", "G(6,6,3)", "G(3,1,4)"]
 MINMAT_SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)"] + [f"G({m},1,1)" for m in range(2, 5)]
 MINMAT_ROWS = {"S3": 3, "S4": 5, "G(2,1,2)": 5, "G(3,1,2)": 9, "G(2,1,1)": 2, "G(3,1,1)": 3, "G(4,1,1)": 4}
 MINMAT_EXTRA = [("S5", 1), ("S5", 3)] + [(G4, i) for i in range(7)]
@@ -67,6 +71,8 @@ def commands() -> list[list[str]]:
         out += [["verify", kind, d] for kind in ("pn", "symmetry", "palindrome", "poincare")]
     for d in MULTI_ORBIT:
         out += [["group", d], ["verify", "symmetry", d], ["verify", "palindrome", d]]
+    for d in LARGE_TABLES:
+        out += [["chars", d], ["fake", d]]
     for d in MINMAT_SCOPE:
         out += [["minmat", d, "--rep", str(i)] for i in range(MINMAT_ROWS[d])]
     out += [["minmat", d, "--rep", str(i)] for d, i in MINMAT_EXTRA]

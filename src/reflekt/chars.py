@@ -1,20 +1,21 @@
 """Exact irreducible character tables and local restriction data.
 
 The table is computed with the classical Burnside-Dixon method: the class
-constant matrices are simultaneously diagonalized over a prime field F_p with
-p = 1 (mod exponent(W)), p not dividing |W| and p > 2*sqrt(|W|); eigenvalue
-multiplicities of each element recover the character values as exact sums of
-roots of unity: all multiplicities of a class are read off at once, and each
-value is built once, at the group conductor.  The finished table is certified
-by exact row and column orthogonality at every pair, and any inconsistency
-raises - there is no approximate fallback.  The certificate runs on the packed
-Z[zeta_N] kernel `exact.weighted_sums`: character values are algebraic
-integers, so each is packed into one Python int and every Hermitian product
-sum_c |c| chi(c) conj(psi(c)) is r big-integer multiply-adds, reduced modulo
-Phi_N once.  ClassFunction.inner (and so norm()) uses the same product.  The
-table keeps every value's conjugate (`conjugates`) for the checks and `fake`;
-the certificate puts the values and conjugates in integer form once for both
-checks.  A row is found by its values, whose hashes agree across labels.
+constant matrices, counted column-wise over the Cayley graph, are
+simultaneously diagonalized over a prime field F_p with p = 1 (mod
+exponent(W)), p not dividing |W| and p > 2*sqrt(|W|).  F_p vectors are packed
+one int each (`linalg._fp_pack`), so an image M_i b or a join of basis vectors
+is at most r big-integer multiply-adds, and each block's eigenvalues are the
+roots of its Krylov chain polynomials, which multiply to its characteristic
+polynomial.  Eigenvalue multiplicities of each element recover the character
+values as exact sums of roots of unity, each built once, at the group
+conductor.  The finished table is certified by exact row and column
+orthogonality at every pair; any inconsistency raises, with no approximate
+fallback.  Character values are algebraic integers, each packed into one int
+(`exact.integral_coefficients`, once for the table and its `conjugates`), so
+every Hermitian product sum_c |c| chi(c) conj(psi(c)) is r big-integer
+multiply-adds, reduced modulo Phi_N once; ClassFunction.inner uses the same
+product.  A row is found by its values, whose hashes agree across labels.
 
 Row order is canonical: by degree, then lexicographically on the numerically
 embedded values (exact JSON as the final tiebreak), so cross-run row
@@ -22,10 +23,11 @@ references are stable.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, reduce
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .exact import CycNum, integral_coefficients, integral_weighted_sums, weighted_sums
@@ -199,17 +201,38 @@ def _dixon_prime(exponent: int, order: int, nclasses: int) -> int:
 
 
 def _fp_eigenvalues(a: list[list[int]], p: int) -> list[int]:
-    """Distinct eigenvalues of a over F_p: the roots of its characteristic
-    polynomial sum_k c_k x^(d-k), by Faddeev-LeVerrier on packed rows of M_k
-    (c_0 = 1, M_1 = I, c_k = -tr(a M_k) / k, M_(k+1) = a M_k + c_k I; slots
-    stay below d p^2).  Each k <= d is invertible: the Dixon prime exceeds d."""
+    """Distinct eigenvalues of a over F_p, from Krylov chains v, a v, a^2 v, ...
+    on packed columns of a, started from e_0, e_1, ... until they span F_p^d.
+    A chain stops at its first vector that depends on all earlier ones; each
+    vector is reduced with a unit slot of its own beside its d entries, so the
+    dependency leaves the monic q with q(a) v in the earlier chains' span.
+    That span is a-invariant, so a is block triangular with companion blocks
+    in the chain basis and the q multiply to its characteristic polynomial:
+    their roots are exactly a's eigenvalues, for every matrix."""
     d = len(a)
-    c, m = [1], _fp_pack([[int(i == j) for i in range(d)] for j in range(d)], d, p)
-    for k in range(1, d + 1):
-        prod = _fp_unpack([sum(map(mul, row, m)) for row in a], d, p)
-        c.append(-sum(prod[i][i] for i in range(d)) * pow(k, -1, p) % p)
-        m = _fp_pack([[x + c[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(prod)], d, p)
-    return [x for x in range(p) if not reduce(lambda v, ck: (v * x + ck) % p, c, 0)]  # Horner's rule
+    columns, bits = _fp_pack(list(zip(*a)), d, p), _fp_bits(p, 2 * d + 1)
+    mask, stored, factors = (1 << bits) - 1, [], []  # stored: (pivot, packed row with 1 there)
+    for start in range(d):
+        first, vec = d + len(stored), [int(i == start) for i in range(d)]
+        while True:
+            w = sum(x << bits * i for i, x in enumerate(vec)) + (1 << bits * (d + len(stored)))
+            for c, row in stored:
+                if f := (w >> bits * c & mask) % p:
+                    w += (p - f) * row
+            slots = [(w >> bits * i & mask) % p for i in range(d + len(stored) + 1)]
+            if not any(slots[:d]):
+                factors.append(slots[first:])
+                break
+            c, inv = next((i, pow(x, -1, p)) for i, x in enumerate(slots) if x)
+            stored.append((c, sum(x * inv % p << bits * i for i, x in enumerate(slots))))
+            vec = _fp_unpack([sum(map(mul, vec, columns))], d, p)[0]
+        if len(stored) == d:
+            break
+    roots = set()
+    for q in factors:  # Horner's rule at every x at once
+        values = reduce(lambda vs, ck: [(v * x + ck) % p for x, v in enumerate(vs)], reversed(q), [0] * p)
+        roots.update(x for x, v in enumerate(values) if not v)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +240,20 @@ def _fp_eigenvalues(a: list[list[int]], p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _class_constants(g: ReflectionGroup) -> list[list[list[int]]]:
-    """a[i][j][k] = #{x in C_i : x^{-1} z_k in C_j} for fixed reps z_k."""
-    r = len(g.classes)
+    """a[i][j][k] = #{x in C_i : x^{-1} z_k in C_j} for the class reps z_k,
+    counted column-wise: each z_k's word is applied letter by letter to the
+    list of all inverses, one generator column w -> w s per letter, and the
+    pairs (class of x, class of x^{-1} z_k) are counted over all x at once."""
+    r, class_of = len(g.classes), g.class_of
+    columns = [[g.mult(w, s) for w in range(g.order)] for s in g.generator_elements]
+    keys = [r * c for c in class_of]
     mats = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i, ci in enumerate(g.classes):
-        for k, ck in enumerate(g.classes):
-            zk = ck.rep
-            for x in ci.members:
-                j = g.class_of[g.mult(g.inverse(x), zk)]
-                mats[i][j][k] += 1
+    for k, ck in enumerate(g.classes):
+        cur = g.inverse_table
+        for a in g.words[ck.rep]:
+            cur = list(map(columns[a].__getitem__, cur))
+        for key, n in Counter(map(add, keys, map(class_of.__getitem__, cur))).items():
+            mats[key // r][key % r][k] = n
     return mats
 
 
@@ -238,34 +266,31 @@ def character_table(g: ReflectionGroup) -> CharacterTable:
     mats = _class_constants(g)
     # Simultaneous eigenspace refinement over F_p: split the r-dim space by
     # each class matrix in turn until all joint eigenspaces are 1-dimensional.
+    # Images M_i b and joins sum_t c_t b_t are packed products, r slots each.
     spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
     for i in range(r):
         if g.classes[i].rep == g.identity or all(len(b) == 1 for b in spaces):
             continue
-        mi = mats[i]
+        columns = _fp_pack(list(zip(*mats[i])), r, p)
         new_spaces: list[list[list[int]]] = []
         for basis in spaces:
             if len(basis) == 1:
                 new_spaces.append(basis)
                 continue
             d = len(basis)
-            imgs = [[sum(mi[row][c] * b[c] for c in range(r)) % p for row in range(r)] for b in basis]
+            imgs = _fp_unpack([sum(map(mul, b, columns)) for b in basis], r, p)
             # Solve for all images at once: M_i b_s = sum_t act[t][s] b_t.
             system = _fp_pack([[b[c] for b in basis + imgs] for c in range(r)], 2 * d, p)
             red, pivots = _fp_rref(system, 2 * d, p)
             if pivots != list(range(d)):
                 raise CharTableError("class matrix leaves subspace (bug)")
             act = [row[d:] for row in _fp_unpack(red, 2 * d, p)]
-            packed = _fp_pack(act, d, p)
+            packed, packed_basis = _fp_pack(act, d, p), _fp_pack(basis, r, p)
             bits = _fp_bits(p, d)
             for lam in _fp_eigenvalues(act, p):
                 # act - lam I: p - lam added at each diagonal slot
                 null = _fp_nullspace([row + (p - lam << bits * a) for a, row in enumerate(packed)], d, p)
-                joined = [
-                    [sum(c[t] * basis[t][col] for t in range(d)) % p for col in range(r)]
-                    for c in null
-                ]
-                new_spaces.append(joined)
+                new_spaces.append(_fp_unpack([sum(map(mul, c, packed_basis)) for c in null], r, p))
         spaces = new_spaces
     if any(len(b) != 1 for b in spaces) or len(spaces) != r:
         raise CharTableError("class algebra did not split into 1-dim eigenspaces")

@@ -34,7 +34,10 @@ the group composes permutations of its roots and works on integers.  The
 match oracle sorts one entry's distances to the table rows at a time, where
 gamma_scan takes an argmin over one (entries, rows, classes) distance array.
 The F_p elimination oracle works on lists of residues, where `linalg._fp_rref`
-works on packed rows.  `FractionCycNum` keeps one Fraction per power-basis
+works on packed rows.  The class-constant oracle walks one word,
+mult(inverse(x), z_k), per element x and class representative z_k, where
+`chars` applies each representative's word to the list of all inverses at
+once.  `FractionCycNum` keeps one Fraction per power-basis
 coefficient, where `exact.CycNum` keeps integers over one denominator.
 """
 from __future__ import annotations
@@ -311,6 +314,18 @@ def rank_reflections(g) -> tuple[int, ...]:
         if len(exact_rref([[x - int(r == c) for c, x in enumerate(row)]
                            for r, row in enumerate(m)])[1]) == 1
     )
+
+
+def word_walk_class_constants(g) -> list[list[list[int]]]:
+    """a[i][j][k] = #{x in C_i : x^{-1} z_k in C_j} for the class reps z_k,
+    by one word walk of x^{-1} z_k per (class, element)."""
+    r = len(g.classes)
+    mats = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i, ci in enumerate(g.classes):
+        for k, ck in enumerate(g.classes):
+            for x in ci.members:
+                mats[i][g.class_of[g.mult(g.inverse(x), ck.rep)]][k] += 1
+    return mats
 
 
 def fp_rref_lists(rows, p: int):

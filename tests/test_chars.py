@@ -14,11 +14,12 @@ from reflekt.chars import (
     CharacterTable,
     CharTableError,
     ClassFunction,
+    _class_constants,
     _fp_eigenvalues,
 )
 
 from corpus import CORPUS, G4
-from oracles import fp_rref_lists, orbit_det_power, regular_rep_characters
+from oracles import fp_rref_lists, orbit_det_power, regular_rep_characters, word_walk_class_constants
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +33,21 @@ def built():
 
 @pytest.mark.parametrize("p", [37, 73])
 def test_fp_eigenvalues_are_the_singular_shifts(p):
-    """The Faddeev-LeVerrier roots are the x with a - x I singular over F_p:
-    random matrices, and diagonalizable ones with repeated eigenvalues, up to
-    the size of the largest class-matrix blocks of the scale groups."""
+    """The eigenvalues found are the x with a - x I singular over F_p: random
+    matrices and diagonalizable ones with repeated eigenvalues, up to the size
+    of the largest class-matrix blocks of the scale groups; block-diagonal
+    ones whose first block holds e_0, so that vectors built from e_0 alone
+    miss the other blocks' eigenvalues; and Jordan blocks, which are not
+    diagonalizable, with e_0 at either end of the chain."""
     rng = random.Random(p)
+
+    def singular(a):
+        d = len(a)
+        return [
+            x for x in range(p)
+            if len(fp_rref_lists([[v - x * (i == j) for j, v in enumerate(r)] for i, r in enumerate(a)], p)[1]) < d
+        ]
+
     for d in (1, 2, 5, 22):
         diag = [rng.choice([0, 1, p - 1, 5]) for _ in range(d)]
         q = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
@@ -45,12 +57,44 @@ def test_fp_eigenvalues_are_the_singular_shifts(p):
         qinv = [r[d:] for r in qinv_aug]
         similar = [[sum(q[i][t] * diag[t] * qinv[t][j] for t in range(d)) % p for j in range(d)] for i in range(d)]
         for a in ([[rng.randrange(p) for _ in range(d)] for _ in range(d)], similar):
-            singular = [
-                x for x in range(p)
-                if len(fp_rref_lists([[v - x * (i == j) for j, v in enumerate(r)] for i, r in enumerate(a)], p)[1]) < d
-            ]
-            assert _fp_eigenvalues(a, p) == singular
+            assert _fp_eigenvalues(a, p) == singular(a)
         assert _fp_eigenvalues(similar, p) == sorted(set(diag))
+
+    def block_diagonal(*blocks):
+        d, out, at = sum(map(len, blocks)), [], 0
+        for b in blocks:
+            out += [[0] * at + row + [0] * (d - at - len(b)) for row in b]
+            at += len(b)
+        return out
+
+    for sizes in ((1, 1), (3, 2), (2, 2, 3), (4, 1, 1)):
+        # triangular blocks with disjoint diagonals: the eigenvalues are known
+        values = rng.sample(range(p), sum(sizes))
+        blocks = []
+        for n in sizes:
+            diag, values = values[:n], values[n:]
+            blocks.append([[diag[i] if i == j else rng.randrange(p) * (j > i) for j in range(n)] for i in range(n)])
+        a = block_diagonal(*blocks)
+        assert _fp_eigenvalues(a, p) == singular(a) == sorted(b[i][i] for b in blocks for i in range(len(b)))
+        # a random first block makes e_0 cyclic there, and only there
+        a = block_diagonal([[rng.randrange(p) for _ in range(sizes[0])] for _ in range(sizes[0])], *blocks[1:])
+        assert _fp_eigenvalues(a, p) == singular(a)
+
+    for d, lam, mu in ((2, 3, 3), (5, 0, 7), (4, p - 1, 2)):
+        jordan = [[lam if i == j else int(j == i + 1) for j in range(d)] for i in range(d)]
+        lower = [list(col) for col in zip(*jordan)]  # e_0 generates the whole space
+        for a in (jordan, lower):
+            assert _fp_eigenvalues(a, p) == [lam]
+            b = block_diagonal(a, [[mu, 1], [0, mu]])
+            assert _fp_eigenvalues(b, p) == singular(b) == sorted({lam, mu})
+
+
+@pytest.mark.parametrize("desc", list(CORPUS) + [G4, "S5", "G(3,1,3)", "G(4,2,3)", "G(6,6,3)"])
+def test_class_constants_match_word_walk_oracle(desc):
+    """The column-wise class constants equal one word walk per (class,
+    element), on the corpus, G4, S5 and the scale groups."""
+    g = build_group(desc)
+    assert _class_constants(g) == word_walk_class_constants(g)
 
 
 def test_degrees_s3(built):
