@@ -121,7 +121,9 @@ class CharacterTable:
         X* X = |W| D^-1 does, since X is square; so a wrong table fails both
         relations, and each is checked in full.  Every value is conjugated
         once, and the table and its conjugates are put in integer form once
-        (`exact.integral_coefficients`), for both.
+        (`exact.integral_coefficients`), for both; equal ints are equal
+        values, so `conjugate_rows`, the row of each row's conjugate, is read
+        off the same form.
         """
         g = self.group
         if len(self.rows) != len(g.classes):
@@ -131,6 +133,12 @@ class CharacterTable:
         table = self._integral_table()
         self._check_rows(table)
         self._check_columns(table)
+        _, values, conjugates = table
+        row_of = {tuple(map(tuple, row)): i for i, row in enumerate(values)}
+        try:
+            self.conjugate_rows = [row_of[tuple(map(tuple, row))] for row in conjugates]
+        except KeyError:
+            raise CharTableError("the conjugate of a row is not a row") from None
 
     @cached_property
     def conjugates(self) -> list[list[CycNum]]:

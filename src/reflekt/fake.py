@@ -121,7 +121,7 @@ class FakeDegreeSet:
         polys = _class_sums(g, [row.values for row in table.rows])
         self.fds = [_checked_fake_degree(g, row, p) for row, p in zip(table.rows, polys)]
         self.local = [local_data(row, g) for row in table.rows]
-        self.conj_perm = [table.row_index(ClassFunction(g, tuple(c))) for c in table.conjugates]
+        self.conj_perm = table.conjugate_rows
 
     def f_poly(self, i: int) -> PolyT:
         return self.fds[i].polynomial

@@ -11,19 +11,24 @@ subspace of C^n, which keeps the permutation matrices exactly unitary with
 entries in Q(zeta_n) (the 1/sqrt(n) normalizations cancel in conjugation).
 
 The group acts faithfully on X, the W-orbit of a basis B of V drawn from the
-columns of the s - 1 and a basis of V^W (V = V^W + sum_s im(s - 1) for
-unitary s).  X is kept in B-coordinates at the generators' label N0, so equal
-vectors are equal dict keys.  Enumeration is breadth-first over generator
-words on permutations of X, one tuple composition per edge; it stores the
-first word reaching each element (shortest, then lexicographically smallest),
-the Cayley graph of right multiplication (rmul[i][g] = index of w_i * s_g)
-and the BFS tree (w_j = w_parent(j) * s_last).  Products (the word of w_j
-walked from i), inverses, element orders and conjugacy classes are integer
-lookups in that graph, and so are the hyperplanes: W_H is cyclic, 1 and the
-reflections of H, so taken by decreasing order each unassigned reflection
-generates its W_H (`hyperplane_of`); since w s_H w^-1 = s_{w(H)}, the orbit
-of H is the hyperplanes whose s_H' is conjugate to s_H, and its product pi_C
-of forms is built when read.  The matrix M of w in B-coordinates has the
+columns of the s - 1, and from a basis of V^W when they miss it
+(V = V^W + sum_s im(s - 1) for unitary s).  X is searched on integers, each
+vector keyed by its B-coordinates' power-basis coefficients over one
+denominator in lowest terms, and kept as CycNum coordinates at the
+generators' label N0.  Enumeration is breadth-first over generator words; an
+element w is keyed by w(b_0), .., w(b_{n-1}), which determine it, and its
+whole permutation of X is kept only from its discovery to its expansion.  It
+stores the first word reaching each element (shortest, then
+lexicographically smallest), the Cayley graph of right multiplication
+(rmul[i][g] = index of w_i * s_g), the BFS tree (w_j = w_parent(j) * s_last)
+and, from the tree, left multiplication by each s_g^-1.  Products walk the
+word of w_j from i; inverses and conjugacy classes are lookups, element
+orders the powers of the class representatives, and the hyperplanes come
+from the graph too: W_H is cyclic, 1 and the reflections of H, so taken by
+decreasing order each unassigned reflection generates its W_H
+(`hyperplane_of`); since w s_H w^-1 = s_{w(H)}, the orbit of H is the
+hyperplanes whose s_H' is conjugate to s_H, and its product pi_C of forms is
+built when read.  The matrix M of w in B-coordinates has the
 w(b_j) for columns: the trace of w is a sum of n coordinates, a moving row of
 M - 1 times B^-1 is the form of a reflection, and B M B^-1 is built on each
 call of `matrix`, for the substitution f(w v) (`substitute`) and numerical
@@ -58,7 +63,8 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import lcm
+from collections import deque
+from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
@@ -259,15 +265,16 @@ class _MonomialImages:
     times row k of delta A.
 
     N is the lcm of the labels of A's irrational entries (1 when all are
-    rational) and delta the lcm of their denominators; rows[k] holds one
-    (j, cols) per nonzero b = delta A[k][j], with cols[t][a] coefficient t of
-    zeta_N^a b reduced modulo Phi_N, so (c b)_t = sum_a c_a cols[t][a].  Only
-    ints are stored, so one group's conductor labels cannot reach another's.
+    rational) unless given, and delta the lcm of their denominators; rows[k]
+    holds one (j, cols) per nonzero b = delta A[k][j], with cols[t][a]
+    coefficient t of zeta_N^a b reduced modulo Phi_N, so (c b)_t = sum_a c_a
+    cols[t][a].  Only ints are stored, so one group's conductor labels cannot
+    reach another's.
     """
 
-    def __init__(self, a: Matrix):
+    def __init__(self, a: Matrix, N: int | None = None):
         entries = [(k, j, x) for k, row in enumerate(a) for j, x in enumerate(row) if not x.is_zero()]
-        N = lcm(1, *(x.N for _, _, x in entries if not x.is_rational()))
+        N = N or lcm(1, *(x.N for _, _, x in entries if not x.is_rational()))
         phi = euler_phi(N)
         delta, terms = integral_terms(x * CycNum.zeta(N, b) for _, _, x in entries for b in range(phi))
         self.rows: list[list[tuple[int, tuple]]] = [[] for _ in a]
@@ -370,9 +377,9 @@ class ReflectionGroup:
             raise GroupBuildError(
                 f"enumeration found {self.order} elements, expected {expected} (bug)"
             )
+        self._find_classes()
         self._element_orders()
         self.conductor = lcm(n0, *self.element_orders) if self.order > 1 else n0
-        self._find_classes()
         self._find_spectra()
         self._find_reflections()
         self._find_hyperplanes()
@@ -384,63 +391,77 @@ class ReflectionGroup:
     # -- enumeration --------------------------------------------------------
 
     def _enumerate(self, max_order: int) -> None:
+        """Breadth-first search over generator words, each element keyed by
+        its first n points: w s by w's whole permutation of X at the s(b_j).
+        That permutation is composed only for a new element and dropped once
+        it is expanded; the keys are what `_coordinate_matrix` reads."""
         gens = self._act_on_roots(max_order)
+        n = self.dimension
+        heads = [s[:n] for s in gens]
         ident = tuple(range(len(self._roots)))
-        perms: list[tuple[int, ...]] = [ident]
+        keys: list[tuple[int, ...]] = [ident[:n]]
+        index = {ident[:n]: 0}
+        pending = deque([ident])
         words: list[tuple[int, ...]] = [()]
         parent = [0]
-        index: dict[tuple[int, ...], int] = {ident: 0}
         rmul: list[tuple[int, ...]] = []
-        head = 0
-        while head < len(perms):
-            cur = perms[head]
-            row = []
-            for g, s in enumerate(gens):
-                # (w s)(x) = w(s(x))
-                new = tuple(map(cur.__getitem__, s))
-                j = index.get(new)
+        while pending:
+            # (w s)(x) = w(s(x))
+            cur, head, row = pending.popleft(), len(rmul), []
+            for g, (s, h) in enumerate(zip(gens, heads)):
+                key = tuple(map(cur.__getitem__, h))
+                j = index.get(key)
                 if j is None:
-                    if len(perms) >= max_order:
-                        raise GroupBuildError(
-                            f"group order exceeds the cap {max_order}"
-                        )
-                    j = index[new] = len(perms)
-                    perms.append(new)
+                    if len(keys) >= max_order:
+                        raise GroupBuildError(f"group order exceeds the cap {max_order}")
+                    j = index[key] = len(keys)
+                    keys.append(key)
+                    pending.append(tuple(map(cur.__getitem__, s)))
                     words.append(words[head] + (g,))
                     parent.append(head)
                 row.append(j)
             rmul.append(tuple(row))
-            head += 1
-        self._perms = perms
+        self._perms = keys
         self.words = words
-        self.order = len(perms)
+        self.order = len(keys)
         self.identity = 0
         self._rmul = rmul
         self.generator_elements = rmul[0]
-        # (w_parent * s)^-1 = s^-1 * w_parent^-1, with s^-1 = s^(o-1) from the s-cycle through 1.
-        gen_inv = []
-        for a in range(len(self.generator_matrices)):
+        # s_a^-1 = s_a^(o-1), the last element of the s_a-cycle through 1; and
+        # s_a^-1 w_j = (s_a^-1 w_parent(j)) s_last(j) down the BFS tree.
+        self._lmul = []
+        for a in range(len(gens)):
             prev, cur = 0, rmul[0][a]
             while cur != 0:
                 prev, cur = cur, rmul[cur][a]
-            gen_inv.append(prev)
+            col = [prev] * self.order
+            for j in range(1, self.order):
+                col[j] = rmul[col[parent[j]]][words[j][-1]]
+            self._lmul.append(col)
+        # w_j^-1 = s_last(j)^-1 w_parent(j)^-1
         inv = [0] * self.order
         for j in range(1, self.order):
-            inv[j] = self.mult(gen_inv[words[j][-1]], inv[parent[j]])
+            inv[j] = self._lmul[words[j][-1]][inv[parent[j]]]
         self.inverse_table = inv
 
     def _act_on_roots(self, max_order: int) -> list[tuple[int, ...]]:
         """The generators as permutations of X, the W-orbit of a basis B of V
-        drawn from the columns of the s - 1 and a basis of V^W: perms[a][x]
-        is the index in X of s_a(x).  X is kept in B-coordinates at label N0,
-        with b_j = X[j].  X is the union of the W-orbits of the n vectors b_j,
-        so |X| <= n |W|, and a larger X means |W| is over the cap."""
+        drawn from the columns of the s - 1 and, when those miss V^W, a basis
+        of it: perms[a][x] is the index in X of s_a(x), and b_j = X[j].  X is
+        the union of the W-orbits of the n vectors b_j, so |X| <= n |W|, and a
+        larger X means |W| is over the cap.  Each generator's delta M acts as
+        integer rows on the power-basis coefficients at N (1 when every M is
+        rational, else N0) of a vector's B-coordinates, its key in lowest
+        terms over one denominator; CycNum coordinates are made at the end."""
         n, n0 = self.dimension, self.entry_label
         ident = linalg.identity(n)
         diffs = [linalg.mat_sub(s, ident) for s in self.generator_matrices]
-        columns = [c for d in diffs for c in zip(*d)] + linalg.nullspace([r for d in diffs for r in d])
+        columns = [c for d in diffs for c in zip(*d)]
         # [columns | 1] reduces to [B^-1 columns | B^-1], B its pivot columns.
         red, pivots = linalg.rref([[c[r] for c in columns] + list(ident[r]) for r in range(n)])
+        if pivots[-1] >= len(columns):  # the s - 1 span the complement of V^W
+            columns += linalg.nullspace([r for d in diffs for r in d])
+            red, pivots = linalg.rref([[c[r] for c in columns] + list(ident[r]) for r in range(n)])
 
         def promoted(rows) -> Matrix:
             return tuple(tuple(x.promote(n0) for x in row) for row in rows)
@@ -463,28 +484,35 @@ class ReflectionGroup:
             inverse = tuple(tuple(x / di for x in row) for row, di in zip(inverse, d))
             gens = scaled
         self._basis, self._basis_inverse = promoted(basis), promoted(inverse)
-        gens = [promoted(m) for m in gens]
-        zero = CycNum.zero(n0)
-        roots: list[Vector] = list(promoted(ident))
+        N = 1 if all(x.is_rational() for m in gens for row in m for x in row) else n0
+        phi = euler_phi(N)
+        acts = []  # (delta, rows): coefficient k phi + t of delta M v is rows[k phi + t] . v
+        for m in gens:
+            images, rows = _MonomialImages(m, N), [[0] * (n * phi) for _ in range(n * phi)]
+            for k, j, cols in ((k, j, cols) for k, row in enumerate(images.rows) for j, cols in row):
+                for t, col in enumerate(cols):
+                    rows[k * phi + t][j * phi : (j + 1) * phi] = col
+            acts.append((images.delta, rows))
+        roots = [(1, tuple(int(i == j * phi) for i in range(n * phi))) for j in range(n)]
         index = {v: j for j, v in enumerate(roots)}
         perms: list[list[int]] = [[] for _ in gens]
-        head = 0
-        while head < len(roots):
-            v = roots[head]
-            for perm, s in zip(perms, gens):
-                u = tuple(
-                    sum((a * b for a, b in zip(row, v) if not a.is_zero() and not b.is_zero()), zero)
-                    for row in s
-                )
-                j = index.get(u)
+        for den, v in roots:
+            for perm, (delta, rows) in zip(perms, acts):
+                u = [sum(map(mul, row, v)) for row in rows]
+                e = den * delta
+                if e != 1 and (c := gcd(e, *u)) != 1:
+                    e, u = e // c, [x // c for x in u]
+                key = (e, tuple(u))
+                j = index.get(key)
                 if j is None:
                     if len(roots) >= n * max_order:
                         raise GroupBuildError(f"group order exceeds the cap {max_order}")
-                    j = index[u] = len(roots)
-                    roots.append(u)
+                    j = index[key] = len(roots)
+                    roots.append(key)
                 perm.append(j)
-            head += 1
-        self._roots = roots
+        step = n0 // N
+        self._roots = [tuple(from_integral(n0, ((a * step, v[k * phi + a]) for a in range(phi)), den)
+                             for k in range(n)) for den, v in roots]
         return [tuple(p) for p in perms]
 
     def mult(self, i: int, j: int) -> int:
@@ -498,14 +526,16 @@ class ReflectionGroup:
         return self.inverse_table[i]
 
     def _element_orders(self) -> None:
-        orders = [1] * self.order
-        for i in range(self.order):
-            k, cur = 1, i
+        """The order of each class representative, by its powers; every
+        member of a class has its representative's order."""
+        orders = []
+        for cls in self.classes:
+            k, cur = 1, cls.rep
             while cur != 0:
-                cur = self.mult(cur, i)
+                cur = self.mult(cur, cls.rep)
                 k += 1
-            orders[i] = k
-        self.element_orders = orders
+            orders.append(k)
+        self.element_orders = [orders[c] for c in self.class_of]
 
     def _coordinate_matrix(self, i: int) -> Matrix:
         """M, the matrix of w_i in B-coordinates: column j is w_i(b_j)."""
@@ -762,9 +792,10 @@ class ReflectionGroup:
     # -- conjugacy classes ----------------------------------------------------
 
     def _find_classes(self) -> None:
+        # s^-1 w s for each generator s, by two lookups
         class_of = [-1] * self.order
         classes: list[ConjugacyClass] = []
-        gen_elts = self.generator_elements
+        rmul, lmul = self._rmul, list(enumerate(self._lmul))
         for i in range(self.order):
             if class_of[i] >= 0:
                 continue
@@ -772,8 +803,8 @@ class ReflectionGroup:
             frontier = [i]
             while frontier:
                 cur = frontier.pop()
-                for g in gen_elts:
-                    conj = self.mult(self.mult(self.inverse(g), cur), g)
+                for a, col in lmul:
+                    conj = rmul[col[cur]][a]
                     if conj not in seen:
                         seen.add(conj)
                         frontier.append(conj)

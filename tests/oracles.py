@@ -31,6 +31,12 @@ exactly.  The matrix-group oracles enumerate the group by CycNum matrix
 products keyed in a dict, take restriction multiplicities by the CycNum
 discrete Fourier transform and divide each G_c as CycNum polynomials, where
 the group composes permutations of its roots and works on integers.  The
+root-orbit oracle searches X on CycNum vectors keyed in a dict, where the
+group searches it on integer coefficients, and the permutation oracle keys
+each element by its whole permutation of X and walks words through the
+Cayley graph for inverses, element orders and classes, where the group keys
+an element by n points and reads inverses and conjugates off its
+left-multiplication columns.  The
 match oracle sorts one entry's distances to the table rows at a time, where
 gamma_scan takes an argmin over one (entries, rows, classes) distance array.
 The F_p elimination oracle works on lists of residues, where `linalg._fp_rref`
@@ -867,6 +873,100 @@ def matrix_enumeration(g, max_order: int = 50_000):
     for j in range(1, len(elements)):
         inv[j] = mult(gen_inv[words[j][-1]], inv[parent[j]])
     return elements, words, rmul, inv
+
+
+def root_orbit(g, max_order: int = 50_000):
+    """(roots, perms): X, the W-orbit of the b_j, by breadth-first search on
+    CycNum vectors in B-coordinates at label N0 keyed in a dict, with
+    perms[a][x] the index of s_a(x), each image the CycNum product M v of the
+    generator's matrix M = B^-1 s B."""
+    n, n0 = g.dimension, g.entry_label
+    gens = [tuple(tuple(x.promote(n0) for x in row) for row in g.to_root_basis(s)) for s in g.generator_matrices]
+    zero = CycNum.zero(n0)
+    roots = [tuple(CycNum.rational(int(i == j), n0) for i in range(n)) for j in range(n)]
+    index = {v: j for j, v in enumerate(roots)}
+    perms = [[] for _ in gens]
+    head = 0
+    while head < len(roots):
+        v = roots[head]
+        for perm, s in zip(perms, gens):
+            u = tuple(sum((a * b for a, b in zip(row, v) if not a.is_zero() and not b.is_zero()), zero) for row in s)
+            j = index.get(u)
+            if j is None:
+                if len(roots) >= n * max_order:
+                    raise ExactError(f"group order exceeds the cap {max_order}")
+                j = index[u] = len(roots)
+                roots.append(u)
+            perm.append(j)
+        head += 1
+    return roots, [tuple(p) for p in perms]
+
+
+def permutation_enumeration(g, gens, max_order: int = 50_000):
+    """(perms, words, rmul, inverse, orders, classes) by breadth-first search
+    over generator words on whole permutations of X, one composition per
+    edge, keyed in a dict by the whole permutation; inverses, element orders
+    and conjugacy classes by walking words through rmul: w_j^-1 =
+    s_last^-1 w_parent^-1, the order of w by its powers, and the class of w
+    by s^-1 w s over the generators s.  classes holds (rep, members)."""
+    ident = tuple(range(len(gens[0])))
+    perms, words, parent, index, rmul = [ident], [()], [0], {ident: 0}, []
+    head = 0
+    while head < len(perms):
+        cur = perms[head]
+        row = []
+        for a, s in enumerate(gens):
+            new = tuple(cur[x] for x in s)
+            j = index.get(new)
+            if j is None:
+                if len(perms) >= max_order:
+                    raise ExactError(f"group order exceeds the cap {max_order}")
+                j = index[new] = len(perms)
+                perms.append(new)
+                words.append(words[head] + (a,))
+                parent.append(head)
+            row.append(j)
+        rmul.append(tuple(row))
+        head += 1
+    order = len(perms)
+
+    def mult(i, j):
+        for a in words[j]:
+            i = rmul[i][a]
+        return i
+
+    gen_inv = []
+    for a in range(len(gens)):
+        prev, cur = 0, rmul[0][a]
+        while cur != 0:
+            prev, cur = cur, rmul[cur][a]
+        gen_inv.append(prev)
+    inverse = [0] * order
+    for j in range(1, order):
+        inverse[j] = mult(gen_inv[words[j][-1]], inverse[parent[j]])
+    orders = []
+    for i in range(order):
+        k, cur = 1, i
+        while cur != 0:
+            cur = mult(cur, i)
+            k += 1
+        orders.append(k)
+    classes, assigned = [], set()
+    for i in range(order):
+        if i in assigned:
+            continue
+        seen, frontier = {i}, [i]
+        while frontier:
+            cur = frontier.pop()
+            for a in range(len(gens)):
+                conj = mult(mult(gen_inv[a], cur), rmul[0][a])
+                if conj not in seen:
+                    seen.add(conj)
+                    frontier.append(conj)
+        members = tuple(sorted(seen))
+        assigned |= seen
+        classes.append((min(members, key=lambda j: (len(words[j]), words[j])), members))
+    return perms, words, rmul, inverse, orders, classes
 
 
 def dft_multiplicities(g, w: int, value) -> list[int]:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from reflekt.exact import ZERO, CycNum, MultiPoly
+from reflekt.exact import ZERO, CycNum, MultiPoly, integral_terms
 from reflekt import linalg
 from reflekt.chars import character_table
+from reflekt.fake import FakeDegreeSet
 from reflekt.groups import (
     GroupBuildError,
     build_group,
@@ -25,7 +26,9 @@ from oracles import (
     forms_orbits,
     matrix_enumeration,
     molien_degrees,
+    permutation_enumeration,
     rank_reflections,
+    root_orbit,
     substitution_matrix,
 )
 
@@ -478,6 +481,41 @@ def test_permutation_core_matches_matrix_oracle(name):
     check_against_matrix_oracle(build_group(name))
 
 
+def check_against_permutation_oracle(g) -> None:
+    """The integer root orbit, the n-point keys and the lookup tables against
+    the CycNum orbit and the word walks: every root with its labels, each
+    element's first n points, the words, right multiplication, inverses,
+    element orders and classes."""
+    roots, gens = root_orbit(g)
+    assert g._roots == roots
+    assert [[x.N for x in v] for v in g._roots] == [[x.N for x in v] for v in roots]
+    perms, words, rmul, inverse, orders, classes = permutation_enumeration(g, gens)
+    assert g._perms == [p[: g.dimension] for p in perms]
+    assert g.words == words
+    assert g._rmul == rmul
+    assert g.inverse_table == inverse
+    assert g.element_orders == orders
+    assert [(c.rep, c.members) for c in g.classes] == classes
+
+
+@pytest.mark.parametrize(
+    "name",
+    list(dict.fromkeys(["S3", "S4", "S5", "S6"] + CORPUS + [G4, "G(3,1,3)", "G(4,2,3)", "G(6,6,3)"])),
+    ids=lambda name: "G4" if name == G4 else name,
+)
+def test_permutation_core_matches_root_orbit_oracle(name):
+    check_against_permutation_oracle(build_group(name))
+
+
+def test_root_orbit_oracle_groups_have_root_denominators():
+    """The orbit keys carry a denominator in the oracle comparison above:
+    the B-coordinates of the roots have denominator 2 in G(4,2,3) and 6 in
+    G4, and 1 in S_n."""
+    for name, den in (("G(4,2,3)", 2), (G4, 6), ("S5", 1)):
+        g = build_group(name)
+        assert integral_terms(x for v in g._roots for x in v)[0] == den, name
+
+
 def test_file_group_with_a_fixed_vector(tmp_path):
     """diag(1, -1) on C^2 fixes e_1, so the columns of s - 1 do not span V
     and the root set needs the fixed vector to act faithfully."""
@@ -488,4 +526,24 @@ def test_file_group_with_a_fixed_vector(tmp_path):
     g = build_group(f"file:{path}")
     assert (g.order, g.degrees) == (len(matrix_enumeration(g)[0]), molien_degrees(g)[0])
     assert (g.order, g.degrees) == (2, (1, 2))
+    check_against_matrix_oracle(g)
+
+
+def test_permutation_matrices_of_s3_fix_a_vector(tmp_path):
+    """S3 as 3x3 permutation matrices fixes (1, 1, 1), so the columns of the
+    s - 1 span only the zero-sum plane and B takes a basis of V^W too."""
+    one, zero = CycNum.one().to_json(), CycNum.zero().to_json()
+    swaps = [(0, 1), (1, 2)]
+    data = [
+        [[one if (i, j) in (swap, swap[::-1]) or (i == j and i not in swap) else zero for j in range(3)] for i in range(3)]
+        for swap in swaps
+    ]
+    path = tmp_path / "s3_perm.json"
+    path.write_text(json.dumps(data))
+    g = build_group(f"file:{path}")
+    assert g.order == 6
+    assert list(g.degrees) == [1, 2, 3]
+    fs = FakeDegreeSet(g, character_table(g))
+    assert [fd.exponents for fd in fs.fds] == [(3,), (0,), (1, 2)]
+    check_against_permutation_oracle(g)
     check_against_matrix_oracle(g)
