@@ -527,17 +527,20 @@ def test_file_group_with_a_fixed_vector(tmp_path):
     assert (g.order, g.degrees) == (len(matrix_enumeration(g)[0]), molien_degrees(g)[0])
     assert (g.order, g.degrees) == (2, (1, 2))
     check_against_matrix_oracle(g)
+    check_against_permutation_oracle(g)
 
 
 def test_permutation_matrices_of_s3_fix_a_vector(tmp_path):
     """S3 as 3x3 permutation matrices fixes (1, 1, 1), so the columns of the
     s - 1 span only the zero-sum plane and B takes a basis of V^W too."""
     one, zero = CycNum.one().to_json(), CycNum.zero().to_json()
-    swaps = [(0, 1), (1, 2)]
-    data = [
-        [[one if (i, j) in (swap, swap[::-1]) or (i == j and i not in swap) else zero for j in range(3)] for i in range(3)]
-        for swap in swaps
-    ]
+
+    def transposition(a, b):
+        perm = list(range(3))
+        perm[a], perm[b] = b, a
+        return [[one if perm[j] == i else zero for j in range(3)] for i in range(3)]
+
+    data = [transposition(0, 1), transposition(1, 2)]
     path = tmp_path / "s3_perm.json"
     path.write_text(json.dumps(data))
     g = build_group(f"file:{path}")
