@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per CLI output over a fixed check set, to compare trees.
 
-The check set is 192 commands:
+The check set is 193 commands:
   - the 15 corpus groups, G4 (`file:tests/data/g4.json`, a group that is
     not monomial) and S5 (dense Fourier-basis generators) x `group`, `chars`,
     `fake` and the four `verify` kinds;
@@ -11,10 +11,11 @@ The check set is 192 commands:
   - G(3,1,3), G(4,2,3), G(6,6,3) and G(3,1,4) x `chars` and `fake`: the
     largest tables of the set (19 to 51 classes, |W| from 162 to 1,944),
     where the other `chars` and `fake` commands reach at most 10 classes;
-  - `minmat --rep i` for every row of criterion 8's scope, for S5's rows 1
-    and 3 (row 3 the rank-4 reflection representation, solved in root
-    coordinates) and for G4's 7 rows (a `file:` group, and one whose
-    root and defining coordinates are equally sparse);
+  - `minmat --rep i` for every row of criterion 8's scope, for S5's rows 0,
+    1 and 3 (row 0 the sign row, solved at degrees 10 and 12 over
+    Q(zeta_5), where the Coxeter element keeps the fewest unknowns; row 3
+    the rank-4 reflection representation) and for G4's 7 rows (a `file:`
+    group of order-3 generators, the first of them diagonal);
   - `kz monodromy` for S3 rep 1, S4 rep 2, S4 rep 3 (degree 3, one
     contracted path), G(3,1,2) rep 2 and G(2,1,3) rep 6 (degree 3, rank 3,
     two hyperplane orbits, two contracted paths) at a fixed label;
@@ -49,7 +50,7 @@ MULTI_ORBIT = ["G(6,3,2)", "G(4,2,2)", "G(6,2,2)", "G(12,4,2)", "G(3,1,3)"]
 LARGE_TABLES = ["G(3,1,3)", "G(4,2,3)", "G(6,6,3)", "G(3,1,4)"]
 MINMAT_SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)"] + [f"G({m},1,1)" for m in range(2, 5)]
 MINMAT_ROWS = {"S3": 3, "S4": 5, "G(2,1,2)": 5, "G(3,1,2)": 9, "G(2,1,1)": 2, "G(3,1,1)": 3, "G(4,1,1)": 4}
-MINMAT_EXTRA = [("S5", 1), ("S5", 3)] + [(G4, i) for i in range(7)]
+MINMAT_EXTRA = [("S5", 0), ("S5", 1), ("S5", 3)] + [(G4, i) for i in range(7)]
 KZ_COMMANDS = [
     ["kz", "monodromy", "S3", "--rep", "1", "--k", '{"0":[0.1,-0.05]}'],
     ["kz", "monodromy", "S4", "--rep", "2", "--k", '{"0":[0.1,-0.05]}'],

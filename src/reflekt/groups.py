@@ -31,17 +31,14 @@ hyperplanes whose s_H' is conjugate to s_H, and its product pi_C of forms is
 built when read.  The matrix M of w in B-coordinates has the
 w(b_j) for columns: the trace of w is a sum of n coordinates, a moving row of
 M - 1 times B^-1 is the form of a reflection, and B M B^-1 is built on each
-call of `matrix`, for the substitution f(w v) (`substitute`) and numerical
-transport.  B also serves the equivariant solves of `minmat`: a generating
-reflection whose root lies in B moves only its own coordinate, so where the
-generators are sparser as the M than as matrices of V
-(`solves_in_root_basis`), the solves use the M, and `from_root_basis` carries
-their solutions back through B^-1.  Substitution runs on integers: with delta
-the lcm of the denominators of a matrix A (that of w, its M, or B^-1) and N
-the label of its irrational entries, the images (delta A v)^e of the
-monomials e of degree q are integer power-basis coefficients at N
-(denominator delta^q), built degree by degree, reduced modulo Phi_N and kept
-per matrix (`_MonomialImages`, `monomial_images`), in the integer form of
+call of `matrix`, for the substitution f(w v) (`substitute`), the
+equivariant solves of `minmat` and numerical transport.  Substitution runs
+on integers: with delta the lcm of the denominators of the matrix A of w
+(or of its M, for the root orbit) and N the label of its irrational
+entries, the images (delta A v)^e of the monomials e of degree q are
+integer power-basis coefficients at N (denominator delta^q), built degree
+by degree, reduced modulo Phi_N and kept per element (`_MonomialImages`,
+`monomial_images`), in the integer form of
 `exact` (`integral_terms` in, `from_integral` out).  The spectrum of each class
 representative is the discrete Fourier transform of the traces of its powers,
 on integers; the determinant, the reflections (eigenvalue 1 of multiplicity
@@ -53,9 +50,9 @@ G_c = prod_i (1 - T^{d_i}) / det(1 - T c) divides the integer numerator by
 reduce to 0.  Everything is exact; all data is immutable after construction.
 
 Where rescaling the b_j makes every generator's M rational, B is rescaled
-(`_act_on_roots`): S_n's M are then integer matrices on its simple roots, its
-X is its root system, and `minmat` solves its defining realization in
-B-coordinates too, carried back through B and B^-1 (`from_root_basis`).
+(`_act_on_roots`): S_n's M are then integer matrices on its simple roots and
+its X is its root system.  `minmat` imposes the elements that are `diagonal`
+on V, S_n's `coxeter_element` among them, on the unknowns of its solves.
 """
 from __future__ import annotations
 
@@ -370,7 +367,7 @@ class ReflectionGroup:
                 raise GroupBuildError("non-unitary generator matrix")
         self.generator_matrices = gen_mats
         self.entry_label = n0  # N0, the label of every generator entry
-        self._images: dict[tuple[int, bool] | None, _MonomialImages] = {}  # see _image_store
+        self._images: dict[int, _MonomialImages] = {}  # see monomial_images
 
         self._enumerate(max_order)
         if expected is not None and self.order != expected:
@@ -597,64 +594,45 @@ class ReflectionGroup:
         self.class_spectra = tuple(spectra)
 
     @cached_property
-    def solves_in_root_basis(self) -> bool:
-        """Whether equivariant solves run in B-coordinates: whether the
-        generator inverses have strictly fewer nonzero entries there, as the
-        matrices M, than as matrices of V.  A generating reflection whose
-        root lies in B moves only its own coordinate, so S_n takes B, while
-        monomial generators are at least as sparse in the defining basis."""
-        def nonzeros(m: Matrix) -> int:
-            return sum(not x.is_zero() for row in m for x in row)
+    def coxeter_element(self) -> int | None:
+        """c = s_0 s_1 .. s_{r-1} where every generator is an involution, c is
+        diagonal and <c, s_0> = W (on the Cayley graph), else None.  Then
+        f(s v) = tau(s) f(v) on the generators is f(w v) = tau(w) f(v) on W,
+        which c and s_0 pose too.  S_n's c is diag(zeta_n, .., zeta_n^(n-1))
+        in the Fourier basis, G(m,m,2)'s diag(zeta_m, zeta_m^-1)."""
+        if any(self.element_orders[s] > 2 for s in self.generator_elements):
+            return None
+        c = reduce(lambda i, a: self._rmul[i][a], range(len(self.generator_elements)), 0)
+        if self.diagonal(c) is None or self._generated((c, self.generator_elements[0])) != self.order:
+            return None
+        return c
 
-        inverses = [self.inverse(s) for s in self.generator_elements]
-        return sum(nonzeros(self._coordinate_matrix(i)) for i in inverses) < sum(
-            nonzeros(self.matrix(i)) for i in inverses
-        )
+    def diagonal(self, i: int) -> tuple[int, ...] | None:
+        """(k_0, .., k_{n-1}) when w_i = diag(zeta_o^k_0, .., zeta_o^k_{n-1})
+        on V, o the order of w_i; None when w_i is not diagonal."""
+        m, o = self.matrix(i), self.element_orders[i]
+        if any(not x.is_zero() for r, row in enumerate(m) for c, x in enumerate(row) if r != c):
+            return None
+        zetas = [CycNum.zeta(o, k) for k in range(o)]
+        return tuple(zetas.index(m[j][j]) for j in range(self.dimension))
 
-    def monomial_images(
-        self, i: int, q: int, coordinates: bool = False
-    ) -> tuple[int, int, list[dict[int, tuple[int, ...]]]]:
+    def monomial_images(self, i: int, q: int) -> tuple[int, int, list[dict[int, tuple[int, ...]]]]:
         """(N, delta, images) with images[d] the degree-q polynomial
-        (delta A v)^e for e = monomials(n, q)[d] and A the matrix of w_i, or
-        its matrix M in B-coordinates when `coordinates`: a map from the
-        index of each monomial of monomials(n, q) to its nonzero power-basis
-        coefficients at conductor N, as ints.  The coefficients of (A v)^e are
-        these over delta^q.  N is the lcm of the labels of A's irrational
-        entries: 1 when they are all rational, and at q = 0, where the only
-        image is 1.  Kept per matrix (`_image_store`).
+        (delta A v)^e for e = monomials(n, q)[d] and A the matrix of w_i: a
+        map from the index of each monomial of monomials(n, q) to its nonzero
+        power-basis coefficients at conductor N, as ints.  The coefficients
+        of (A v)^e are these over delta^q.  N is the lcm of the labels of A's
+        irrational entries: 1 when they are all rational, and at q = 0, where
+        the only image is 1.  Kept per element, built degree by degree.
         """
-        return self._image_store((i, coordinates)).degree(q)
+        store = self._images.get(i)
+        if store is None:
+            store = self._images[i] = _MonomialImages(self.matrix(i))
+        return store.degree(q)
 
     def substitute(self, f: MultiPoly, i: int) -> MultiPoly:
-        """f(w_i v): every monomial x^e of f becomes its image (A v)^e."""
-        return self._substitute(f, self._image_store((i, False)).degree)
-
-    def to_root_basis(self, a: Matrix) -> Matrix:
-        """B^-1 a B: a linear map of V in B-coordinates."""
-        return linalg.mat_mul(self._basis_inverse, linalg.mat_mul(a, self._basis))
-
-    def from_root_basis(self, h: list[MultiPoly], vector: bool = False) -> list[MultiPoly]:
-        """Each h_t(B^-1 v), for polynomials h_t in the B-coordinates u = B^-1 v,
-        as polynomials on V through the images of their monomials under B^-1;
-        when `vector`, B h(B^-1 v), for h a map into B-coordinates."""
-        if vector:
-            h = [sum((x * b for x, b in zip(h, row)), MultiPoly.zero(self.dimension)) for row in self._basis]
-        return [self._substitute(x, self._image_store(None).degree) for x in h]
-
-    def _image_store(self, key: tuple[int, bool] | None) -> _MonomialImages:
-        """The kept monomial images of the matrix of w_i (key (i, False)), of
-        its M (key (i, True)) or of B^-1 (key None)."""
-        store = self._images.get(key)
-        if store is None:
-            if key is None:
-                a = self._basis_inverse
-            else:
-                a = self._coordinate_matrix(key[0]) if key[1] else self.matrix(key[0])
-            store = self._images[key] = _MonomialImages(a)
-        return store
-
-    def _substitute(self, f: MultiPoly, images_of) -> MultiPoly:
-        """f(A v), with images_of(q) the `monomial_images` of A at degree q.
+        """f(w_i v): every monomial x^e of f becomes its image (A v)^e, A the
+        matrix of w_i, through its `monomial_images`.
 
         Each degree of f is summed on integers (with f's coefficients scaled
         to integers) in Z[x]/(x^M - 1), M the lcm of all the labels involved,
@@ -669,7 +647,7 @@ class ReflectionGroup:
             by_degree.setdefault(sum(e), []).append((e, c))
         out: dict[tuple[int, ...], CycNum] = {}
         for q, terms in by_degree.items():
-            N, delta, images = images_of(q)
+            N, delta, images = self.monomial_images(i, q)
             base = self.entry_label if q else 1
             index = _monomial_index(n, q)
             M = lcm(N, *(c.N for _, c in terms))
@@ -760,17 +738,21 @@ class ReflectionGroup:
             )
         self.hyperplanes = tuple(hyperplanes)
 
-    def _check_reflections_generate(self) -> None:
+    def _generated(self, elements) -> int:
+        """The order of the subgroup the elements generate, on the Cayley graph."""
         seen, frontier = {0}, [0]
         while frontier:
             cur = frontier.pop()
-            new = {self.mult(cur, r) for r in self.reflections} - seen
+            new = {self.mult(cur, r) for r in elements} - seen
             seen |= new
             frontier.extend(new)
-        if len(seen) != self.order:
+        return len(seen)
+
+    def _check_reflections_generate(self) -> None:
+        if (order := self._generated(self.reflections)) != self.order:
             raise GroupBuildError(
                 "generator file does not define a reflection group: "
-                f"reflections generate only {len(seen)} of {self.order} elements"
+                f"reflections generate only {order} of {self.order} elements"
             )
 
     def _find_orbits(self) -> None:

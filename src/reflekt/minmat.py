@@ -4,18 +4,15 @@ For an irreducible character chi with explicit matrix realization tau, a
 minimal matrix M is an l x l polynomial matrix with nonzero determinant,
 column j homogeneous of degree p_j (the j-th fake-degree exponent), and
 M(w^{-1} v) = tau(w) M(v) for all w.  Columns come from the space of
-equivariant polynomial maps V -> C^l of each degree: the constraints of all
-generators form one linear system on integer power-basis coefficients, built
+equivariant polynomial maps V -> C^l of each degree, posed as conditions
+f(A v) = T f(v) (`Realization.conditions`; for S_n, its Coxeter element and
+s_0).  One whose A = diag(a) is diagonal is imposed on the unknowns, never as
+rows: x^e maps to a^e x^e, so the coefficients of monomial e lie in the
+a^e-eigenspace of T, a column selection in an eigenbasis of T.  The others
+form one linear system on integer power-basis coefficients, built
 from the integer monomial images of the group (`monomial_images`) and the
 realization matrices in `exact`'s integer form, and solved by
 `linalg.integral_nullspace` (modular, then certified exactly on integers).
-Where the group's basis B of root vectors makes the generators sparser
-(`ReflectionGroup.solves_in_root_basis`: S_n, whose Fourier-basis generators
-are dense, while a generating reflection with its root in B moves one
-coordinate), the system is posed for h(u) = f(Bu) and each solution is
-carried back, f = h(B^-1 v), on integers (`from_root_basis`).  Defining rows,
-tau(s) = lambda(s) s, are solved for B^-1 f(Bu), whose tau side lambda(s) M_s
-is rational for S_n, and carried back as B h(B^-1 v).
 When the solution space is bigger than the number of columns needed, a
 deterministic pseudo-random mixing is drawn.  Its determinant det(M) is
 expanded once, by Laplace along the first row, and certified nonzero by its
@@ -35,6 +32,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
@@ -68,6 +66,32 @@ class Realization:
         self.method = method
         self._cache: dict[int, Matrix] = {}
         self._bases: dict[int, tuple] = {}  # degree -> its equivariant_basis
+
+    @cached_property
+    def conditions(self) -> tuple:
+        """(weights, o, eigen, P, rows): the conditions f(A v) = T f(v) its
+        equivariant maps are solved under are (s^-1, tau(s)) for each
+        generator s or, where the group has a `coxeter_element` c, (c, tau(c))
+        and (s_0, tau(s_0)).  The first with A = diag(zeta_o^weights[j])
+        diagonal is imposed on the unknowns, those of f' = P^-1 f, P an
+        eigenbasis of its T (None where T is diagonal), column t with
+        eigenvalue zeta_o^eigen[t]; rows holds (A, P^-1 T P) of the others,
+        A by element index.  Without a diagonal one, weights = () and o = 1."""
+        g, l, c = self.group, self.dim, self.group.coxeter_element
+        conds = ({g.inverse(s): t for s, t in zip(g.generator_elements, self.generator_matrices)} if c is None
+                 else {c: self.element_matrix(c), g.generator_elements[0]: self.generator_matrices[0]})
+        a, weights = next(((a, w) for a in conds if (w := g.diagonal(a)) is not None), (None, ()))
+        o, tau = (1, linalg.identity(l)) if a is None else (g.element_orders[a], conds.pop(a))
+        zetas = [CycNum.zeta(o, k) for k in range(o)]
+        if all(x.is_zero() for s, row in enumerate(tau) for t, x in enumerate(row) if s != t):
+            return weights, o, tuple(zetas.index(tau[t][t]) for t in range(l)), None, list(conds.items())
+        ident = linalg.identity(l)
+        eigen = [(k, v) for k, z in enumerate(zetas) for v in linalg.nullspace(linalg.mat_sub(tau, linalg.mat_scale(ident, z)))]
+        basis = tuple(zip(*(v for _, v in eigen)))
+        # [P | 1] reduces to [1 | P^-1]
+        inverse = tuple(tuple(row[l:]) for row in linalg.rref([row + e for row, e in zip(basis, ident)])[0])
+        rows = [(b, linalg.mat_mul(inverse, linalg.mat_mul(t, basis))) for b, t in conds.items()]
+        return weights, o, tuple(k for k, _ in eigen), basis, rows
 
     @property
     def dim(self) -> int:
@@ -231,23 +255,20 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
     f(w^{-1} v) = tau(w) f(v); returned as tuples of component MultiPolys.
 
     The unknowns are the coefficients of f, monomial-major and component-minor.
-    For each generator s, with (N, delta, images) = `monomial_images` of
-    s^{-1}, row (d', i) of the constraint f_i(s^{-1} v) - sum_t tau(s)_it f_t(v)
-    = 0 at monomial d' is, times delta^p and the lcm of the denominators of
-    row i of tau(s): the integer image coefficients of monomial d' at the
-    columns of component i, and -delta^p tau(s)_it at the columns (d', t).
-    The rows of every generator go to one `linalg.integral_nullspace` call, so
-    the basis is the unique reduced-echelon basis of the solution space.
-
-    Where the group solves in its root basis B, the unknowns are those of
-    h(u) = f(Bu) instead, and the images are those of s^{-1}'s matrix M in
-    B-coordinates: h(M u) = tau(s) h(u), and each solution is carried back to
-    f = h(B^-1 v).  Defining rows, tau(s) = lambda(s) s, are solved for
-    h(u) = B^-1 f(Bu), h(M u) = lambda(s) M_s h(u), and carried back as
-    f = B h(B^-1 v) (`from_root_basis`).  The results are reduced to the
-    same unique basis, so the output does not depend on the coordinates.
-    Its entries carry the lcm of N0 (at p > 0) and the labels of the tau
-    entries, the labels the defining-basis constraint rows have as CycNums.
+    Of the conditions f(A v) = T f(v) that pose the maps
+    (`Realization.conditions`), a diagonal one keeps only the coefficients of
+    monomial e in components whose T-eigenvalue is A^e, in an eigenbasis P
+    of T.  For each other condition, with (N, delta, images) =
+    `monomial_images` of A, row (d', i) of f_i(A v) - sum_t T_it f_t(v) = 0
+    at monomial d' is, times delta^p and the lcm of the denominators of row
+    i of T: the integer image coefficients of monomial d' at the kept
+    columns of component i, and -delta^p T_it at the kept columns (d', t).
+    The rows go to one `linalg.integral_nullspace` call, so the basis is the
+    unique reduced-echelon basis of the solution space; solutions for
+    f' = P^-1 f are carried back, f = P f' at each monomial, and reduced to
+    that basis (`_echelon_from_right`).  Its entries carry the lcm of N0 (at
+    p > 0) and the labels of the tau entries, as the constraint rows of
+    every generator have them as CycNums.
     Solved bases are kept on `real`, one per degree, so `build_minimal_matrix`
     and `verify_quotient_property` solve each degree once; every call with
     `fs` checks the dimension against the fake-degree prediction.
@@ -268,50 +289,43 @@ def equivariant_basis(real: Realization, p: int, fs: FakeDegreeSet | None = None
 def _solve_equivariant(real: Realization, p: int) -> tuple:
     g = real.group
     n, l = g.dimension, real.dim
-    root = g.solves_in_root_basis
-    # tau(s) = lambda(s) s: solve for B^-1 f(Bu), whose tau side is B^-1 tau(s) B
-    defining = root and real.method.startswith("defining")
     monos = monomials(n, p)
     D = len(monos)
-    taus = real.generator_matrices
-    label = lcm(g.entry_label if p else 1, *(x.N for t in taus for row in t for x in row if not x.is_zero()))
+    label = lcm(g.entry_label if p else 1, *(x.N for t in real.generator_matrices for row in t for x in row if not x.is_zero()))
+    weights, o, eigen, P, conditions = real.conditions
+    keep = [d * l + t for d, e in enumerate(monos) for t in range(l) if sum(w * a for w, a in zip(weights, e)) % o == eigen[t]]
+    if not keep:
+        return ()
+    column = dict(zip(keep, range(len(keep))))
     rows: list[list[linalg.Term]] = []
-    for a, gelt in enumerate(g.generator_elements):
-        N, delta, images = g.monomial_images(g.inverse(gelt), p, root)
+    for a, taus in conditions:
+        N, delta, images = g.monomial_images(a, p)
         # by_out[d'][d]: conductor and coefficients of monomial d' in image d
         by_out: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(D)]
         for d, image in enumerate(images):
             for dp, c in image.items():
                 by_out[dp][d] = (N, c) if any(c[1:]) else (1, c[:1])
-        tau = []  # per component s: (den, {t: term of -delta^p den tau_st})
-        for tau_row in g.to_root_basis(taus[a]) if defining else taus[a]:
-            den, terms = integral_terms(tau_row)
-            scaled = {t: (M, [-delta**p * v for v in c]) for t, (M, c) in enumerate(terms) if any(c)}
-            tau.append((den, scaled))
+        # per component s: (den, {t: term of -delta^p den tau_st})
+        tau = [(den, {t: (M, [-delta**p * v for v in c]) for t, (M, c) in enumerate(terms) if any(c)})
+               for den, terms in map(integral_terms, taus)]
         for dp in range(D):
             for s, (den, tau_terms) in enumerate(tau):
-                image = [(d * l + s, M, [den * v for v in c]) for d, (M, c) in by_out[dp].items()]
-                rows.append(image + [(dp * l + t, M, c) for t, (M, c) in tau_terms.items()])
-    vectors = linalg.integral_nullspace(rows, D * l, label)
-    if root:
-        # h(u) = f(Bu), or B^-1 f(Bu), was solved for; f = h(B^-1 v), or
-        # B h(B^-1 v), reduced to the reduced-echelon basis the defining
-        # coordinates give.
-        carried = []
-        for vec in vectors:
-            comps = g.from_root_basis(_components(vec, monos, l), defining)
-            carried.append([comps[s].terms.get(mo, ZERO) for mo in monos for s in range(l)])
-        vectors = _echelon_from_right(carried, label)
-    return tuple(tuple(_components(vec, monos, l)) for vec in vectors)
-
-
-def _components(vec, monos, l: int) -> list[MultiPoly]:
-    """The l component polynomials of a coefficient vector, monomial-major."""
-    n = len(monos[0])
-    return [
-        MultiPoly(n, {mo: c for d, mo in enumerate(monos) if not (c := vec[d * l + s]).is_zero()})
-        for s in range(l)
-    ]
+                row = [(column[d * l + s], M, [den * v for v in c]) for d, (M, c) in by_out[dp].items() if d * l + s in column]
+                row += [(column[dp * l + t], M, c) for t, (M, c) in tau_terms.items() if dp * l + t in column]
+                if row:
+                    rows.append(row)
+    solved = linalg.integral_nullspace(rows, len(keep), label if P is None else lcm(label, *(x.N for row in P for x in row)))
+    vectors = [[vec[column[c]] if c in column else ZERO for c in range(D * l)] for vec in solved]
+    if P is not None:
+        # f = P f' at each monomial, reduced to the reduced-echelon basis
+        vectors = _echelon_from_right([
+            [sum((P[s][t] * v[d * l + t] for t in range(l) if not v[d * l + t].is_zero()), ZERO) for d in range(D) for s in range(l)]
+            for v in vectors
+        ], label)
+    return tuple(
+        tuple(MultiPoly(n, {mo: c for d, mo in enumerate(monos) if not (c := vec[d * l + s]).is_zero()}) for s in range(l))
+        for vec in vectors
+    )
 
 
 def _echelon_from_right(vectors: list[list[CycNum]], label: int) -> list[tuple[CycNum, ...]]:
@@ -472,7 +486,8 @@ def verify_quotient_property(
     fs: FakeDegreeSet, mm: MinimalTauMatrix, seed: int = 0
 ) -> dict:
     """For a sampled non-minimal equivariant N: R = M^{-1} N is a W-invariant
-    polynomial matrix (exact division by det M, invariance under generators)."""
+    polynomial matrix (exact division by det M, invariance under generators);
+    N's degrees p + d_1 are checked against the fake-degree prediction too."""
     g = mm.group
     real = mm.realization
     l = mm.dim
@@ -480,7 +495,7 @@ def verify_quotient_property(
     rng = random.Random((seed, g.descriptor.canonical(), mm.row, "quotient").__repr__())
     cols = []
     for p in mm.column_degrees:
-        basis = equivariant_basis(real, p + d1)
+        basis = equivariant_basis(real, p + d1, fs)
         cols.append(_mix(basis, [rng.randint(-2, 2) for _ in basis]))
     nmat = [[cols[jj][i] for jj in range(l)] for i in range(l)]
 

@@ -879,9 +879,12 @@ def root_orbit(g, max_order: int = 50_000):
     """(roots, perms): X, the W-orbit of the b_j, by breadth-first search on
     CycNum vectors in B-coordinates at label N0 keyed in a dict, with
     perms[a][x] the index of s_a(x), each image the CycNum product M v of the
-    generator's matrix M = B^-1 s B."""
+    generator's matrix M = B^-1 s B, formed from the group's B and B^-1."""
     n, n0 = g.dimension, g.entry_label
-    gens = [tuple(tuple(x.promote(n0) for x in row) for row in g.to_root_basis(s)) for s in g.generator_matrices]
+    gens = [
+        tuple(tuple(x.promote(n0) for x in row) for row in linalg.mat_mul(g._basis_inverse, linalg.mat_mul(s, g._basis)))
+        for s in g.generator_matrices
+    ]
     zero = CycNum.zero(n0)
     roots = [tuple(CycNum.rational(int(i == j), n0) for i in range(n)) for j in range(n)]
     index = {v: j for j, v in enumerate(roots)}

@@ -2,7 +2,7 @@ import pytest
 
 from reflekt.exact import CycNum, ExactError, MultiPoly
 from reflekt import linalg, minmat
-from reflekt.groups import build_group
+from reflekt.groups import build_group, monomials
 from reflekt.chars import character_table, det_character, trivial_character
 from reflekt.fake import FakeDegreeSet
 from reflekt.minmat import (
@@ -14,7 +14,6 @@ from reflekt.minmat import (
     verify_quotient_property,
 )
 
-from corpus import G4
 from oracles import leibniz_det, sequential_equivariant_basis
 
 SCOPE = ["S3", "S4", "G(2,1,2)", "G(3,1,2)", "G(2,1,1)", "G(3,1,1)", "G(4,1,1)"]
@@ -119,6 +118,21 @@ def test_stored_basis_is_still_checked_against_the_prediction(built, monkeypatch
     assert equivariant_basis(real, 3) is basis
 
 
+def test_quotient_degrees_are_checked_against_the_prediction(built, monkeypatch):
+    """The degrees p + d_1 that only the quotient check solves (3 and 4 for
+    S3's reflection row, exponents (1, 2)) are checked against the
+    fake-degree prediction too."""
+    fs = built["S3"]
+    std = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 2)
+    mm = build_minimal_matrix(fs, std)
+    bumped = {p + fs.group.degrees[0] for p in mm.column_degrees} - set(mm.column_degrees)
+    assert bumped == {3, 4}
+    predict = minmat.predicted_equivariant_dimension
+    monkeypatch.setattr(minmat, "predicted_equivariant_dimension", lambda fs, row, p: predict(fs, row, p) + (p in bumped))
+    with pytest.raises(ExactError, match="degree 3 has dim 1, fake degree predicts 2"):
+        verify_quotient_property(fs, mm)
+
+
 def test_minimal_matrix_s3_standard(built):
     fs = built["S3"]
     std = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 2)
@@ -202,17 +216,86 @@ def test_equivariant_basis_matches_sequential_oracle(built, name):
                 ], (name, i, q)
 
 
+def closure(mats) -> int:
+    """The order of the group the matrices generate, by exact products."""
+    seen, frontier = {linalg.identity(len(mats[0]))}, [linalg.identity(len(mats[0]))]
+    while frontier:
+        cur = frontier.pop()
+        for m in mats:
+            nxt = linalg.mat_mul(cur, m)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_symmetric_group_coxeter_element_is_diagonal(n):
+    """c = s_0 s_1 .. s_{n-2} is the n-cycle; in the Fourier basis it is
+    diag(zeta_n, .., zeta_n^(n-1)), and the solves pose c and s_0."""
+    g = build_group(f"S{n}")
+    c = g.coxeter_element
+    assert c == g.words.index(tuple(range(n - 1)))
+    assert g.element_orders[c] == n
+    assert g.diagonal(c) == tuple(range(1, n))
+    assert g.matrix(c) == tuple(
+        tuple(CycNum.zeta(n, j + 1) if j == k else CycNum.zero() for k in range(n - 1)) for j in range(n - 1)
+    )
+
+
+@pytest.mark.parametrize("name, order", [("S3", 6), ("S4", 24), ("S5", 120), ("G(3,3,2)", 6), ("G(4,2,2)", 8)])
+def test_coxeter_element_and_first_generator_generate(name, order):
+    """<c, s_0>, generated by exact matrix products, is W exactly where the
+    group poses c: G(4,2,2)'s generators are involutions too, but its
+    c = -i 1 is scalar, and <c, s_0> has order 8 of 16."""
+    g = build_group(name)
+    c = 0
+    for a in range(len(g.generator_elements)):
+        c = g._rmul[c][a]
+    assert closure([g.matrix(c), g.generator_matrices[0]]) == order
+    assert g.coxeter_element == (c if order == g.order else None)
+
+
 @pytest.mark.parametrize(
-    "name, root",
-    [("S4", True), ("S5", True), ("S3", False), pytest.param(G4, False, id="G4-False"), ("G(3,1,1)", False), ("G(2,1,2)", False),
-     ("G(3,1,2)", False), ("G(2,1,3)", False), ("G(3,3,2)", False), ("G(5,5,2)", False), ("G(4,2,2)", False)],
+    "name, diagonal, weights",
+    [("G(2,1,2)", [(1, 0), None], (1, 0)), ("G(3,1,2)", [(1, 0), None], (2, 0)),
+     ("G(4,2,2)", [(1, 0), None, None], (1, 0))],
 )
-def test_solves_take_the_root_basis_only_where_it_is_sparser(name, root):
-    """The inverse generators have 8+8+8 nonzero entries in S4's Fourier
-    basis against 4+5+4 in B-coordinates, and S5's are denser still; S3 has
-    2+2 against 3+3, G4 ties at 6, and monomial generators are never sparser
-    in B-coordinates."""
-    assert build_group(name).solves_in_root_basis is root
+def test_diagonal_generators_are_imposed_on_the_unknowns(name, diagonal, weights):
+    """G(m,p,n), p < m, has one diagonal generator d = diag(zeta_m^p, 1, ..);
+    its condition f(d^-1 v) = tau(d) f(v) is imposed through d^-1's
+    exponents, and no generator poses a Coxeter element."""
+    g = build_group(name)
+    assert [g.diagonal(s) for s in g.generator_elements] == diagonal
+    assert g.coxeter_element is None
+    table = character_table(g)
+    for i in range(len(table.rows)):
+        got, _, _, _, rows = matrix_realization(g, table, i).conditions
+        assert got == weights and len(rows) == len(diagonal) - 1
+
+
+def test_sign_row_poses_only_the_selected_unknowns(built, monkeypatch):
+    """S4's sign row at degree 8: the 45 monomials of degree 8 in 3
+    variables, of which the 12 with i^(e_1 + 2 e_2 + 3 e_3) = sign(c) = -1
+    are the unknowns; only s_0's rows are eliminated."""
+    fs = built["S4"]
+    g = fs.group
+    sign = fs.table.row_index(det_character(g))
+    real = matrix_realization(g, fs.table, sign)
+    assert real.conditions[4] == [(g.generator_elements[0], real.generator_matrices[0])]
+    posed = []
+    solve = linalg.integral_nullspace
+
+    def spy(rows, ncols, label):
+        posed.append(ncols)
+        return solve(rows, ncols, label)
+
+    monkeypatch.setattr(linalg, "integral_nullspace", spy)
+    basis = equivariant_basis(real, 8, fs)
+    assert posed == [12] and len(monomials(3, 8)) == 45
+    assert [[poly_key(f) for f in v] for v in basis] == [
+        [poly_key(f) for f in v] for v in sequential_equivariant_basis(real, 8, fs)
+    ]
 
 
 def test_basis_entries_carry_the_generator_label():
@@ -233,10 +316,11 @@ def test_basis_entries_carry_the_generator_label():
 
 
 def test_root_basis_solve_matches_sequential_oracle_on_s5():
-    """S5 solves in B-coordinates and carries each solution back to V: its
-    bases equal the defining-basis oracle's, conductor labels included, for
-    every row at degrees 0-2 and for the reflection representation (row 3)
-    at degree 3, where the space has dimension 2."""
+    """S5 poses its Coxeter element c on the unknowns and s_0 as rows: its
+    bases equal the oracle's, which intersects every generator's system,
+    conductor labels included, for every row at degrees 0-2 and for the
+    reflection representation (row 3) at degree 3, where the space has
+    dimension 2."""
     g = build_group("S5")
     fs = FakeDegreeSet(g, character_table(g))
     reflection = next(i for i, r in enumerate(fs.table.rows) if r.degree_int() == 4 and fs.fds[i].exponents[0] == 1)
@@ -250,37 +334,21 @@ def test_root_basis_solve_matches_sequential_oracle_on_s5():
     assert len(equivariant_basis(matrix_realization(g, fs.table, reflection), 3)) == 2
 
 
-def test_symmetric_group_systems_are_rational(monkeypatch):
-    """S_n's M are integer matrices in its rescaled root basis, and its
-    defining rows are solved for B^-1 f(Bu), whose tau side lambda(s) M_s is
-    rational too: every system S4's and S5's rows pose has conductor-1 terms
-    only, except for S5's row 4, whose induced realization has entries in
-    Q(zeta_3), and whose only irrational terms carry tau's label.  S4's rows
-    are solved at every degree their minimal matrix and its quotient check
-    need, S5's at degrees 0-3 and the reflection representation's (row 3) up
-    to 6."""
-    conductors = set()
-    solve = linalg.integral_nullspace
-
-    def spy(rows, ncols, label):
-        conductors.update(N for row in rows for _, N, _ in row)
-        return solve(rows, ncols, label)
-
-    for name in ("S4", "S5"):
-        g = build_group(name)
-        fs = FakeDegreeSet(g, character_table(g))
-        reals = [matrix_realization(g, fs.table, i) for i in range(len(fs.table.rows))]
-        monkeypatch.setattr(linalg, "integral_nullspace", spy)
-        for i, real in enumerate(reals):
-            exps = set(fs.fds[i].exponents)
-            degrees = exps | {p + g.degrees[0] for p in exps} if name == "S4" else range(7 if i == 3 else 4)
-            conductors.clear()
-            for q in degrees:
-                equivariant_basis(real, q, fs)
-            irrational = {x.N for m in real.generator_matrices for row in m for x in row if not x.is_rational()}
-            want = {1, 60} if (name, i) == ("S5", 4) else {1}
-            assert conductors == want and conductors <= {1} | irrational, (name, i)
-        monkeypatch.undo()
+@pytest.mark.parametrize(
+    "name, row, top", [("S4", i, 8) for i in range(5)] + [("S5", i, 4) for i in range(7)],
+)
+def test_symmetric_group_bases_match_sequential_oracle(name, row, top):
+    """Every row of S4 at degrees 0-8 and of S5 at degrees 0-4, including
+    the induced rows, where tau(c) is not diagonal and the solve runs in its
+    eigenbasis: the bases equal the oracle's, conductor labels included."""
+    g = build_group(name)
+    fs = FakeDegreeSet(g, character_table(g))
+    real = matrix_realization(g, fs.table, row)
+    assert (real.conditions[3] is not None) is (real.method == "induced_cyclic")
+    for q in range(top + 1):
+        got = equivariant_basis(real, q, fs)
+        want = sequential_equivariant_basis(real, q, fs)
+        assert [[poly_key(f) for f in v] for v in got] == [[poly_key(f) for f in v] for v in want], q
 
 
 # Both rows fail because their solved equivariant dimensions, at every degree
